@@ -16,10 +16,10 @@ from .fermat import (FermatOptions, FermatResult, FloatingTest, WeightTriple,
                      floating_test, measure_sector_angles,
                      sector_angles_from_weights, sector_partition,
                      solve_fermat, weights_from_sector_angles)
-from .geodesics import (GeodesicPath, GeodesicState, clairaut_constant,
-                        geodesic_derivative, shoot, write_path_csv)
+from .geodesics import (GeodesicPath, clairaut_constant, shoot,
+                        write_path_csv)
 from .scenario import Scenario, load_scenario
-from .surfaces import ProfileSurface, SurfacePoint, TangentVector, make_surface
+from .surfaces import ProfileSurface, SurfacePoint, make_surface
 
 __all__ = [
     "__version__",
@@ -33,8 +33,7 @@ __all__ = [
     "FermatOptions", "FermatResult", "FloatingTest", "WeightTriple",
     "floating_test", "measure_sector_angles", "sector_angles_from_weights",
     "sector_partition", "solve_fermat", "weights_from_sector_angles",
-    "GeodesicPath", "GeodesicState", "clairaut_constant",
-    "geodesic_derivative", "shoot", "write_path_csv",
+    "GeodesicPath", "clairaut_constant", "shoot", "write_path_csv",
     "Scenario", "load_scenario",
-    "ProfileSurface", "SurfacePoint", "TangentVector", "make_surface",
+    "ProfileSurface", "SurfacePoint", "make_surface",
 ]

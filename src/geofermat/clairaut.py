@@ -323,12 +323,7 @@ def branch_report(surface: ProfileSurface, center: SurfacePoint, branches,
     sphere_note = ""
     if surface.kind == "sphere":
         try:
-            probe = sphere_sine_ratio_probe(
-                surface,
-                ClairautReport(rho0, data, as_weights(weights).astuple(),
-                               sectors, orientation, None, "", None, None,
-                               None, ""),
-                weights)
+            probe = sphere_sine_ratio_probe(surface, data, weights)
         except UndefinedRatioError as exc:
             sphere_note = str(exc)
     else:

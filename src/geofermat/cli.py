@@ -1,7 +1,6 @@
 """Command-line interface.
 
     geofermat <command> --scenario <file> [--out <file>] [--paths <dir>]
-                        [--threads N]
 
 Commands: shoot, connect, fermat-solve, fermat-inverse, clairaut-report,
 rotate-experiment, verify.  Reports are JSON on stdout (or --out); branch
@@ -307,7 +306,7 @@ def _digest(raw: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run(command: str, scenario: Scenario | None, paths_dir=None, threads=1,
+def run(command: str, scenario: Scenario | None, paths_dir=None,
         suites=None):
     """Execute a command; returns (exit_code, report dict)."""
     t0 = time.perf_counter()
@@ -365,8 +364,6 @@ def main(argv=None) -> int:
                          help="write the JSON report here instead of stdout")
         cmd.add_argument("--paths", default=None,
                          help="directory for CSV branch polylines")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads (currently serial)")
         if name == "verify":
             cmd.add_argument("--suite", default=None,
                              help="comma-separated suite names (default all)")
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
         return 1
 
     code, report = run(args.command, scenario, paths_dir=args.paths,
-                       threads=args.threads, suites=suites)
+                       suites=suites)
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")

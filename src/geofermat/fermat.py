@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .connect import ConnectOptions, connect_geodesic
 from .errors import (ChartExitError, DegenerateTreeError, OffChartError,
                      SolveError, WeightDomainError)
-from .geodesics import GeodesicPath, shoot
+from .geodesics import shoot
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
 __all__ = [
@@ -173,10 +173,6 @@ class FloatingTest:
     margins: tuple
 
 
-def _departure(path: GeodesicPath):
-    return path.start_unit_tangent()
-
-
 def floating_test(surface: ProfileSurface, points, weights,
                   opts: ConnectOptions | None = None) -> FloatingTest:
     """Decide whether the weighted minimiser is interior or sits at a
@@ -194,8 +190,8 @@ def floating_test(surface: ProfileSurface, points, weights,
     for i in range(3):
         for j in range(3):
             if i != j:
-                tangents[i, j] = _departure(
-                    connect_geodesic(surface, pts[i], pts[j], opts))
+                tangents[i, j] = connect_geodesic(
+                    surface, pts[i], pts[j], opts).start_unit_tangent()
 
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
@@ -230,6 +226,14 @@ class FermatOptions:
     initial: SurfacePoint | None = None
     connect: ConnectOptions = field(
         default_factory=lambda: ConnectOptions(resid_tol=1e-12))
+
+    def __post_init__(self):
+        if self.grad_tol is not None and not self.grad_tol > 0.0:
+            raise ValueError("grad_tol must be positive")
+        if not self.angle_tol > 0.0:
+            raise ValueError("angle_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -290,7 +294,7 @@ def _branch_data(surface, p, pts, warm, opts):
 
 
 def _residual(paths, b):
-    tangents = [_departure(path) for path in paths]
+    tangents = [path.start_unit_tangent() for path in paths]
     r_par = sum(bi * t[0] for bi, t in zip(b, tangents))
     r_mer = sum(bi * t[1] for bi, t in zip(b, tangents))
     return r_par, r_mer

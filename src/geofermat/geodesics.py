@@ -31,9 +31,7 @@ from .errors import ChartExitError, SolveError
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
 __all__ = [
-    "GeodesicState",
     "GeodesicPath",
-    "geodesic_derivative",
     "shoot",
     "clairaut_constant",
     "write_path_csv",
@@ -45,16 +43,6 @@ _MERIDIAN_SNAP = 1e-14
 _MAX_STEPS = 200_000
 
 CSV_COLUMNS = ("s", "u", "v", "du", "dv", "x", "y", "z", "clairaut_c")
-
-
-@dataclass(frozen=True)
-class GeodesicState:
-    """Chart coordinates and coordinate velocities per unit arc length."""
-
-    u: float
-    v: float
-    du: float
-    dv: float
 
 
 @dataclass
@@ -84,10 +72,6 @@ class GeodesicPath:
     def end(self) -> SurfacePoint:
         return SurfacePoint(float(self.samples[-1, 1]), float(self.samples[-1, 2]))
 
-    def end_state(self) -> GeodesicState:
-        s = self.samples[-1]
-        return GeodesicState(float(s[1]), float(s[2]), float(s[3]), float(s[4]))
-
     def start_unit_tangent(self):
         """Departure tangent components (a_par, a_mer) in the unit frame."""
         return math.cos(self.theta_start), math.sin(self.theta_start)
@@ -109,15 +93,6 @@ class GeodesicPath:
 
     def embed_samples(self) -> np.ndarray:
         return self.surface.embed_batch(self.samples[:, 1], self.samples[:, 2])
-
-
-def geodesic_derivative(surface: ProfileSurface, state: GeodesicState):
-    """Right-hand side ``(du, dv, ddu, ddv)`` of the geodesic equations."""
-    surface.require_chart(state.u)
-    E, G, E_u, G_u, _ = surface.metric_terms(state.u)
-    ddu = (-E_u * state.du * state.du + G_u * state.dv * state.dv) / (2.0 * E)
-    ddv = -(G_u / G) * state.du * state.dv
-    return state.du, state.dv, ddu, ddv
 
 
 def clairaut_constant(surface: ProfileSurface, p: SurfacePoint, theta: float) -> float:

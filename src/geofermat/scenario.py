@@ -3,6 +3,7 @@ solver options consumed by the command-line interface.
 
 Angles are radians; any angle-valued field also accepts ``{"deg": x}``.
 The profile parameter ``u`` is not an angle and is always a plain number.
+Every number must be finite: JSON parsers accept ``NaN`` and ``Infinity``.
 """
 
 import json
@@ -14,7 +15,8 @@ from .errors import ProfileError, ScenarioError
 from .fermat import FermatOptions, WeightTriple
 from .surfaces import ProfileSurface, SurfacePoint, make_surface
 
-__all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
+__all__ = ["Scenario", "load_scenario", "scenario_from_dict",
+           "parse_angle", "parse_number"]
 
 SCHEMA = "geofermat/1"
 
@@ -22,21 +24,22 @@ _SURFACE_KEYS = {"kind", "radius", "slope", "a", "R", "r", "samples",
                  "u_min", "u_max", "axis_guard"}
 
 
-def _angle(value, where: str) -> float:
-    if isinstance(value, dict):
-        if set(value) == {"deg"} and isinstance(value["deg"], (int, float)):
-            return math.radians(float(value["deg"]))
-        raise ScenarioError("angle must be a number or {\"deg\": number}",
-                            where)
+def parse_angle(value, where: str) -> float:
+    """An angle in radians from a number or ``{"deg": number}``."""
+    if isinstance(value, dict) and set(value) == {"deg"}:
+        return math.radians(parse_number(value["deg"], f"{where}.deg"))
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return parse_number(value, where)
     raise ScenarioError("angle must be a number or {\"deg\": number}", where)
 
 
-def _number(value, where: str, positive: bool = False) -> float:
+def parse_number(value, where: str, positive: bool = False) -> float:
+    """A finite number, optionally required to be positive."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError("expected a number", where)
     val = float(value)
+    if not math.isfinite(val):
+        raise ScenarioError(f"must be finite, got {val!r}", where)
     if positive and val <= 0.0:
         raise ScenarioError(f"must be positive, got {val!r}", where)
     return val
@@ -79,8 +82,8 @@ class Scenario:
 def _parse_point(surface, obj, where):
     if not isinstance(obj, dict) or not {"u", "v"} <= set(obj):
         raise ScenarioError("point needs fields u and v", where)
-    u = _number(obj["u"], f"{where}.u")
-    v = _angle(obj["v"], f"{where}.v")
+    u = parse_number(obj["u"], f"{where}.u")
+    v = parse_angle(obj["v"], f"{where}.v")
     p = SurfacePoint(u, v)
     if not (surface.u_min <= u <= surface.u_max):
         raise ScenarioError(
@@ -111,7 +114,7 @@ def _parse_weights(values):
                             "weights")
     out = []
     for i, w in enumerate(values):
-        out.append(_number(w, f"weights[{i}]", positive=True))
+        out.append(parse_number(w, f"weights[{i}]", positive=True))
     return WeightTriple(*out)
 
 
@@ -132,8 +135,8 @@ def _parse_options(obj):
     if extra:
         raise ScenarioError(f"unknown options {sorted(extra)}", "options")
 
-    shoot_tol = _number(obj.get("shoot_tol", 1e-10), "options.shoot_tol",
-                        positive=True)
+    shoot_tol = parse_number(obj.get("shoot_tol", 1e-10), "options.shoot_tol",
+                             positive=True)
     con_kw = {"shoot_tol": shoot_tol}
     if "n_starts" in obj:
         n = obj["n_starts"]
@@ -150,7 +153,8 @@ def _parse_options(obj):
         con_kw["windings"] = tuple(ws)
     for key in ("max_len", "resid_tol"):
         if key in obj:
-            con_kw[key] = _number(obj[key], f"options.{key}", positive=True)
+            con_kw[key] = parse_number(obj[key], f"options.{key}",
+                                       positive=True)
     try:
         connect_opts = ConnectOptions(**con_kw)
     except ValueError as exc:
@@ -161,18 +165,22 @@ def _parse_options(obj):
                                                con_kw.get("resid_tol", 1e-10),
                                                1e-12)})}
     if "grad_tol" in obj:
-        fer_kw["grad_tol"] = _number(obj["grad_tol"], "options.grad_tol",
-                                     positive=True)
+        fer_kw["grad_tol"] = parse_number(obj["grad_tol"], "options.grad_tol",
+                                          positive=True)
     if "angle_tol" in obj:
-        fer_kw["angle_tol"] = _number(obj["angle_tol"], "options.angle_tol",
-                                      positive=True)
+        fer_kw["angle_tol"] = parse_number(obj["angle_tol"],
+                                           "options.angle_tol", positive=True)
     if "max_iter" in obj:
         n = obj["max_iter"]
-        if not isinstance(n, int) or n < 1:
-            raise ScenarioError("max_iter must be a positive integer",
+        if not isinstance(n, int):
+            raise ScenarioError("max_iter must be an integer",
                                 "options.max_iter")
         fer_kw["max_iter"] = n
-    return connect_opts, FermatOptions(**fer_kw), shoot_tol
+    try:
+        fermat_opts = FermatOptions(**fer_kw)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), "options") from exc
+    return connect_opts, fermat_opts, shoot_tol
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -227,11 +235,3 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
-
-
-def parse_angle(value, where: str) -> float:
-    return _angle(value, where)
-
-
-def parse_number(value, where: str, positive: bool = False) -> float:
-    return _number(value, where, positive)

@@ -25,6 +25,7 @@ A heading ``theta`` is the signed angle from ``e_parallel`` toward
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from .errors import OffChartError, ProfileError
 
 __all__ = [
     "SurfacePoint",
-    "TangentVector",
     "ProfileSurface",
     "make_surface",
     "CATALOGUE",
@@ -60,175 +60,147 @@ class SurfacePoint:
         return self.v % TWO_PI
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent at ``point`` in the orthonormal (parallel, meridian) frame."""
-
-    point: SurfacePoint
-    a_par: float
-    a_mer: float
-
-    def norm(self) -> float:
-        return math.hypot(self.a_par, self.a_mer)
+# Each profile is written once, as two functions of an array module ``xp``:
+# ``math`` for a scalar ``u`` (the integrator's hot path) and ``numpy`` for
+# an array.  ``metric(xp, u)`` gives ``(E, G, E_u, G_u, phi)`` in closed form
+# and ``meridian(xp, u)`` gives ``(psi, psi')``; ``phi' = G_u / (2 phi)``.
+# Constant terms add ``zero = 0.0 * u`` so that a batch gets arrays shaped
+# like ``u``.
 
 
 def _sphere_fns(R):
-    sin, cos = math.sin, math.cos
     R2 = R * R
 
-    def terms(u):
-        s = sin(u)
-        return R2, R2 * s * s, 0.0, 2.0 * R2 * s * cos(u), R * s
+    def metric(xp, u):
+        s = xp.sin(u)
+        zero = 0.0 * u
+        return R2 + zero, R2 * s * s, zero, 2.0 * R2 * s * xp.cos(u), R * s
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        s, c = np.sin(u), np.cos(u)
-        return R * s, R * c, -R * s, R * c, -R * s, -R * c
+    def meridian(xp, u):
+        return R * xp.cos(u), -R * xp.sin(u)
 
-    return terms, vals
+    return metric, meridian
 
 
 def _cylinder_fns(R):
     R2 = R * R
 
-    def terms(u):
-        return 1.0, R2, 0.0, 0.0, R
+    def metric(xp, u):
+        zero = 0.0 * u
+        return 1.0 + zero, R2 + zero, zero, zero, R + zero
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
-        return R + z, z, z, u.copy(), np.ones_like(u), z
+    def meridian(xp, u):
+        return u, 1.0 + 0.0 * u
 
-    return terms, vals
+    return metric, meridian
 
 
 def _cone_fns(slope):
     E = 1.0 + slope * slope
 
-    def terms(u):
-        return E, u * u, 0.0, 2.0 * u, u
+    def metric(xp, u):
+        zero = 0.0 * u
+        return E + zero, u * u, zero, 2.0 * u, u
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
-        return u.copy(), np.ones_like(u), z, slope * u, slope + z, z
+    def meridian(xp, u):
+        return slope * u, slope + 0.0 * u
 
-    return terms, vals
+    return metric, meridian
 
 
 def _paraboloid_fns(a):
     inv_a = 1.0 / a
     inv_a2 = inv_a * inv_a
 
-    def terms(u):
+    def metric(xp, u):
         return 1.0 + u * u * inv_a2, u * u, 2.0 * u * inv_a2, 2.0 * u, u
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
-        return (
-            u.copy(),
-            np.ones_like(u),
-            z,
-            0.5 * u * u * inv_a,
-            u * inv_a,
-            inv_a + z,
-        )
+    def meridian(xp, u):
+        return 0.5 * u * u * inv_a, u * inv_a
 
-    return terms, vals
+    return metric, meridian
 
 
 def _catenoid_fns(a):
-    cosh, sinh = math.cosh, math.sinh
     inv_a = 1.0 / a
 
-    def terms(u):
-        ch = cosh(u * inv_a)
-        sh = sinh(u * inv_a)
+    def metric(xp, u):
+        ch = xp.cosh(u * inv_a)
+        sh = xp.sinh(u * inv_a)
         phi = a * ch
         # E = sh^2 + 1 = ch^2
         return ch * ch, phi * phi, 2.0 * sh * ch * inv_a, 2.0 * phi * sh, phi
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        ch, sh = np.cosh(u * inv_a), np.sinh(u * inv_a)
-        z = np.zeros_like(u)
-        return a * ch, sh, ch * inv_a, u.copy(), np.ones_like(u), z
+    def meridian(xp, u):
+        return u, 1.0 + 0.0 * u
 
-    return terms, vals
+    return metric, meridian
 
 
 def _torus_fns(R, r):
-    sin, cos = math.sin, math.cos
     r2 = r * r
 
-    def terms(u):
-        s, c = sin(u), cos(u)
-        phi = R + r * c
-        return r2, phi * phi, 0.0, -2.0 * phi * r * s, phi
+    def metric(xp, u):
+        s = xp.sin(u)
+        phi = R + r * xp.cos(u)
+        zero = 0.0 * u
+        return r2 + zero, phi * phi, zero, -2.0 * phi * r * s, phi
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        s, c = np.sin(u), np.cos(u)
-        return R + r * c, -r * s, -r * c, r * s, r * c, -r * s
+    def meridian(xp, u):
+        return r * xp.sin(u), r * xp.cos(u)
 
-    return terms, vals
+    return metric, meridian
 
 
 def _plane_fns():
-    def terms(u):
-        return 1.0, u * u, 0.0, 2.0 * u, u
+    def metric(xp, u):
+        zero = 0.0 * u
+        return 1.0 + zero, u * u, zero, 2.0 * u, u
 
-    def vals(u):
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
-        return u.copy(), np.ones_like(u), z, z, z, z
+    def meridian(xp, u):
+        zero = 0.0 * u
+        return zero, zero
 
-    return terms, vals
+    return metric, meridian
 
 
-class _SplinePair:
-    """Fast scalar and batch evaluation of the custom-profile splines."""
+class _Spline:
+    """C2 not-a-knot splines through the (u, phi, psi) samples, evaluated by
+    Horner's rule on the stored coefficients of the interval holding u."""
 
     def __init__(self, u_samples, phi_samples, psi_samples):
-        self.phi = CubicSpline(u_samples, phi_samples, bc_type="not-a-knot")
-        self.psi = CubicSpline(u_samples, psi_samples, bc_type="not-a-knot")
-        self._x = self.phi.x
-        self._cphi = self.phi.c
-        self._cpsi = self.psi.c
-        self._n = len(self._x) - 2  # max interval index
+        phi = CubicSpline(u_samples, phi_samples, bc_type="not-a-knot")
+        psi = CubicSpline(u_samples, psi_samples, bc_type="not-a-knot")
+        self._x = phi.x
+        # rows: phi's cubic coefficients, then psi's, highest power first
+        self._c = np.vstack([phi.c, psi.c])
+        self._x_list = self._x.tolist()
+        self._c_list = self._c.T.tolist()
+        self._last = len(self._x) - 2
 
-    def _locate(self, u):
-        i = int(np.searchsorted(self._x, u, side="right")) - 1
-        if i < 0:
-            i = 0
-        elif i > self._n:
-            i = self._n
-        return i, u - self._x[i]
+    def _interval(self, xp, u):
+        """The eight coefficients and the offset ``t`` from the interval
+        start; u outside the knots uses the end intervals."""
+        if xp is math:
+            i = min(max(bisect_right(self._x_list, u) - 1, 0), self._last)
+            return self._c_list[i], u - self._x_list[i]
+        i = np.clip(np.searchsorted(self._x, u, side="right") - 1, 0,
+                    self._last)
+        return self._c[:, i], u - self._x[i]
 
-    def scalar(self, u):
-        """Return (phi, dphi, d2phi, psi, dpsi, d2psi) at a scalar u."""
-        i, t = self._locate(u)
-        a, b, c, d = self._cphi[0, i], self._cphi[1, i], self._cphi[2, i], self._cphi[3, i]
+    def metric(self, xp, u):
+        (a, b, c, d, e, f, g, _), t = self._interval(xp, u)
         ph = ((a * t + b) * t + c) * t + d
         dph = (3.0 * a * t + 2.0 * b) * t + c
         d2ph = 6.0 * a * t + 2.0 * b
-        a, b, c, d = self._cpsi[0, i], self._cpsi[1, i], self._cpsi[2, i], self._cpsi[3, i]
-        ps = ((a * t + b) * t + c) * t + d
-        dps = (3.0 * a * t + 2.0 * b) * t + c
-        d2ps = 6.0 * a * t + 2.0 * b
-        return ph, dph, d2ph, ps, dps, d2ps
+        dps = (3.0 * e * t + 2.0 * f) * t + g
+        d2ps = 6.0 * e * t + 2.0 * f
+        return (dph * dph + dps * dps, ph * ph,
+                2.0 * (dph * d2ph + dps * d2ps), 2.0 * ph * dph, ph)
 
-    def batch(self, u):
-        u = np.asarray(u, dtype=float)
-        return (
-            self.phi(u),
-            self.phi(u, 1),
-            self.phi(u, 2),
-            self.psi(u),
-            self.psi(u, 1),
-            self.psi(u, 2),
-        )
+    def meridian(self, xp, u):
+        (_, _, _, _, e, f, g, h), t = self._interval(xp, u)
+        return ((e * t + f) * t + g) * t + h, (3.0 * e * t + 2.0 * f) * t + g
 
 
 def _custom_fns(samples):
@@ -240,14 +212,8 @@ def _custom_fns(samples):
         raise ProfileError("custom profile samples must have strictly increasing u")
     if np.any(phi_s <= 0):
         raise ProfileError("custom profile requires phi > 0 at every sample")
-    sp = _SplinePair(u_s, phi_s, psi_s)
-
-    def terms(u):
-        ph, dph, d2ph, _, dps, d2ps = sp.scalar(u)
-        E = dph * dph + dps * dps
-        return E, ph * ph, 2.0 * (dph * d2ph + dps * d2ps), 2.0 * ph * dph, ph
-
-    return terms, sp.batch, (float(u_s[0]), float(u_s[-1]))
+    sp = _Spline(u_s, phi_s, psi_s)
+    return sp.metric, sp.meridian, (float(u_s[0]), float(u_s[-1]))
 
 
 CATALOGUE = ("sphere", "cylinder", "cone", "paraboloid", "catenoid",
@@ -271,14 +237,15 @@ class ProfileSurface:
     functions of immutable data and safe for concurrent use.
     """
 
-    def __init__(self, kind, params, terms, vals, u_min, u_max, axis_guard):
+    def __init__(self, kind, params, metric, meridian, u_min, u_max,
+                 axis_guard):
         self.kind = kind
         self.params = dict(params)
         self.u_min = float(u_min)
         self.u_max = float(u_max)
         self.axis_guard = float(axis_guard)
-        self._terms = terms          # scalar u -> (E, G, E_u, G_u, phi)
-        self._vals = vals            # batch u -> (phi, dphi, d2phi, psi, dpsi, d2psi)
+        self._metric = metric        # (xp, u) -> (E, G, E_u, G_u, phi)
+        self._meridian = meridian    # (xp, u) -> (psi, psi')
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
         if self.axis_guard <= 0.0:
@@ -288,38 +255,39 @@ class ProfileSurface:
         self.closes_at_max = self._closes_smoothly(self.u_max)
 
     def _check_regular(self):
-        probe = np.linspace(self.u_min, self.u_max, 33)
-        phi, dphi, _, _, dpsi, _ = self._vals(probe)
-        E = dphi * dphi + dpsi * dpsi
+        E, _, _, _, phi = self._metric(
+            np, np.linspace(self.u_min, self.u_max, 33))
         if not np.all(np.isfinite(E)) or np.any(E <= 0.0):
             raise ProfileError("profile is not regular: E <= 0 somewhere on the chart")
         if np.all(phi <= self.axis_guard):
             raise ProfileError("entire chart lies inside the axis guard")
 
     def _closes_smoothly(self, u_end):
-        phi, dphi, _, _, dpsi, _ = (float(x) for x in self._vals(u_end))
+        E, _, _, _, phi = self._metric(math, u_end)
         if abs(phi) > _CLOSURE_PHI_TOL * max(1.0, self.scale()):
             return False
-        slope = abs(dphi) / math.sqrt(dphi * dphi + dpsi * dpsi)
+        dpsi = self._meridian(math, u_end)[1]
+        # |dphi/ds| = sqrt(1 - (dpsi/ds)^2) on a regular profile
+        slope = math.sqrt(max(0.0, 1.0 - dpsi * dpsi / E))
         return abs(slope - 1.0) <= _CLOSURE_SLOPE_TOL
 
     def scale(self) -> float:
         """Characteristic radius, used to normalise tolerances."""
         u_mid = 0.5 * (self.u_min + self.u_max)
-        return max(1e-12, float(self._vals(u_mid)[0]))
+        return max(1e-12, self._metric(math, u_mid)[4])
 
     # -- chart checks ------------------------------------------------------
 
     def on_chart(self, u: float) -> bool:
         if not (self.u_min <= u <= self.u_max):
             return False
-        return float(self._vals(u)[0]) > self.axis_guard
+        return self._metric(math, u)[4] > self.axis_guard
 
     def require_chart(self, u: float) -> None:
         if not (self.u_min <= u <= self.u_max):
             raise OffChartError(
                 f"u={u!r} outside chart [{self.u_min}, {self.u_max}]")
-        if float(self._vals(u)[0]) <= self.axis_guard:
+        if self._metric(math, u)[4] <= self.axis_guard:
             raise OffChartError(f"phi(u) <= axis guard {self.axis_guard} at u={u!r}")
 
     def check_point(self, p: SurfacePoint) -> SurfacePoint:
@@ -329,36 +297,35 @@ class ProfileSurface:
     # -- metric and embedding ---------------------------------------------
 
     def phi(self, u):
-        return self._vals(u)[0]
+        return self._metric(np, np.array(u, dtype=float))[4]
 
     def psi(self, u):
-        return self._vals(u)[3]
+        return self._meridian(np, np.array(u, dtype=float))[0]
 
     def metric_at(self, u):
         """Return ``(E, G, E_u, G_u, rho)`` at ``u`` (rho = phi(u))."""
         self.require_chart(float(u))
-        E, G, E_u, G_u, phi = self._terms(float(u))
-        return E, G, E_u, G_u, phi
+        return self._metric(math, float(u))
 
     def metric_terms(self, u: float):
         """Unchecked scalar metric terms ``(E, G, E_u, G_u, phi)``."""
-        return self._terms(u)
+        return self._metric(math, u)
 
     def metric_terms_batch(self, u):
-        phi, dphi, d2phi, _, dpsi, d2psi = self._vals(u)
-        E = dphi * dphi + dpsi * dpsi
-        E_u = 2.0 * (dphi * d2phi + dpsi * d2psi)
-        G_u = 2.0 * phi * dphi
-        return E, phi * phi, E_u, G_u, phi
+        """Unchecked metric terms as arrays shaped like ``u``."""
+        return self._metric(np, np.array(u, dtype=float))
 
     def embed(self, p: SurfacePoint) -> np.ndarray:
         """Embedding r(u, v) = (phi cos v, phi sin v, psi) in 3-space."""
         self.check_point(p)
-        phi, _, _, psi, _, _ = (float(x) for x in self._vals(p.u))
+        phi = self._metric(math, p.u)[4]
+        psi = self._meridian(math, p.u)[0]
         return np.array([phi * math.cos(p.v), phi * math.sin(p.v), psi])
 
     def embed_batch(self, u, v):
-        phi, _, _, psi, _, _ = self._vals(u)
+        u = np.asarray(u, dtype=float)
+        phi = self._metric(np, u)[4]
+        psi = self._meridian(np, u)[0]
         v = np.asarray(v, dtype=float)
         return np.stack([phi * np.cos(v), phi * np.sin(v),
                          psi * np.ones_like(v)], axis=-1)
@@ -366,33 +333,13 @@ class ProfileSurface:
     def embedding_frame(self, p: SurfacePoint):
         """Unit frame vectors (e_parallel, e_meridian) in 3-space at p."""
         self.check_point(p)
-        _, dphi, _, _, dpsi, _ = (float(x) for x in self._vals(p.u))
+        E, _, _, G_u, phi = self._metric(math, p.u)
+        dphi = G_u / (2.0 * phi)
+        dpsi = self._meridian(math, p.u)[1]
         cv, sv = math.cos(p.v), math.sin(p.v)
         e_par = np.array([-sv, cv, 0.0])
-        inv_sqrt_e = 1.0 / math.sqrt(dphi * dphi + dpsi * dpsi)
-        e_mer = np.array([dphi * cv, dphi * sv, dpsi]) * inv_sqrt_e
+        e_mer = np.array([dphi * cv, dphi * sv, dpsi]) / math.sqrt(E)
         return e_par, e_mer
-
-    # -- headings ----------------------------------------------------------
-
-    def tangent_from_heading(self, p: SurfacePoint, theta: float) -> TangentVector:
-        """Unit tangent ``cos(theta) e_parallel + sin(theta) e_meridian``."""
-        self.check_point(p)
-        return TangentVector(p, math.cos(theta), math.sin(theta))
-
-    def heading_from_tangent(self, t: TangentVector):
-        """Return ``(theta, alpha, beta)`` for a nonzero tangent.
-
-        ``theta = atan2(a_mer, a_par)`` in (-pi, pi]; ``alpha = theta`` is
-        the signed angle with the parallel and ``beta = pi/2 - theta`` the
-        signed angle with the meridian.
-        """
-        if t.norm() == 0.0:
-            raise ValueError("zero tangent has no heading")
-        theta = math.atan2(t.a_mer, t.a_par)
-        if theta <= -math.pi:
-            theta = math.pi
-        return theta, theta, 0.5 * math.pi - theta
 
 
 _DEFAULTS = {
@@ -429,11 +376,11 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     """
     if kind == "sphere":
         R = _positive(params, "radius", kind)
-        terms, vals = _sphere_fns(R)
+        metric, meridian = _sphere_fns(R)
         norm_params = {"radius": R}
     elif kind == "cylinder":
         R = _positive(params, "radius", kind)
-        terms, vals = _cylinder_fns(R)
+        metric, meridian = _cylinder_fns(R)
         norm_params = {"radius": R}
     elif kind == "cone":
         try:
@@ -442,30 +389,30 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
             raise ProfileError("cone requires parameter 'slope'") from None
         if not math.isfinite(slope):
             raise ProfileError("cone slope must be finite")
-        terms, vals = _cone_fns(slope)
+        metric, meridian = _cone_fns(slope)
         norm_params = {"slope": slope}
     elif kind == "paraboloid":
         a = _positive(params, "a", kind)
-        terms, vals = _paraboloid_fns(a)
+        metric, meridian = _paraboloid_fns(a)
         norm_params = {"a": a}
     elif kind == "catenoid":
         a = _positive(params, "a", kind)
-        terms, vals = _catenoid_fns(a)
+        metric, meridian = _catenoid_fns(a)
         norm_params = {"a": a}
     elif kind == "torus":
         R = _positive(params, "R", kind)
         r = _positive(params, "r", kind)
         if r >= R:
             raise ProfileError(f"torus requires r < R, got R={R}, r={r}")
-        terms, vals = _torus_fns(R, r)
+        metric, meridian = _torus_fns(R, r)
         norm_params = {"R": R, "r": r}
     elif kind == "plane":
-        terms, vals = _plane_fns()
+        metric, meridian = _plane_fns()
         norm_params = {}
     elif kind == "custom":
         if "samples" not in params:
             raise ProfileError("custom profile requires 'samples'")
-        terms, vals, span = _custom_fns(params["samples"])
+        metric, meridian, span = _custom_fns(params["samples"])
         norm_params = {"samples": np.asarray(params["samples"], float).tolist()}
         if u_min is None:
             u_min = span[0]
@@ -484,7 +431,7 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
         d_min, d_max, d_guard = u_min, u_max, 1e-6
 
     return ProfileSurface(
-        kind, norm_params, terms, vals,
+        kind, norm_params, metric, meridian,
         u_min=d_min if u_min is None else float(u_min),
         u_max=d_max if u_max is None else float(u_max),
         axis_guard=d_guard if axis_guard is None else float(axis_guard),

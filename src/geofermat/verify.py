@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clairaut import (BranchConstants, branch_report, law_of_sines_diameter,
-                       predict_clairaut_constants, rotate_tree_experiment,
-                       sphere_sine_ratio_probe, triangle_cosine)
+from .clairaut import (BranchConstants, alpha1_window, branch_report,
+                       law_of_sines_diameter, predict_clairaut_constants,
+                       rotate_tree_experiment, sphere_sine_ratio_probe,
+                       triangle_cosine)
 from .connect import distance
 from .errors import UndefinedRatioError
 from .fermat import (floating_test, sector_angles_from_weights,
@@ -307,8 +308,7 @@ def suite_root_consistency(n=500, seed=707):
         b = _acute_weights(rng)
         phi = sector_angles_from_weights(b)
         worst_sum = max(worst_sum, abs(sum(phi) - TWO_PI))
-        lo = max(0.5 * math.pi, phi[0] - 0.5 * math.pi, math.pi - phi[2])
-        hi = min(math.pi, phi[0], 1.5 * math.pi - phi[2])
+        lo, hi = alpha1_window(b)
         lo = max(lo + 0.05 * (hi - lo), 0.5 * math.pi + 0.06)
         hi = hi - 0.05 * (hi - lo)
         if hi - lo < 0.02:

@@ -1,9 +1,6 @@
-import math
-
-import numpy as np
 import pytest
 
-from geofermat import SurfacePoint, make_surface
+from geofermat import make_surface
 
 
 @pytest.fixture(scope="session")
@@ -29,31 +26,3 @@ def paraboloid():
 @pytest.fixture(scope="session")
 def catenoid():
     return make_surface("catenoid", a=1.0)
-
-
-def sphere_closed_form_distance(surface, A: SurfacePoint, B: SurfacePoint):
-    """Independent great-circle oracle: arccos of the embedded dot product."""
-    ea = surface.embed(A)
-    eb = surface.embed(B)
-    return math.acos(max(-1.0, min(1.0, float(ea @ eb))))
-
-
-def admissible_sphere_pair(rng, sep_lo=0.1, sep_hi=2.5, pole_margin=0.25):
-    """Random pair whose connecting arc stays away from the poles."""
-    while True:
-        za, zb = rng.uniform(-1.0, 1.0, 2)
-        va, vb = rng.uniform(-math.pi, math.pi, 2)
-        ua, ub = math.acos(za), math.acos(zb)
-        ea = np.array([math.sin(ua) * math.cos(va),
-                       math.sin(ua) * math.sin(va), za])
-        eb = np.array([math.sin(ub) * math.cos(vb),
-                       math.sin(ub) * math.sin(vb), zb])
-        sep = math.acos(max(-1.0, min(1.0, float(ea @ eb))))
-        if not sep_lo <= sep <= sep_hi:
-            continue
-        ts = np.linspace(0.0, 1.0, 65)
-        arc = (np.sin((1.0 - ts)[:, None] * sep) * ea
-               + np.sin(ts[:, None] * sep) * eb) / math.sin(sep)
-        if np.max(np.abs(arc[:, 2])) > math.cos(pole_margin):
-            continue
-        return SurfacePoint(ua, va), SurfacePoint(ub, vb), sep

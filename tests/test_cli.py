@@ -68,6 +68,34 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    def test_invalid_fermat_options_named(self):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(minimal_scenario(options={"max_iter": 0}))
+        assert err.value.field == "options"
+        assert "max_iter" in str(err.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shoot.length", math.inf),
+        ("shoot.length", math.nan),
+        ("shoot.heading", math.inf),
+        ("points.A1.v", math.nan),
+    ], ids=["inf-length", "nan-length", "inf-heading", "nan-point-v"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               field, value):
+        data = minimal_scenario(
+            shoot={"from": "A1", "heading": 0.3, "length": 0.5})
+        *parents, key = field.split(".")
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))   # emits NaN / Infinity tokens
+        code = cli.main(["shoot", "--scenario", str(path)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert f"{field}: must be finite" in out.out + out.err
+
 
 class TestRun:
     def test_shoot(self):

@@ -5,7 +5,7 @@ import pytest
 
 from geofermat import (ConnectOptions, SolveError, SurfacePoint,
                        connect_geodesic, distance, make_surface, shoot)
-from conftest import admissible_sphere_pair
+from geofermat.verify import _sphere_pair
 
 
 class TestExamples:
@@ -43,7 +43,7 @@ class TestExamples:
     def test_sphere_random_pairs_against_closed_form(self, sphere):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            A, B, sep = admissible_sphere_pair(rng)
+            A, B, sep = _sphere_pair(rng)
             length = distance(sphere, A, B)
             assert abs(length - sep) / sep <= 1e-7
 
@@ -72,7 +72,7 @@ class TestAmbiguity:
 class TestInvariants:
     SAMPLERS = {
         "sphere": (lambda: make_surface("sphere", radius=1.0),
-                   lambda rng: admissible_sphere_pair(rng)[:2]),
+                   lambda rng: _sphere_pair(rng)[:2]),
         "cylinder": (lambda: make_surface("cylinder", radius=1.0),
                      lambda rng: (
                          SurfacePoint(rng.uniform(-3, 3),

@@ -238,6 +238,12 @@ class TestSolveFermat:
             solve_fermat(paraboloid, pts, (1, 1, 1),
                          FermatOptions(max_iter=1, grad_tol=1e-15))
 
+    def test_option_validation(self):
+        for bad in ({"max_iter": 0}, {"grad_tol": 0.0}, {"angle_tol": -1.0},
+                    {"angle_tol": math.nan}):
+            with pytest.raises(ValueError):
+                FermatOptions(**bad)
+
     def test_explicit_initial_point(self, paraboloid):
         pts = self.interior_points(paraboloid)
         res = solve_fermat(paraboloid, pts, (1, 1, 1),

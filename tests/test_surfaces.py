@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from geofermat import (OffChartError, ProfileError, SurfacePoint,
-                       TangentVector, make_surface)
+from geofermat import OffChartError, ProfileError, SurfacePoint, make_surface
+
+
+def _catenoid_table(n):
+    u = np.linspace(-1.0, 1.0, n)
+    return np.column_stack([u, np.cosh(u), u])
 
 
 class TestCatalogue:
@@ -86,13 +89,59 @@ class TestMetric:
             assert np.max(np.abs(rho - np.sqrt(G))) <= 1e-12
 
 
-class TestCustomSpline:
-    def _catenoid_table(self, n):
-        u = np.linspace(-1.0, 1.0, n)
-        return np.column_stack([u, np.cosh(u), u])
+class TestProfileFormulas:
+    CASES = {
+        "sphere": ({"radius": 1.3}, np.linspace(0.4, 2.7, 6)),
+        "cylinder": ({"radius": 1.3}, np.linspace(-3.0, 3.0, 6)),
+        "cone": ({"slope": 0.7}, np.linspace(0.5, 4.0, 6)),
+        "paraboloid": ({"a": 1.5}, np.linspace(0.3, 3.0, 6)),
+        "catenoid": ({"a": 1.2}, np.linspace(-2.0, 2.0, 6)),
+        "torus": ({"R": 2.0, "r": 0.7}, np.linspace(-3.0, 3.0, 6)),
+        "plane": ({}, np.linspace(0.5, 5.0, 6)),
+        "custom": ({"samples": _catenoid_table(41)},
+                   np.array([-0.7, 0.0, 0.33, -0.42, 0.58, 0.91])),
+    }
 
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_metric_and_meridian_agree(self, kind):
+        """Each profile is written once as metric(xp, u) and
+        meridian(xp, u); tie the two together and the scalar path to the
+        batch."""
+        params, u = self.CASES[kind]
+        surface = make_surface(kind, **params)
+        u = u.reshape(2, 3)
+        E, G, E_u, G_u, phi = batch = surface.metric_terms_batch(u)
+        for term in batch:
+            # perfbench's tracer reads out[0].size: no bare Python floats
+            assert isinstance(term, np.ndarray)
+            assert term.dtype == np.float64 and term.shape == u.shape
+        for idx in np.ndindex(u.shape):
+            scalar = surface.metric_terms(float(u[idx]))
+            one = surface.metric_terms_batch([u[idx]])
+            for s, b in zip(scalar, one):
+                assert abs(s - b[0]) <= 1e-14 * max(abs(s), abs(b[0]))
+
+        h = 1e-6
+        E_p, G_p, _, _, _ = surface.metric_terms_batch(u + h)
+        E_m, G_m, _, _, _ = surface.metric_terms_batch(u - h)
+        for fd, exact in (((E_p - E_m) / (2 * h), E_u),
+                          ((G_p - G_m) / (2 * h), G_u)):
+            assert np.all(np.abs(fd - exact)
+                          <= 1e-6 * np.maximum(1.0, np.abs(exact)))
+        psi, dpsi = surface._meridian(np, u)
+        assert np.array_equal(surface.psi(u), psi)
+        fd = (surface.psi(u + h) - surface.psi(u - h)) / (2 * h)
+        assert np.all(np.abs(fd - dpsi) <= 1e-6 * np.maximum(1.0, np.abs(dpsi)))
+
+        # the two functions are written separately, so E = phi'^2 + psi'^2
+        # (phi' = G_u / 2 phi) does not hold by construction
+        assert np.allclose(E, (G_u / (2.0 * phi)) ** 2 + dpsi ** 2,
+                           rtol=1e-12, atol=0.0)
+
+
+class TestCustomSpline:
     def test_matches_catenoid_at_100_points(self, catenoid):
-        surf = make_surface("custom", samples=self._catenoid_table(41))
+        surf = make_surface("custom", samples=_catenoid_table(41))
         u = np.linspace(-0.98, 0.98, 100)
         E_s, G_s, _, _, _ = surf.metric_terms_batch(u)
         E_a, G_a, _, _, _ = catenoid.metric_terms_batch(u)
@@ -102,18 +151,11 @@ class TestCustomSpline:
         assert np.max(np.abs(E_s - E_a)) <= 4.0 * math.cosh(1.0) * h ** 3
 
     def test_dense_table_reproduces_metric_derivatives(self, catenoid):
-        surf = make_surface("custom", samples=self._catenoid_table(2001))
+        surf = make_surface("custom", samples=_catenoid_table(2001))
         u_mid = np.linspace(-0.9, 0.9, 200) + 0.5 * (1.8 / 2000)
         for got, want in zip(surf.metric_terms_batch(u_mid),
                              catenoid.metric_terms_batch(u_mid)):
             assert np.max(np.abs(got - want)) <= 1e-6
-
-    def test_scalar_and_batch_agree(self):
-        surf = make_surface("custom", samples=self._catenoid_table(41))
-        for u in (-0.7, 0.0, 0.33):
-            scalar = surf.metric_terms(u)
-            batch = [float(x) for x in surf.metric_terms_batch(u)]
-            assert scalar == pytest.approx(batch, rel=1e-14)
 
     def test_bad_tables_rejected(self):
         with pytest.raises(ProfileError):
@@ -124,45 +166,3 @@ class TestCustomSpline:
         with pytest.raises(ProfileError):
             make_surface("custom",
                          samples=[[0, 1, 0], [1, -1, 1], [2, 1, 2], [3, 1, 3]])
-
-
-class TestHeadings:
-    def test_cardinal_directions(self, sphere):
-        p = SurfacePoint(1.0, 0.5)
-        t = sphere.tangent_from_heading(p, 0.0)
-        assert (t.a_par, t.a_mer) == (1.0, 0.0)
-        t = sphere.tangent_from_heading(p, math.pi / 2)
-        assert t.a_mer == 1.0 and abs(t.a_par) < 1e-15
-        t = sphere.tangent_from_heading(p, math.pi / 4)
-        assert t.a_par == pytest.approx(math.sqrt(2) / 2)
-        assert t.a_mer == pytest.approx(math.sqrt(2) / 2)
-
-    def test_heading_from_tangent_examples(self, sphere):
-        p = SurfacePoint(1.0, 0.0)
-        theta, alpha, beta = sphere.heading_from_tangent(
-            TangentVector(p, 1.0, 0.0))
-        assert (theta, alpha) == (0.0, 0.0)
-        assert beta == pytest.approx(math.pi / 2)
-        theta, alpha, beta = sphere.heading_from_tangent(
-            TangentVector(p, 0.0, 1.0))
-        assert theta == pytest.approx(math.pi / 2)
-        assert beta == pytest.approx(0.0, abs=1e-16)
-        theta, _, _ = sphere.heading_from_tangent(
-            TangentVector(p, -math.sqrt(2) / 2, math.sqrt(2) / 2))
-        assert theta == pytest.approx(3 * math.pi / 4)
-
-    def test_zero_tangent_rejected(self, sphere):
-        with pytest.raises(ValueError):
-            sphere.heading_from_tangent(
-                TangentVector(SurfacePoint(1.0, 0.0), 0.0, 0.0))
-
-    @given(st.floats(min_value=-math.pi + 1e-12, max_value=math.pi))
-    def test_heading_round_trip(self, theta):
-        surface = make_surface("sphere", radius=1.0)
-        p = SurfacePoint(1.2, 0.3)
-        t = surface.tangent_from_heading(p, theta)
-        assert abs(t.a_par ** 2 + t.a_mer ** 2 - 1.0) <= 1e-12
-        back, alpha, beta = surface.heading_from_tangent(t)
-        assert abs(back - theta) <= 1e-12
-        assert alpha == back
-        assert beta == pytest.approx(math.pi / 2 - theta, abs=1e-12)
