@@ -45,6 +45,8 @@ __all__ = [
     "rotate_tree_experiment",
 ]
 
+_WEIGHT_TOL = 1e-6       # largest recovered-weight error of a rotated tree
+
 
 def triangle_cosine(x: float, y: float, z: float) -> float:
     """Law-of-cosines value ``(x^2 + y^2 - z^2) / (2 x y)``.
@@ -366,13 +368,12 @@ class RotationExperiment:
 
 def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
                            weights, lengths, theta0: float, delta_list,
-                           connect_opts=None,
-                           weight_tol: float = 1e-6) -> RotationExperiment:
+                           connect_opts=None) -> RotationExperiment:
     """Shoot the weight-determined tree at a sequence of rotations and
     recover the weights from each rotated copy.
 
     Raises SolveError if any recovered weight triple deviates from the
-    normalised input by more than ``weight_tol``; raises ChartExitError
+    normalised input by more than 1e-6; raises ChartExitError
     if a rotated branch leaves the chart.
     """
     w = as_weights(weights)
@@ -394,10 +395,10 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
                                        connect_opts)
         recovered = weights_from_sector_angles(angles, 1.0).astuple()
         err = max(abs(r - f) for r, f in zip(recovered, fractions))
-        if err > weight_tol:
+        if err > _WEIGHT_TOL:
             raise SolveError(
                 f"recovered weights deviate by {err:.3e} at rotation "
-                f"{delta!r} (tolerance {weight_tol})")
+                f"{delta!r} (tolerance {_WEIGHT_TOL})")
         steps.append(RotationStep(float(delta), headings, endpoints,
                                   recovered, err,
                                   tuple(path.c_nominal for path in paths)))

@@ -75,23 +75,18 @@ def _write_paths(paths_dir, named_paths):
 
 
 def _cmd_shoot(scn: Scenario, paths_dir, warnings):
-    spec = scn.shoot_spec
-    if spec is None:
-        raise ScenarioError("command 'shoot' needs a 'shoot' section", "shoot")
+    spec = scn.section("shoot")
     p = scn.point(spec.get("from"), "shoot.from")
     theta = parse_angle(spec.get("heading"), "shoot.heading")
     length = parse_number(spec.get("length"), "shoot.length", positive=True)
-    path = shoot(scn.surface, p, theta, length, scn.shoot_tol)
+    path = shoot(scn.surface, p, theta, length, scn.connect_opts.shoot_tol)
     if paths_dir:
         _write_paths(paths_dir, [("shoot", path)])
     return {"path": _path_dict(path)}
 
 
 def _cmd_connect(scn: Scenario, paths_dir, warnings):
-    spec = scn.connect_spec
-    if spec is None:
-        raise ScenarioError("command 'connect' needs a 'connect' section",
-                            "connect")
+    spec = scn.section("connect")
     A = scn.point(spec.get("from"), "connect.from")
     B = scn.point(spec.get("to"), "connect.to")
     path = connect_geodesic(scn.surface, A, B, scn.connect_opts)
@@ -137,10 +132,7 @@ def _cmd_fermat_solve(scn: Scenario, paths_dir, warnings):
 
 
 def _cmd_fermat_inverse(scn: Scenario, paths_dir, warnings):
-    spec = scn.inverse_spec
-    if spec is None:
-        raise ScenarioError("command 'fermat-inverse' needs an 'inverse' "
-                            "section", "inverse")
+    spec = scn.section("inverse")
     total = parse_number(spec.get("total", 1.0), "inverse.total",
                          positive=True)
     if "angles" in spec:
@@ -213,9 +205,7 @@ def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
     if scn.weights is None:
         raise ScenarioError("command 'clairaut-report' needs 'weights'",
                             "weights")
-    raw = scn.raw.get("clairaut", {})
-    if not isinstance(raw, dict):
-        raise ScenarioError("clairaut section must be an object", "clairaut")
+    raw = scn.section("clairaut", optional=True)
     if "center" in raw:
         center = scn.point(raw["center"], "clairaut.center")
         branches = tuple(
@@ -248,10 +238,7 @@ def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
 
 
 def _cmd_rotate_experiment(scn: Scenario, paths_dir, warnings):
-    spec = scn.experiment_spec
-    if spec is None:
-        raise ScenarioError("command 'rotate-experiment' needs an "
-                            "'experiment' section", "experiment")
+    spec = scn.section("experiment")
     if scn.weights is None:
         raise ScenarioError("command 'rotate-experiment' needs 'weights'",
                             "weights")

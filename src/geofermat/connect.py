@@ -9,10 +9,11 @@ included as a start.  Each promising start is polished by a damped
 quasi-Newton iteration whose Jacobian uses a finite-difference heading
 column and the analytic length column (the endpoint velocity).
 
-Among converged candidates the shortest is returned; ties within
-``tie_tol`` prefer smaller |winding|, then smaller heading.  When a
-second distinct candidate matches the best length within
-``ambiguity_tol`` the result is flagged ambiguous (cut-locus regime).
+Among converged candidates the shortest is returned; lengths within
+``_TIE_TOL`` of it count as ties, which prefer smaller |winding|, then
+smaller heading.  When a second distinct candidate matches the best
+length within ``_AMBIGUITY_TOL`` the result is flagged ambiguous
+(cut-locus regime).
 """
 
 import math
@@ -26,6 +27,12 @@ from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
 __all__ = ["ConnectOptions", "connect_geodesic", "distance"]
 
+_NEWTON_MAX_ITER = 30    # damped Newton iterations per start
+_FAN_STEPS = 80          # fewest fixed RK4 steps in the screening fan
+_REFINE_TOP = 4          # screened starts polished by Newton
+_AMBIGUITY_TOL = 1e-6    # a second geodesic this close in length: ambiguous
+_TIE_TOL = 1e-9          # lengths this close tie
+
 
 @dataclass(frozen=True)
 class ConnectOptions:
@@ -34,19 +41,18 @@ class ConnectOptions:
     max_len: float = 20.0
     resid_tol: float = 1e-10
     shoot_tol: float = 1e-10
-    newton_max_iter: int = 30
-    fan_steps: int = 80
-    refine_top: int = 4
-    ambiguity_tol: float = 1e-6
-    tie_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_starts < 4:
             raise ValueError("n_starts must be at least 4")
-        if self.max_len <= 0.0:
+        if not self.windings:
+            raise ValueError("windings must be nonempty")
+        if not self.max_len > 0.0:
             raise ValueError("max_len must be positive")
-        if self.resid_tol <= 0.0:
+        if not self.resid_tol > 0.0:
             raise ValueError("resid_tol must be positive")
+        if not self.shoot_tol > 0.0:
+            raise ValueError("shoot_tol must be positive")
 
 
 _DEFAULT = ConnectOptions()
@@ -93,7 +99,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     if cur is None:
         return None
     r_norm = math.hypot(cur[0], cur[1])
-    for _ in range(opts.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if r_norm <= opts.resid_tol:
             return _Candidate(theta, L, 0, r_norm)
         # Jacobian: finite-difference heading column, analytic length column
@@ -178,7 +184,7 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
                   for j in range(opts.n_starts)]
     fan_thetas.append(theta_chord)
     L_fan = min(opts.max_len, 3.2 * chord + 0.1)
-    n_steps = max(opts.fan_steps, min(320, int(L_fan * 16)))
+    n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
     s_grid, us, vs, alive = shoot_fan(surface, A, fan_thetas, L_fan, n_steps)
 
     seeds: list[_Candidate] = [_Candidate(theta_chord, chord, 0, 0.0)]
@@ -201,7 +207,7 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
     # seed; anything far worse never wins, so skip its Newton polish
     cutoff = 8.0 * ranked[0].resid + 1e-6 if ranked else math.inf
     for cand in ranked:
-        if len(picks) >= opts.refine_top + 1:
+        if len(picks) >= _REFINE_TOP + 1:
             break
         if cand.resid > cutoff:
             break
@@ -232,10 +238,10 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
         raise SolveError("unreachable within search budget")
 
     best_len = min(c.length for c in converged)
-    pool = [c for c in converged if c.length <= best_len + opts.tie_tol]
+    pool = [c for c in converged if c.length <= best_len + _TIE_TOL]
     best = min(pool, key=lambda c: (abs(c.winding), c.theta))
     ambiguous = any(
-        c is not best and c.length <= best.length + opts.ambiguity_tol
+        c is not best and c.length <= best.length + _AMBIGUITY_TOL
         and (abs(_wrap_pi(c.theta - best.theta)) > 1e-6
              or c.winding != best.winding)
         for c in converged)

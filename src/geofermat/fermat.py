@@ -42,6 +42,9 @@ __all__ = [
     "solve_fermat",
 ]
 
+_MAX_BACKTRACKS = 60     # step halvings per descent line search
+_ARMIJO = 1e-4           # sufficient-decrease factor of the line search
+
 
 @dataclass(frozen=True)
 class WeightTriple:
@@ -166,11 +169,13 @@ class FloatingTest:
     ``margins[i]`` is ``|b_j U_ij + b_k U_ik| - b_i`` evaluated at terminal
     i with unit departure tangents toward the other two terminals; the
     minimiser is interior exactly when every margin is positive.
+    ``arcs[i, j]`` is the geodesic from terminal i to terminal j.
     """
 
     mode: str                    # "interior" or "vertex"
     vertex_index: int | None     # 0-based, set in vertex mode
     margins: tuple
+    arcs: dict
 
 
 def floating_test(surface: ProfileSurface, points, weights,
@@ -186,12 +191,9 @@ def floating_test(surface: ProfileSurface, points, weights,
             if pts[i].u == pts[j].u and pts[i].v == pts[j].v:
                 raise DegenerateTreeError("terminals must be pairwise distinct")
 
-    tangents = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                tangents[i, j] = connect_geodesic(
-                    surface, pts[i], pts[j], opts).start_unit_tangent()
+    arcs = {(i, j): connect_geodesic(surface, pts[i], pts[j], opts)
+            for i in range(3) for j in range(3) if i != j}
+    tangents = {key: arc.start_unit_tangent() for key, arc in arcs.items()}
 
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
@@ -212,8 +214,8 @@ def floating_test(surface: ProfileSurface, points, weights,
 
     worst = min(range(3), key=lambda i: margins[i])
     if margins[worst] > 0.0:
-        return FloatingTest("interior", None, tuple(margins))
-    return FloatingTest("vertex", worst, tuple(margins))
+        return FloatingTest("interior", None, tuple(margins), arcs)
+    return FloatingTest("vertex", worst, tuple(margins), arcs)
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,6 @@ class FermatOptions:
     grad_tol: float | None = None      # default 1e-8 * (b1 + b2 + b3)
     angle_tol: float = 1e-5
     max_iter: int = 500
-    max_backtracks: int = 60
-    armijo: float = 1e-4
     initial: SurfacePoint | None = None
     connect: ConnectOptions = field(
         default_factory=lambda: ConnectOptions(resid_tol=1e-12))
@@ -278,7 +278,8 @@ def _initial_point(surface, pts, weights):
 
 
 def _branch_data(surface, p, pts, warm, opts):
-    """Connect p to each terminal.  Returns (paths, lengths, tangents)."""
+    """Connect p to each terminal and return the paths.  A warm start
+    ``warm[i]`` that fails to converge falls back to a cold connect."""
     paths = []
     for i, terminal in enumerate(pts):
         init = warm[i] if warm is not None else None
@@ -375,15 +376,10 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     regime = floating_test(surface, pts, w, opts.connect)
     if regime.mode == "vertex":
         i = regime.vertex_index
-        branches = []
-        f_val = 0.0
-        for j, terminal in enumerate(pts):
-            if j == i:
-                branches.append(shoot(surface, pts[i], 0.0, 0.0))
-            else:
-                path = connect_geodesic(surface, pts[i], terminal, opts.connect)
-                branches.append(path)
-                f_val += b[j] * path.length
+        # the floating test already connected the winner to the others
+        branches = [shoot(surface, pts[i], 0.0, 0.0) if j == i
+                    else regime.arcs[i, j] for j in range(3)]
+        f_val = sum(b[j] * branches[j].length for j in range(3) if j != i)
         return FermatResult(pts[i], tuple(branches), f_val,
                             -regime.margins[i], None, "vertex", i, 0, (f_val,))
 
@@ -415,7 +411,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         lam = min(0.1 * min_len, gamma * r_norm)
         lam0 = lam
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = shoot(surface, p, theta_step, lam,
                               opts.connect.shoot_tol, collect=False).end()
@@ -427,7 +423,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
                 continue
             f_trial = sum(bi * path.length
                           for bi, path in zip(b, trial_paths))
-            if f_trial <= f_cur - opts.armijo * lam * r_norm:
+            if f_trial <= f_cur - _ARMIJO * lam * r_norm:
                 p, paths, f_cur = trial, trial_paths, f_trial
                 history.append(f_cur)
                 gamma = (1.6 * gamma) if lam == lam0 else (lam / r_norm)
@@ -440,7 +436,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
             if r_norm <= grad_tol:
                 break
             raise SolveError(
-                f"line search exhausted {opts.max_backtracks} halvings at "
+                f"line search exhausted {_MAX_BACKTRACKS} halvings at "
                 f"residual {r_norm:.3e}")
     else:
         raise SolveError(

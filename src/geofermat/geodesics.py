@@ -228,9 +228,15 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol, collect):
             sc_v = tol * (1.0 + max(abs(v), abs(v_n)))
             sc_d = tol * (1.0 + max(abs(du), abs(du_n)))
             sc_e = tol * (1.0 + max(abs(dv), abs(dv_n)))
-            errnorm = 0.5 * math.sqrt((err_u / sc_u) ** 2 + (err_v / sc_v) ** 2
-                                      + (err_du / sc_d) ** 2
-                                      + (err_dv / sc_e) ** 2)
+            # float ** 2 raises OverflowError where x * x gives inf; ** is
+            # kept because libm pow and * differ in the last bit sometimes
+            try:
+                errnorm = 0.5 * math.sqrt((err_u / sc_u) ** 2
+                                          + (err_v / sc_v) ** 2
+                                          + (err_du / sc_d) ** 2
+                                          + (err_dv / sc_e) ** 2)
+            except OverflowError:
+                errnorm = math.inf
         else:
             errnorm = math.inf
 

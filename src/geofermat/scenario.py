@@ -8,10 +8,10 @@ Every number must be finite: JSON parsers accept ``NaN`` and ``Infinity``.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .connect import ConnectOptions
-from .errors import ProfileError, ScenarioError
+from .errors import OffChartError, ScenarioError
 from .fermat import FermatOptions, WeightTriple
 from .surfaces import ProfileSurface, SurfacePoint, make_surface
 
@@ -37,7 +37,10 @@ def parse_number(value, where: str, positive: bool = False) -> float:
     """A finite number, optionally required to be positive."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError("expected a number", where)
-    val = float(value)
+    try:
+        val = float(value)
+    except OverflowError:       # an integer beyond the float range
+        val = math.inf if value > 0 else -math.inf
     if not math.isfinite(val):
         raise ScenarioError(f"must be finite, got {val!r}", where)
     if positive and val <= 0.0:
@@ -53,12 +56,18 @@ class Scenario:
     weights: WeightTriple | None
     connect_opts: ConnectOptions
     fermat_opts: FermatOptions
-    shoot_tol: float
-    shoot_spec: dict | None = None
-    connect_spec: dict | None = None
-    inverse_spec: dict | None = None
-    experiment_spec: dict | None = None
     fermat_point_names: tuple = ("A1", "A2", "A3")
+
+    def section(self, name: str, optional: bool = False) -> dict:
+        """The command section ``name``; an optional one defaults to {}."""
+        if name not in self.raw:
+            if optional:
+                return {}
+            raise ScenarioError(f"missing '{name}' section", name)
+        spec = self.raw[name]
+        if not isinstance(spec, dict):
+            raise ScenarioError("section must be a JSON object", name)
+        return spec
 
     def point(self, ref, where: str) -> SurfacePoint:
         """Resolve a point reference: a name or an inline {u, v} object."""
@@ -84,14 +93,11 @@ def _parse_point(surface, obj, where):
         raise ScenarioError("point needs fields u and v", where)
     u = parse_number(obj["u"], f"{where}.u")
     v = parse_angle(obj["v"], f"{where}.v")
-    p = SurfacePoint(u, v)
-    if not (surface.u_min <= u <= surface.u_max):
-        raise ScenarioError(
-            f"u={u!r} outside chart [{surface.u_min}, {surface.u_max}]",
-            f"{where}.u")
-    if float(surface.phi(u)) <= surface.axis_guard:
-        raise ScenarioError("point on axis guard", f"{where}.u")
-    return p
+    try:
+        surface.require_chart(u)
+    except OffChartError as exc:
+        raise ScenarioError(str(exc), f"{where}.u") from exc
+    return SurfacePoint(u, v)
 
 
 def _parse_surface(obj):
@@ -101,10 +107,11 @@ def _parse_surface(obj):
     if extra:
         raise ScenarioError(f"unknown surface fields {sorted(extra)}",
                             "surface")
-    kwargs = {k: v for k, v in obj.items() if k != "kind"}
+    kwargs = {k: v if k == "samples" else parse_number(v, f"surface.{k}")
+              for k, v in obj.items() if k != "kind"}
     try:
         return make_surface(obj["kind"], **kwargs)
-    except ProfileError as exc:
+    except (ValueError, TypeError) as exc:    # ProfileError is a ValueError
         raise ScenarioError(str(exc), "surface") from exc
 
 
@@ -118,69 +125,50 @@ def _parse_weights(values):
     return WeightTriple(*out)
 
 
-_OPTION_FIELDS = {
-    "grad_tol": ("fermat", True), "angle_tol": ("fermat", True),
-    "max_iter": ("fermat", True), "n_starts": ("connect", True),
-    "windings": ("connect", False), "max_len": ("connect", True),
-    "resid_tol": ("connect", True), "shoot_tol": (None, True),
-}
+_CONNECT_FIELDS = {"n_starts", "windings", "max_len", "resid_tol",
+                   "shoot_tol"}
+_OPTION_FIELDS = _CONNECT_FIELDS | {"grad_tol", "angle_tol", "max_iter"}
+
+
+def _parse_int(value, where):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError("expected an integer", where)
+    return value
 
 
 def _parse_options(obj):
+    """Solver options from JSON.  Only JSON types and finiteness are
+    checked here; ConnectOptions and FermatOptions check the ranges."""
     if obj is None:
         obj = {}
     if not isinstance(obj, dict):
         raise ScenarioError("options must be an object", "options")
-    extra = set(obj) - set(_OPTION_FIELDS)
+    extra = set(obj) - _OPTION_FIELDS
     if extra:
         raise ScenarioError(f"unknown options {sorted(extra)}", "options")
 
-    shoot_tol = parse_number(obj.get("shoot_tol", 1e-10), "options.shoot_tol",
-                             positive=True)
-    con_kw = {"shoot_tol": shoot_tol}
-    if "n_starts" in obj:
-        n = obj["n_starts"]
-        if not isinstance(n, int) or n < 4:
-            raise ScenarioError("n_starts must be an integer >= 4",
-                                "options.n_starts")
-        con_kw["n_starts"] = n
-    if "windings" in obj:
-        ws = obj["windings"]
-        if (not isinstance(ws, list) or not ws
-                or not all(isinstance(k, int) for k in ws)):
-            raise ScenarioError("windings must be a nonempty integer list",
-                                "options.windings")
-        con_kw["windings"] = tuple(ws)
-    for key in ("max_len", "resid_tol"):
-        if key in obj:
-            con_kw[key] = parse_number(obj[key], f"options.{key}",
-                                       positive=True)
+    con_kw, fer_kw = {}, {}
+    for key, value in obj.items():
+        where = f"options.{key}"
+        if key in ("n_starts", "max_iter"):
+            val = _parse_int(value, where)
+        elif key == "windings":
+            if not isinstance(value, list):
+                raise ScenarioError("windings must be a list", where)
+            val = tuple(_parse_int(k, f"{where}[{i}]")
+                        for i, k in enumerate(value))
+        else:
+            val = parse_number(value, where)
+        (con_kw if key in _CONNECT_FIELDS else fer_kw)[key] = val
     try:
         connect_opts = ConnectOptions(**con_kw)
+        fermat_opts = FermatOptions(
+            connect=replace(connect_opts,
+                            resid_tol=min(connect_opts.resid_tol, 1e-12)),
+            **fer_kw)
     except ValueError as exc:
         raise ScenarioError(str(exc), "options") from exc
-
-    fer_kw = {"connect": ConnectOptions(**{**con_kw,
-                                           "resid_tol": min(
-                                               con_kw.get("resid_tol", 1e-10),
-                                               1e-12)})}
-    if "grad_tol" in obj:
-        fer_kw["grad_tol"] = parse_number(obj["grad_tol"], "options.grad_tol",
-                                          positive=True)
-    if "angle_tol" in obj:
-        fer_kw["angle_tol"] = parse_number(obj["angle_tol"],
-                                           "options.angle_tol", positive=True)
-    if "max_iter" in obj:
-        n = obj["max_iter"]
-        if not isinstance(n, int):
-            raise ScenarioError("max_iter must be an integer",
-                                "options.max_iter")
-        fer_kw["max_iter"] = n
-    try:
-        fermat_opts = FermatOptions(**fer_kw)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), "options") from exc
-    return connect_opts, fermat_opts, shoot_tol
+    return connect_opts, fermat_opts
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -206,15 +194,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "weights" in data:
         weights = _parse_weights(data["weights"])
 
-    connect_opts, fermat_opts, shoot_tol = _parse_options(data.get("options"))
+    connect_opts, fermat_opts = _parse_options(data.get("options"))
 
     scn = Scenario(raw=data, surface=surface, points=points, weights=weights,
-                   connect_opts=connect_opts, fermat_opts=fermat_opts,
-                   shoot_tol=shoot_tol,
-                   shoot_spec=data.get("shoot"),
-                   connect_spec=data.get("connect"),
-                   inverse_spec=data.get("inverse"),
-                   experiment_spec=data.get("experiment"))
+                   connect_opts=connect_opts, fermat_opts=fermat_opts)
     if "fermat_points" in data:
         names = data["fermat_points"]
         if (not isinstance(names, list) or len(names) != 3

@@ -248,7 +248,7 @@ class ProfileSurface:
         self._meridian = meridian    # (xp, u) -> (psi, psi')
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
-        if self.axis_guard <= 0.0:
+        if not self.axis_guard > 0.0:
             raise ProfileError("axis_guard must be positive")
         self._check_regular()
         self.closes_at_min = self._closes_smoothly(self.u_min)

@@ -2,11 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import geofermat.cli as cli
 import geofermat.verify as verify_mod
 from geofermat import ScenarioError, load_scenario
-from geofermat.scenario import scenario_from_dict
+from geofermat.scenario import Scenario, scenario_from_dict
 from geofermat.verify import SuiteResult
 
 
@@ -96,6 +97,111 @@ class TestScenarioLoading:
         assert code == 1
         assert f"{field}: must be finite" in out.out + out.err
 
+    @pytest.mark.parametrize("surface", [
+        {"kind": "sphere", "radius": "abc"},
+        {"kind": "sphere", "radius": [1]},
+        {"kind": "sphere", "radius": 1.0, "u_max": "x"},
+        {"kind": "custom", "samples": "abc"},
+        {"kind": "sphere", "radius": 1.0, "axis_guard": math.nan},
+    ], ids=["radius-text", "radius-list", "u_max-text", "samples-text",
+            "axis_guard-nan"])
+    def test_bad_surface_field_is_config_error(self, tmp_path, capsys,
+                                               surface):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(minimal_scenario(
+            surface=surface,
+            shoot={"from": "A1", "heading": 0.3, "length": 0.5})))
+        code = cli.main(["shoot", "--scenario", str(path)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in out.out + out.err
+        err = json.loads(out.err)["error"]
+        assert err["kind"] == "ScenarioError"
+        assert err["field"].startswith("surface")
+
+    @pytest.mark.parametrize("options,field", [
+        ({"max_iter": True}, "options.max_iter"),
+        ({"n_starts": True}, "options.n_starts"),
+        ({"windings": [0, True]}, "options.windings[1]"),
+    ], ids=["max_iter", "n_starts", "windings"])
+    def test_bool_is_not_an_integer_option(self, options, field):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(minimal_scenario(options=options))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("options", [
+        {"n_starts": 3}, {"shoot_tol": 0.0}, {"windings": []},
+        {"resid_tol": -1.0}, {"grad_tol": 0.0},
+    ], ids=["n_starts", "shoot_tol", "windings", "resid_tol", "grad_tol"])
+    def test_option_range_checked_by_options_class(self, options):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(minimal_scenario(options=options))
+        assert err.value.field == "options"
+        assert next(iter(options)) in str(err.value)
+
+    def test_options_feed_both_solvers(self):
+        scn = scenario_from_dict(minimal_scenario(
+            options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "n_starts": 8}))
+        assert scn.connect_opts.shoot_tol == 1e-9
+        assert scn.connect_opts.resid_tol == 1e-8
+        assert scn.fermat_opts.connect.n_starts == 8
+        assert scn.fermat_opts.connect.shoot_tol == 1e-9
+        assert scn.fermat_opts.connect.resid_tol == 1e-12
+
+
+# any JSON value, NaN and integers beyond the float range included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+def _field_paths(obj, prefix=()):
+    """Every key path of a nested dict/list, containers included."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+_FUZZ_OPTIONS = {"n_starts": 16, "windings": [0], "shoot_tol": 1e-10,
+                 "grad_tol": 1e-8, "max_iter": 5}
+_FUZZ_BASES = [
+    minimal_scenario(
+        surface={"kind": "sphere", "radius": 1.0, "u_min": 0.01,
+                 "u_max": 3.1, "axis_guard": 1e-6},
+        options=_FUZZ_OPTIONS, fermat_points=["A1", "A2", "A3"]),
+    minimal_scenario(
+        surface={"kind": "custom", "samples": [
+            [u, math.sin(u), math.cos(u)] for u in (0.5, 1.0, 1.5, 2.0, 2.5)]},
+        options=_FUZZ_OPTIONS),
+]
+# every key path of each base, plus keys the bases lack
+_FUZZ_CASES = [(base, path) for base in _FUZZ_BASES
+               for path in [*_field_paths(base), ("surface", "slope"),
+                            ("points", "A4")]]
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from(_FUZZ_CASES), value=json_values)
+    def test_any_json_value_is_accepted_or_scenario_error(self, case,
+                                                          value):
+        base, path = case
+        data = json.loads(json.dumps(base))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            scn = scenario_from_dict(data)
+        except ScenarioError:
+            return
+        assert isinstance(scn, Scenario)
+
 
 class TestRun:
     def test_shoot(self):
@@ -180,6 +286,21 @@ class TestRun:
         assert code == 1
         assert report["error"]["kind"] == "ScenarioError"
 
+    @pytest.mark.parametrize("command,section,value", [
+        ("shoot", "shoot", []),
+        ("connect", "connect", 5),
+        ("fermat-inverse", "inverse", "x"),
+        ("rotate-experiment", "experiment", []),
+        ("clairaut-report", "clairaut", [1]),
+    ])
+    def test_non_object_section_is_config_error(self, command, section,
+                                                value):
+        scn = scenario_from_dict(minimal_scenario(**{section: value}))
+        code, report = cli.run(command, scn)
+        assert code == 1
+        assert report["error"]["kind"] == "ScenarioError"
+        assert report["error"]["message"].startswith(f"{section}: ")
+
     def test_numerical_failure_exit_code(self):
         scn = scenario_from_dict({
             "schema": "geofermat/1",
@@ -248,8 +369,9 @@ class TestBundledScenarios:
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
-        code, _ = cli.run(command, scn)
+        code, report = cli.run(command, scn)
         assert code == 0
+        json.dumps(report, allow_nan=False)
 
 
 class TestMain:

@@ -169,3 +169,7 @@ class TestOptions:
             ConnectOptions(max_len=0.0)
         with pytest.raises(ValueError):
             ConnectOptions(resid_tol=-1.0)
+        with pytest.raises(ValueError):
+            ConnectOptions(shoot_tol=0.0)
+        with pytest.raises(ValueError):
+            ConnectOptions(windings=())

@@ -9,6 +9,7 @@ from geofermat import (DegenerateTreeError, FermatOptions, SolveError,
                        floating_test, measure_sector_angles,
                        sector_angles_from_weights, sector_partition, shoot,
                        solve_fermat, weights_from_sector_angles)
+import geofermat.fermat as fermat_mod
 from geofermat.clairaut import triangle_cosine
 
 TWO_PI = 2.0 * math.pi
@@ -231,6 +232,32 @@ class TestSolveFermat:
         d12 = np.linalg.norm(plane.embed(pts[2]) - plane.embed(pts[0]))
         d22 = np.linalg.norm(plane.embed(pts[2]) - plane.embed(pts[1]))
         assert res.f_value == pytest.approx(d12 + d22, rel=1e-9)
+
+    def test_vertex_mode_reuses_floating_test_arcs(self, sphere,
+                                                   monkeypatch):
+        center = SurfacePoint(1.2, 0.5)
+        pts = [shoot(sphere, center, th, L).end()
+               for th, L in zip((0.2, 2.3, 4.4), (0.4, 0.35, 0.45))]
+        b = (1.0, 1.0, 2.5)
+        calls = []
+        real = fermat_mod.connect_geodesic
+
+        def counted(surface, A, B, *args, **kwargs):
+            calls.append((A, B))
+            return real(surface, A, B, *args, **kwargs)
+
+        monkeypatch.setattr(fermat_mod, "connect_geodesic", counted)
+        res = solve_fermat(sphere, pts, b)
+        assert len(calls) == 6      # the floating test's i -> j arcs only
+        assert res.mode == "vertex" and res.vertex_index == 2
+        assert res.point == pts[2]
+        expected = [real(sphere, pts[2], pts[j],
+                         FermatOptions().connect) for j in (0, 1)]
+        for got, want in zip(res.branches[:2], expected):
+            assert (got.theta_start, got.length) == (want.theta_start,
+                                                     want.length)
+        assert res.branches[2].length == 0.0
+        assert res.f_value == b[0] * expected[0].length + b[1] * expected[1].length
 
     def test_iteration_cap(self, paraboloid):
         pts = self.interior_points(paraboloid)

@@ -73,6 +73,20 @@ class TestShoot:
                     * math.sin(length))
         assert np.linalg.norm(sphere.embed(path.end()) - expected) <= 1e-8
 
+    def test_error_estimate_overflow_rejects_step(self):
+        # launched 1e-7 from the pole, the first trial step's error
+        # estimate overflows a float square; the step must be retried
+        sphere = make_surface("sphere", radius=1.0, axis_guard=1e-12)
+        p = SurfacePoint(1e-7, 0.0)
+        theta, length = 1.0, 1.0
+        path = shoot(sphere, p, theta, length)
+        e_par, e_mer = sphere.embedding_frame(p)
+        expected = (sphere.embed(p) * math.cos(length)
+                    + (math.cos(theta) * e_par + math.sin(theta) * e_mer)
+                    * math.sin(length))
+        assert np.linalg.norm(sphere.embed(path.end()) - expected) <= 1e-9
+        assert path.end().v == pytest.approx(math.pi / 2 - 1.0, abs=1e-7)
+
     def test_paraboloid_apex_crossing(self, paraboloid):
         from scipy.integrate import quad
         path = shoot(paraboloid, SurfacePoint(1.0, 0.0), -math.pi / 2, 3.0)
