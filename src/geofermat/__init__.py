@@ -8,7 +8,8 @@ from .clairaut import (BranchConstants, ClairautReport, DiameterCheck,
                        branch_report, law_of_sines_diameter,
                        predict_clairaut_constants, rotate_tree_experiment,
                        sphere_sine_ratio_probe, triangle_cosine)
-from .connect import ConnectOptions, connect_geodesic, distance
+from .connect import (ConnectOptions, connect_geodesic, connect_geodesics,
+                      distance)
 from .errors import (ChartExitError, DegenerateTreeError, OffChartError,
                      ProfileError, ScenarioError, SolveError,
                      UndefinedRatioError, WeightDomainError)
@@ -27,7 +28,7 @@ __all__ = [
     "PredictedConstants", "RotationExperiment", "SineRatioProbe",
     "branch_report", "law_of_sines_diameter", "predict_clairaut_constants",
     "rotate_tree_experiment", "sphere_sine_ratio_probe", "triangle_cosine",
-    "ConnectOptions", "connect_geodesic", "distance",
+    "ConnectOptions", "connect_geodesic", "connect_geodesics", "distance",
     "ChartExitError", "DegenerateTreeError", "OffChartError", "ProfileError",
     "ScenarioError", "SolveError", "UndefinedRatioError", "WeightDomainError",
     "FermatOptions", "FermatResult", "FloatingTest", "WeightTriple",

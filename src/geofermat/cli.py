@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .clairaut import branch_report, rotate_tree_experiment
-from .connect import connect_geodesic
+from .connect import connect_geodesic, connect_geodesics
 from .errors import (ChartExitError, DegenerateTreeError, ProfileError,
                      ScenarioError, SolveError, UndefinedRatioError,
                      WeightDomainError)
@@ -208,9 +208,9 @@ def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
     raw = scn.section("clairaut", optional=True)
     if "center" in raw:
         center = scn.point(raw["center"], "clairaut.center")
-        branches = tuple(
-            connect_geodesic(scn.surface, center, t, scn.connect_opts)
-            for t in scn.terminals())
+        branches = tuple(connect_geodesics(
+            scn.surface, [(center, t) for t in scn.terminals()],
+            scn.connect_opts))
         solve = None
     else:
         solve = solve_fermat(scn.surface, scn.terminals(), scn.weights,

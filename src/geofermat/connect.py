@@ -9,6 +9,12 @@ included as a start.  Each promising start is polished by a damped
 quasi-Newton iteration whose Jacobian uses a finite-difference heading
 column and the analytic length column (the endpoint velocity).
 
+``connect_geodesics`` solves several pairs at once: the fan lanes of all
+pairs whose fans take the same number of steps run in one ``shoot_fan``
+call, and each pair is then screened and polished on its own, so every
+answer equals that of a lone cold ``connect_geodesic``.  Without a
+converged warm start, ``connect_geodesic`` is a batch of one pair.
+
 Among converged candidates the shortest is returned; lengths within
 ``_TIE_TOL`` of it count as ties, which prefer smaller |winding|, then
 smaller heading.  When a second distinct candidate matches the best
@@ -25,7 +31,8 @@ from .errors import ChartExitError, SolveError
 from .geodesics import _integrate, shoot, shoot_fan, GeodesicPath
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
-__all__ = ["ConnectOptions", "connect_geodesic", "distance"]
+__all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics",
+           "distance"]
 
 _NEWTON_MAX_ITER = 30    # damped Newton iterations per start
 _FAN_STEPS = 80          # fewest fixed RK4 steps in the screening fan
@@ -146,6 +153,23 @@ def _wrap_pi(theta):
     return theta
 
 
+def _check_pair(surface, A, B, opts):
+    """Chart checks and search budget of one pair.  Returns the target's
+    frame scales and the embedded chord ``(s_e, s_g, chord)``, or None
+    when A and B coincide."""
+    surface.check_point(A)
+    surface.check_point(B)
+    if A.u == B.u and A.v == B.v:
+        return None
+    E_b, G_b, _, _, _ = surface.metric_terms(B.u)
+    chord = float(np.linalg.norm(surface.embed(B) - surface.embed(A)))
+    if chord > opts.max_len:
+        raise SolveError(
+            f"unreachable within search budget: chord {chord:.6g} exceeds "
+            f"max_len {opts.max_len:.6g}")
+    return math.sqrt(E_b), math.sqrt(G_b), chord
+
+
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
                      opts: ConnectOptions | None = None,
                      initial: tuple[float, float] | None = None) -> GeodesicPath:
@@ -153,41 +177,70 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
 
     ``initial`` is an optional warm start ``(theta, length)`` aimed at the
     winding-0 target; when it converges the multi-start search is skipped
-    (no ambiguity detection in that mode).
+    (no ambiguity detection in that mode).  Otherwise this is
+    ``connect_geodesics(surface, [(A, B)], opts)[0]``.
     """
     opts = opts or _DEFAULT
-    surface.check_point(A)
-    surface.check_point(B)
-
-    E_b, G_b, _, _, _ = surface.metric_terms(B.u)
-    s_e, s_g = math.sqrt(E_b), math.sqrt(G_b)
-
-    if A.u == B.u and A.v == B.v:
-        return shoot(surface, A, 0.0, 0.0)
-
-    chord = float(np.linalg.norm(surface.embed(B) - surface.embed(A)))
-    if chord > opts.max_len:
-        raise SolveError(
-            f"unreachable within search budget: chord {chord:.6g} exceeds "
-            f"max_len {opts.max_len:.6g}")
-
     if initial is not None:
-        got = _newton(surface, A, B.u, B.v, s_e, s_g,
+        target = _check_pair(surface, A, B, opts)
+        if target is None:
+            return shoot(surface, A, 0.0, 0.0)
+        got = _newton(surface, A, B.u, B.v, target[0], target[1],
                       initial[0], initial[1], opts)
         if got is not None:
             path = shoot(surface, A, got.theta, got.length, opts.shoot_tol)
             path.winding = 0
             return path
+    return connect_geodesics(surface, [(A, B)], opts)[0]
 
-    theta_chord = _chord_heading(surface, A, B)
-    fan_thetas = [-math.pi + TWO_PI * (j + 0.5) / opts.n_starts
+
+def connect_geodesics(surface: ProfileSurface, pairs,
+                      opts: ConnectOptions | None = None) -> list:
+    """Shortest found geodesic for each pair ``(A, B)``, in pair order.
+
+    Each pair is checked, screened and polished as a lone cold connect
+    would be, and gets the same answer; the fans of all pairs with the
+    same step count run as one ``shoot_fan`` call.  All pairs are checked
+    before any fan runs, and the first failing check raises.
+    """
+    opts = opts or _DEFAULT
+    pairs = list(pairs)
+    targets = [_check_pair(surface, A, B, opts) for A, B in pairs]
+
+    groups = {}         # fan step count -> [(pair index, thetas, fan length)]
+    for n, ((A, B), target) in enumerate(zip(pairs, targets)):
+        if target is None:
+            continue
+        thetas = [-math.pi + TWO_PI * (j + 0.5) / opts.n_starts
                   for j in range(opts.n_starts)]
-    fan_thetas.append(theta_chord)
-    L_fan = min(opts.max_len, 3.2 * chord + 0.1)
-    n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
-    s_grid, us, vs, alive = shoot_fan(surface, A, fan_thetas, L_fan, n_steps)
+        thetas.append(_chord_heading(surface, A, B))
+        L_fan = min(opts.max_len, 3.2 * target[2] + 0.1)
+        n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
+        groups.setdefault(n_steps, []).append((n, thetas, L_fan))
 
-    seeds: list[_Candidate] = [_Candidate(theta_chord, chord, 0, 0.0)]
+    fans = {}           # pair index -> (thetas, s_grid, us, vs, alive)
+    for n_steps, group in groups.items():
+        lanes = [(pairs[n][0], theta, L_fan)
+                 for n, thetas, L_fan in group for theta in thetas]
+        starts, headings, lengths = zip(*lanes)
+        out = shoot_fan(surface, starts, headings, lengths, n_steps)
+        row = 0
+        for n, thetas, _ in group:
+            rows = slice(row, row + len(thetas))
+            fans[n] = (thetas, *(arr[rows] for arr in out))
+            row += len(thetas)
+
+    return [shoot(surface, A, 0.0, 0.0) if target is None
+            else _polish(surface, A, B, target, fans[n], opts)
+            for n, ((A, B), target) in enumerate(zip(pairs, targets))]
+
+
+def _polish(surface, A, B, target, fan, opts):
+    """Newton-polish the best screened fan starts of one pair and return
+    the shortest converged geodesic."""
+    s_e, s_g, chord = target
+    fan_thetas, s_grid, us, vs, alive = fan
+    seeds: list[_Candidate] = [_Candidate(fan_thetas[-1], chord, 0, 0.0)]
     for k in opts.windings:
         v_t = B.v + TWO_PI * k
         r2 = (s_e * (us - B.u)) ** 2 + (s_g * (vs - v_t)) ** 2
@@ -198,7 +251,7 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
             i = int(idx[j])
             r = float(r2[j, i])
             if math.isfinite(r):
-                seeds.append(_Candidate(theta, float(s_grid[i]), int(k),
+                seeds.append(_Candidate(theta, float(s_grid[j, i]), int(k),
                                         math.sqrt(r)))
 
     ranked = sorted(seeds[1:], key=lambda c: c.resid)
@@ -255,6 +308,4 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
 def distance(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
              opts: ConnectOptions | None = None) -> float:
     """Length of the shortest found geodesic from A to B."""
-    if A.u == B.u and A.v == B.v:
-        return 0.0
     return connect_geodesic(surface, A, B, opts).length

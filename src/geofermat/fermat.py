@@ -23,7 +23,7 @@ monotonically until the balance residual is below tolerance.
 import math
 from dataclasses import dataclass, field
 
-from .connect import ConnectOptions, connect_geodesic
+from .connect import ConnectOptions, connect_geodesic, connect_geodesics
 from .errors import (ChartExitError, DegenerateTreeError, OffChartError,
                      SolveError, WeightDomainError)
 from .geodesics import shoot
@@ -153,13 +153,11 @@ def measure_sector_angles(surface: ProfileSurface, center: SurfacePoint,
                           points, opts: ConnectOptions | None = None):
     """Sector angles at ``center`` between the geodesic branches to three
     points, from the connect departure headings."""
-    headings = []
-    for p in points:
-        if p.u == center.u and p.v == center.v:
-            raise DegenerateTreeError("a terminal coincides with the center")
-        path = connect_geodesic(surface, center, p, opts)
-        headings.append(path.theta_start)
-    return sector_partition(headings)
+    points = list(points)
+    if any(p.u == center.u and p.v == center.v for p in points):
+        raise DegenerateTreeError("a terminal coincides with the center")
+    paths = connect_geodesics(surface, [(center, p) for p in points], opts)
+    return sector_partition([path.theta_start for path in paths])
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,8 @@ class FloatingTest:
     ``margins[i]`` is ``|b_j U_ij + b_k U_ik| - b_i`` evaluated at terminal
     i with unit departure tangents toward the other two terminals; the
     minimiser is interior exactly when every margin is positive.
-    ``arcs[i, j]`` is the geodesic from terminal i to terminal j.
+    ``arcs[i, j]`` (i < j) is the geodesic from terminal i to terminal j;
+    the tangent at j toward i is its reversed end heading.
     """
 
     mode: str                    # "interior" or "vertex"
@@ -191,9 +190,14 @@ def floating_test(surface: ProfileSurface, points, weights,
             if pts[i].u == pts[j].u and pts[i].v == pts[j].v:
                 raise DegenerateTreeError("terminals must be pairwise distinct")
 
-    arcs = {(i, j): connect_geodesic(surface, pts[i], pts[j], opts)
-            for i in range(3) for j in range(3) if i != j}
-    tangents = {key: arc.start_unit_tangent() for key, arc in arcs.items()}
+    keys = [(0, 1), (0, 2), (1, 2)]
+    arcs = dict(zip(keys, connect_geodesics(
+        surface, [(pts[i], pts[j]) for i, j in keys], opts)))
+    tangents = {}
+    for (i, j), arc in arcs.items():
+        tangents[i, j] = arc.start_unit_tangent()
+        back = arc.reversed_heading()
+        tangents[j, i] = (math.cos(back), math.sin(back))
 
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
@@ -278,20 +282,13 @@ def _initial_point(surface, pts, weights):
 
 
 def _branch_data(surface, p, pts, warm, opts):
-    """Connect p to each terminal and return the paths.  A warm start
-    ``warm[i]`` that fails to converge falls back to a cold connect."""
-    paths = []
-    for i, terminal in enumerate(pts):
-        init = warm[i] if warm is not None else None
-        try:
-            path = connect_geodesic(surface, p, terminal, opts.connect,
-                                    initial=init)
-        except SolveError:
-            if init is None:
-                raise
-            path = connect_geodesic(surface, p, terminal, opts.connect)
-        paths.append(path)
-    return paths
+    """Connect p to each terminal and return the paths: cold in one batch,
+    or from the warm starts ``warm[i]`` (a start that fails to converge
+    falls back to a cold connect)."""
+    if warm is None:
+        return connect_geodesics(surface, [(p, t) for t in pts], opts.connect)
+    return [connect_geodesic(surface, p, t, opts.connect, initial=init)
+            for t, init in zip(pts, warm)]
 
 
 def _residual(paths, b):
@@ -357,6 +354,22 @@ def _polish_balance(surface, p, pts, b, paths, grad_tol, opts):
     return p, paths, r_norm
 
 
+def _vertex_branch(surface, pts, arcs, i, j, opts):
+    """Branch from the vertex terminal i to terminal j, taken from the
+    floating test's arcs; an arc stored toward i is re-shot from i at its
+    reversed end heading."""
+    if j == i:
+        return shoot(surface, pts[i], 0.0, 0.0)
+    if i < j:
+        return arcs[i, j]
+    arc = arcs[j, i]
+    path = shoot(surface, pts[i], arc.reversed_heading(), arc.length,
+                 opts.shoot_tol)
+    path.winding = -arc.winding
+    path.ambiguous = arc.ambiguous
+    return path
+
+
 def solve_fermat(surface: ProfileSurface, points, weights,
                  opts: FermatOptions | None = None) -> FermatResult:
     """Locate the weighted Fermat-Torricelli point of three terminals.
@@ -377,8 +390,8 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     if regime.mode == "vertex":
         i = regime.vertex_index
         # the floating test already connected the winner to the others
-        branches = [shoot(surface, pts[i], 0.0, 0.0) if j == i
-                    else regime.arcs[i, j] for j in range(3)]
+        branches = [_vertex_branch(surface, pts, regime.arcs, i, j,
+                                   opts.connect) for j in range(3)]
         f_val = sum(b[j] * branches[j].length for j in range(3) if j != i)
         return FermatResult(pts[i], tuple(branches), f_val,
                             -regime.margins[i], None, "vertex", i, 0, (f_val,))

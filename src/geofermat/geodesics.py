@@ -422,20 +422,28 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
 # -- batched fixed-step screening integrator ---------------------------------
 
 
-def shoot_fan(surface, p, thetas, length, n_steps):
-    """Fixed-step RK4 trajectories for a fan of headings, used as cheap
-    screening for boundary-value solves.  Returns (s_grid, u, v, alive)
-    where u, v have shape (len(thetas), n_steps + 1) and dead samples
-    (off chart or non-finite) are flagged.
+def shoot_fan(surface, starts, thetas, lengths, n_steps):
+    """Fixed-step RK4 trajectories, used as cheap screening for
+    boundary-value solves.  Lane j starts at ``starts[j]`` with heading
+    ``thetas[j]`` and runs ``n_steps`` equal steps over ``lengths[j]``.
+    Returns (s_grid, u, v, alive), each of shape (lanes, n_steps + 1);
+    dead samples (off chart or non-finite) are flagged.  Lanes do not
+    interact: a lane gives the same samples in any fan.
     """
     thetas = np.asarray(thetas, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
     k = len(thetas)
-    E0, G0, _, _, _ = surface.metric_terms(p.u)
-    u = np.full(k, p.u)
-    v = np.full(k, p.v)
-    du = np.sin(thetas) / math.sqrt(E0)
-    dv = np.cos(thetas) / math.sqrt(G0)
-    h = length / n_steps
+    scales = {}          # start u -> (sqrt(E), sqrt(G)), one metric call each
+    for p in starts:
+        if p.u not in scales:
+            E0, G0, _, _, _ = surface.metric_terms(p.u)
+            scales[p.u] = (math.sqrt(E0), math.sqrt(G0))
+    u = np.array([p.u for p in starts], dtype=float)
+    v = np.array([p.v for p in starts], dtype=float)
+    s_e, s_g = np.array([scales[p.u] for p in starts]).T
+    du = np.sin(thetas) / s_e
+    dv = np.cos(thetas) / s_g
+    h = lengths / n_steps
 
     def rhs(u_, du_, dv_):
         E, G, E_u, G_u, _ = surface.metric_terms_batch(u_)
@@ -482,7 +490,7 @@ def shoot_fan(surface, p, thetas, length, n_steps):
             us[:, i + 1] = u
             vs[:, i + 1] = v
             alive[:, i + 1] = live
-    s_grid = np.linspace(0.0, length, n_steps + 1)
+    s_grid = np.linspace(0.0, lengths, n_steps + 1, axis=1)
     return s_grid, us, vs, alive
 
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from geofermat import (ConnectOptions, SolveError, SurfacePoint,
-                       connect_geodesic, distance, make_surface, shoot)
+import geofermat.connect as connect_mod
+from geofermat import (ConnectOptions, OffChartError, SolveError, SurfacePoint,
+                       connect_geodesic, connect_geodesics, distance,
+                       make_surface, shoot)
 from geofermat.verify import _sphere_pair
 
 
@@ -39,6 +41,13 @@ class TestExamples:
         assert distance(sphere, p, p) == 0.0
         path = connect_geodesic(sphere, p, p)
         assert path.length == 0.0
+
+    def test_identical_off_chart_points_rejected(self, sphere):
+        p = SurfacePoint(-1.0, 0.0)
+        with pytest.raises(OffChartError):
+            distance(sphere, p, p)
+        with pytest.raises(OffChartError):
+            connect_geodesic(sphere, p, p)
 
     def test_sphere_random_pairs_against_closed_form(self, sphere):
         rng = np.random.default_rng(5)
@@ -159,6 +168,55 @@ class TestInvariants:
         warm = connect_geodesic(sphere, A, B,
                                 initial=(cold.theta_start, cold.length))
         assert warm.length == pytest.approx(cold.length, abs=1e-12)
+
+
+class TestBatch:
+    # per surface: pairs from several starts with fans of 80 and more
+    # steps, a coincident pair and (on the cylinder) an ambiguous tie
+    PAIRS = {
+        "sphere": [((1.2, 0.3), (1.5, 1.0)), ((1.2, 0.3), (0.9, -0.4)),
+                   ((0.8, 0.0), (2.3, 2.0)), ((1.0, 0.3), (1.0, 0.3)),
+                   ((2.0, -1.0), (1.4, -0.2))],
+        "cylinder": [((0.0, 0.0), (1.0, 0.5 * math.pi)),
+                     ((0.0, 0.0), (3.0, 1.0)), ((-1.0, 0.5), (-1.0, 0.5)),
+                     ((0.0, 0.0), (0.7, math.pi)),
+                     ((1.0, 2.0), (-2.5, 0.0))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_batch_equals_single_pairs(self, name, request, monkeypatch):
+        surface = request.getfixturevalue(name)
+        pairs = [(SurfacePoint(*a), SurfacePoint(*b))
+                 for a, b in self.PAIRS[name]]
+        alone = [connect_geodesic(surface, A, B) for A, B in pairs]
+        steps = []
+        real = connect_mod.shoot_fan
+
+        def counted(surface, starts, thetas, lengths, n_steps):
+            steps.append(n_steps)
+            return real(surface, starts, thetas, lengths, n_steps)
+
+        monkeypatch.setattr(connect_mod, "shoot_fan", counted)
+        batch = connect_geodesics(surface, pairs)
+        assert len(steps) == len(set(steps)) >= 2   # one fan per step count
+        assert len(batch) == len(pairs)
+        for got, want in zip(batch, alone):
+            assert ((got.theta_start, got.length, got.winding, got.ambiguous)
+                    == (want.theta_start, want.length, want.winding,
+                        want.ambiguous))
+        assert any(path.length == 0.0 for path in batch)
+        assert any(path.ambiguous for path in batch) == (name == "cylinder")
+
+    def test_first_failing_check_raises(self, sphere):
+        ok = (SurfacePoint(1.0, 0.0), SurfacePoint(1.2, 0.5))
+        far = (SurfacePoint(0.5, 0.0), SurfacePoint(2.6, 1.0))
+        off = (SurfacePoint(1.0, 0.0), SurfacePoint(-1.0, 0.5))
+        opts = ConnectOptions(max_len=1.0)
+        with pytest.raises(SolveError):
+            connect_geodesics(sphere, [ok, far, off], opts)
+        with pytest.raises(OffChartError):
+            connect_geodesics(sphere, [ok, off, far], opts)
+        assert connect_geodesics(sphere, []) == []
 
 
 class TestOptions:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import geofermat.connect as connect_mod
 from geofermat import (DegenerateTreeError, FermatOptions, SolveError,
                        SurfacePoint, WeightDomainError, WeightTriple,
-                       floating_test, measure_sector_angles,
+                       connect_geodesic, floating_test, make_surface,
+                       measure_sector_angles,
                        sector_angles_from_weights, sector_partition, shoot,
                        solve_fermat, weights_from_sector_angles)
 import geofermat.fermat as fermat_mod
@@ -162,6 +164,67 @@ class TestFloatingTest:
             floating_test(plane, [p, p, SurfacePoint(2.0, 0.5)], (1, 1, 1))
 
 
+def planted_triangle(surface, center, headings, lengths):
+    return [shoot(surface, center, th, L).end()
+            for th, L in zip(headings, lengths)]
+
+
+def direct_margins(surface, pts, b):
+    """Floating-test margins from six direct connects, one per ordered
+    pair of terminals."""
+    tangents = {(i, j): connect_geodesic(surface, pts[i], pts[j])
+                .start_unit_tangent()
+                for i in range(3) for j in range(3) if i != j}
+    margins = []
+    for i in range(3):
+        j, k = [x for x in range(3) if x != i]
+        tj, tk = tangents[i, j], tangents[i, k]
+        margins.append(math.hypot(b[j] * tj[0] + b[k] * tk[0],
+                                  b[j] * tj[1] + b[k] * tk[1]) - b[i])
+    return margins
+
+
+class TestFloatingTestArcs:
+    TRIANGLES = {
+        "sphere": (lambda: make_surface("sphere", radius=1.0),
+                   SurfacePoint(1.2, 0.5), (0.2, 2.3, 4.4), (0.4, 0.35, 0.45)),
+        "torus": (lambda: make_surface("torus", R=2.0, r=0.7),
+                  SurfacePoint(0.5, 0.2), (0.4, 2.6, 4.3), (0.5, 0.6, 0.45)),
+        "catenoid": (lambda: make_surface("catenoid", a=1.0),
+                     SurfacePoint(0.2, 0.1), (0.7, 2.6, 4.6),
+                     (0.3, 0.45, 0.35)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRIANGLES))
+    @pytest.mark.parametrize("b", [(1.0, 1.0, 1.0), (1.0, 1.2, 2.1)])
+    def test_margins_match_six_direct_connects(self, name, b):
+        build, center, headings, lengths = self.TRIANGLES[name]
+        surface = build()
+        pts = planted_triangle(surface, center, headings, lengths)
+        res = floating_test(surface, pts, b)
+        want = direct_margins(surface, pts, b)
+        assert max(abs(g - w) for g, w in zip(res.margins, want)) <= 1e-8
+        worst = min(range(3), key=lambda i: want[i])
+        assert res.mode == ("interior" if want[worst] > 0.0 else "vertex")
+        assert sorted(res.arcs) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_one_fan_per_floating_test(self, sphere, monkeypatch):
+        pts = planted_triangle(sphere, SurfacePoint(1.2, 0.5),
+                               (0.2, 2.3, 4.4), (0.4, 0.35, 0.45))
+        lanes = []
+        real = connect_mod.shoot_fan
+
+        def counted(surface, starts, thetas, lengths, n_steps):
+            lanes.append(len(thetas))
+            return real(surface, starts, thetas, lengths, n_steps)
+
+        monkeypatch.setattr(connect_mod, "shoot_fan", counted)
+        floating_test(sphere, pts, (1, 1, 1))
+        assert lanes == [3 * 17]    # three pairs of 16 fan headings + chord
+        floating_test(sphere, pts, (1, 1, 2.5))
+        assert lanes == [3 * 17] * 2
+
+
 class TestSolveFermat:
     def test_plane_equilateral_center(self, plane):
         pts = equilateral_plane_points()
@@ -235,29 +298,41 @@ class TestSolveFermat:
 
     def test_vertex_mode_reuses_floating_test_arcs(self, sphere,
                                                    monkeypatch):
-        center = SurfacePoint(1.2, 0.5)
-        pts = [shoot(sphere, center, th, L).end()
-               for th, L in zip((0.2, 2.3, 4.4), (0.4, 0.35, 0.45))]
+        pts = planted_triangle(sphere, SurfacePoint(1.2, 0.5),
+                               (0.2, 2.3, 4.4), (0.4, 0.35, 0.45))
         b = (1.0, 1.0, 2.5)
-        calls = []
-        real = fermat_mod.connect_geodesic
+        batches = []
+        real = fermat_mod.connect_geodesics
 
-        def counted(surface, A, B, *args, **kwargs):
-            calls.append((A, B))
-            return real(surface, A, B, *args, **kwargs)
+        def counted(surface, pairs, *args, **kwargs):
+            batches.append(list(pairs))
+            return real(surface, batches[-1], *args, **kwargs)
 
-        monkeypatch.setattr(fermat_mod, "connect_geodesic", counted)
+        def no_single(*args, **kwargs):
+            raise AssertionError("vertex mode made a single connect")
+
+        monkeypatch.setattr(fermat_mod, "connect_geodesics", counted)
+        monkeypatch.setattr(fermat_mod, "connect_geodesic", no_single)
         res = solve_fermat(sphere, pts, b)
-        assert len(calls) == 6      # the floating test's i -> j arcs only
+        # the floating test's three pairs, in one batch, and nothing else
+        assert batches == [[(pts[0], pts[1]), (pts[0], pts[2]),
+                            (pts[1], pts[2])]]
         assert res.mode == "vertex" and res.vertex_index == 2
         assert res.point == pts[2]
-        expected = [real(sphere, pts[2], pts[j],
-                         FermatOptions().connect) for j in (0, 1)]
-        for got, want in zip(res.branches[:2], expected):
-            assert (got.theta_start, got.length) == (want.theta_start,
-                                                     want.length)
+        # both branches from the vertex were stored the other way round
+        expected = [connect_geodesic(sphere, pts[2], pts[j],
+                                     FermatOptions().connect) for j in (0, 1)]
+        for j, (got, want) in enumerate(zip(res.branches[:2], expected)):
+            assert got.start() == pts[2]
+            assert abs(got.theta_start - want.theta_start) <= 1e-8
+            assert abs(got.length - want.length) <= 1e-8
+            gap = np.linalg.norm(sphere.embed(got.end())
+                                 - sphere.embed(want.end()))
+            assert gap <= 1e-8
+            assert got.winding == want.winding
         assert res.branches[2].length == 0.0
-        assert res.f_value == b[0] * expected[0].length + b[1] * expected[1].length
+        assert res.f_value == pytest.approx(
+            b[0] * expected[0].length + b[1] * expected[1].length, abs=1e-8)
 
     def test_iteration_cap(self, paraboloid):
         pts = self.interior_points(paraboloid)

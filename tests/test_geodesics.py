@@ -6,7 +6,7 @@ import pytest
 
 from geofermat import (ChartExitError, SurfacePoint, clairaut_constant,
                        make_surface, shoot, write_path_csv)
-from geofermat.geodesics import CSV_COLUMNS
+from geofermat.geodesics import CSV_COLUMNS, shoot_fan
 
 
 class TestDerivative:
@@ -131,6 +131,32 @@ class TestShoot:
         s = path.samples[:, 0]
         assert s[0] == 0.0 and s[-1] == path.length
         assert np.all(np.diff(s) > 0.0)
+
+
+class TestShootFan:
+    def test_batched_lanes_equal_one_fan_per_start(self, sphere):
+        # three starts, two lengths, and a lane that dies at the pole
+        starts = [SurfacePoint(1.2, 0.3), SurfacePoint(0.3, -1.0),
+                  SurfacePoint(2.0, 2.5)]
+        thetas = [(-0.4, 1.1, 2.9), (-math.pi / 2, 0.2, 3.0), (0.5, -2.2)]
+        lengths = [(1.5, 1.5, 0.8), (1.5, 0.8, 0.8), (0.8, 1.5)]
+        batch = shoot_fan(sphere,
+                          [p for p, ths in zip(starts, thetas) for _ in ths],
+                          [t for ths in thetas for t in ths],
+                          [L for ls in lengths for L in ls], 60)
+        row = 0
+        for p, ths, ls in zip(starts, thetas, lengths):
+            alone = shoot_fan(sphere, [p] * len(ths), ths, ls, 60)
+            rows = slice(row, row + len(ths))
+            for got, want in zip(batch, alone):
+                assert got[rows].shape == want.shape
+                assert np.array_equal(got[rows], want)
+            row += len(ths)
+        s_grid, us, _, alive = batch
+        assert s_grid[0, -1] == 1.5 and s_grid[1, -1] == 1.5
+        assert s_grid[2, -1] == 0.8
+        assert not alive[3, -1] and alive[0, -1]   # the pole lane dies
+        assert np.all(us[:, 0] == [1.2] * 3 + [0.3] * 3 + [2.0] * 2)
 
 
 class TestClairautConstant:
