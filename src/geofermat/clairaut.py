@@ -232,20 +232,19 @@ class ClairautReport:
     sphere_note: str
 
 
-def sphere_sine_ratio_probe(surface: ProfileSurface, report,
+def sphere_sine_ratio_probe(surface: ProfileSurface, branches,
                             weights) -> SineRatioProbe:
     """Compare sine-constant fractions with weight fractions on a sphere.
 
-    Raises UndefinedRatioError when every branch is a meridian (all sine
+    ``branches`` are the three :class:`BranchConstants`.  Raises
+    UndefinedRatioError when every branch is a meridian (all sine
     constants vanish) or the constants sum to exactly zero.
     """
     if surface.kind != "sphere":
         raise ValueError("the sine-ratio probe is defined on spheres only")
-    branches = report.branches if isinstance(report, ClairautReport) else report
     c_sin = [br.c_sin for br in branches]
-    rho0 = report.rho0 if isinstance(report, ClairautReport) else max(
-        1.0, max(abs(c) for c in c_sin))
-    if max(abs(c) for c in c_sin) <= 1e-13 * max(1.0, rho0):
+    c_max = max(abs(c) for c in c_sin)
+    if c_max <= 1e-13 * max(1.0, c_max):
         raise UndefinedRatioError(
             "all branch sine constants vanish (meridian branches); "
             "ratios are undefined")

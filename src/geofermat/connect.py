@@ -7,7 +7,10 @@ cheap fixed-step fan of headings (batched RK4) screened against every
 requested winding of the target; the embedded chord direction is always
 included as a start.  Each promising start is polished by a damped
 quasi-Newton iteration whose Jacobian uses a finite-difference heading
-column and the analytic length column (the endpoint velocity).
+column and the analytic length column (the endpoint velocity).  Every
+Newton shot is a ``shoot``, and a converged candidate keeps its path:
+the geodesic returned is the shot whose residual converged, not a
+second integration of it.
 
 ``connect_geodesics`` solves several pairs at once: the fan lanes of all
 pairs whose fans take the same number of steps run in one ``shoot_fan``
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartExitError, SolveError
-from .geodesics import _integrate, shoot, shoot_fan, GeodesicPath
+from .geodesics import shoot, shoot_fan, GeodesicPath
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
 __all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics",
@@ -65,17 +68,6 @@ class ConnectOptions:
 _DEFAULT = ConnectOptions()
 
 
-def _endpoint(surface, A, theta, length, tol):
-    """Endpoint state (u, v, du, dv) of a shot, without sample collection."""
-    E0, G0, _, _, _ = surface.metric_terms(A.u)
-    du0 = math.sin(theta) / math.sqrt(E0)
-    dv0 = math.cos(theta) / math.sqrt(G0)
-    if length == 0.0:
-        return A.u, A.v, du0, dv0
-    _, end, _, _ = _integrate(surface, A.u, A.v, du0, dv0, length, tol, False)
-    return end
-
-
 def _chord_heading(surface, A, B):
     d = surface.embed(B) - surface.embed(A)
     e_par, e_mer = surface.embedding_frame(A)
@@ -88,19 +80,21 @@ class _Candidate:
     length: float
     winding: int
     resid: float
+    path: GeodesicPath | None = None    # the converged shot, set by _newton
 
 
 def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     """Damped Newton on the 2-D endpoint residual.  Returns a _Candidate
-    with the converged residual, or None."""
+    with the converged residual and shot, or None."""
     theta, L = theta0, max(L0, 1e-12)
 
     def res(th, ln):
         try:
-            u, v, du, dv = _endpoint(surface, A, th, ln, opts.shoot_tol)
+            path = shoot(surface, A, th, ln, opts.shoot_tol)
         except (ChartExitError, SolveError):
             return None
-        return (s_e * (u - u_t), s_g * (v - v_t), du, dv)
+        _, u, v, du, dv = path.samples[-1].tolist()
+        return (s_e * (u - u_t), s_g * (v - v_t), du, dv, path)
 
     cur = res(theta, L)
     if cur is None:
@@ -108,7 +102,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     r_norm = math.hypot(cur[0], cur[1])
     for _ in range(_NEWTON_MAX_ITER):
         if r_norm <= opts.resid_tol:
-            return _Candidate(theta, L, 0, r_norm)
+            return _Candidate(theta, L, 0, r_norm, cur[4])
         # Jacobian: finite-difference heading column, analytic length column
         d_th = 1e-7 * max(1.0, abs(theta))
         bumped = res(theta + d_th, L)
@@ -142,7 +136,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
         if not improved:
             return None
     if r_norm <= opts.resid_tol:
-        return _Candidate(theta, L, 0, r_norm)
+        return _Candidate(theta, L, 0, r_norm, cur[4])
     return None
 
 
@@ -188,9 +182,8 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
         got = _newton(surface, A, B.u, B.v, target[0], target[1],
                       initial[0], initial[1], opts)
         if got is not None:
-            path = shoot(surface, A, got.theta, got.length, opts.shoot_tol)
-            path.winding = 0
-            return path
+            got.path.winding = 0
+            return got.path
     return connect_geodesics(surface, [(A, B)], opts)[0]
 
 
@@ -299,7 +292,7 @@ def _polish(surface, A, B, target, fan, opts):
              or c.winding != best.winding)
         for c in converged)
 
-    path = shoot(surface, A, best.theta, best.length, opts.shoot_tol)
+    path = best.path
     path.winding = best.winding
     path.ambiguous = ambiguous
     return path

@@ -70,11 +70,6 @@ class WeightTriple:
         t = self.total
         return (self.b1 / t, self.b2 / t, self.b3 / t)
 
-    def interior_ok(self) -> bool:
-        """Strict triangle inequalities: no weight dominates the other two."""
-        b1, b2, b3 = self.astuple()
-        return b1 < b2 + b3 and b2 < b1 + b3 and b3 < b1 + b2
-
 
 def as_weights(w) -> WeightTriple:
     if isinstance(w, WeightTriple):
@@ -427,7 +422,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = shoot(surface, p, theta_step, lam,
-                              opts.connect.shoot_tol, collect=False).end()
+                              opts.connect.shoot_tol).end()
                 surface.check_point(trial)
                 warm_guess = [(path.theta_start, path.length) for path in paths]
                 trial_paths = _branch_data(surface, trial, pts, warm_guess, opts)

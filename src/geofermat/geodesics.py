@@ -114,8 +114,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _integrate(surface, u0, v0, du0, dv0, length, tol, collect):
-    """Core stepper.  Returns (samples or None, end state, drift, unit defect).
+def _integrate(surface, u0, v0, du0, dv0, length, tol):
+    """Core stepper.  Returns (sample rows, drift, unit defect); the last
+    row holds the end state.
 
     Raises ChartExitError when the trajectory reaches the chart boundary
     and SolveError when the conservation budget cannot be met.
@@ -132,7 +133,7 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol, collect):
     u, v, du, dv = u0, v0, du0, dv0
     drift = 0.0
     unit_defect = 0.0
-    rows = [(0.0, u0, v0, du0, dv0)] if collect else None
+    rows = [(0.0, u0, v0, du0, dv0)]
     s_eps = 1e-15 * max(1.0, length)
 
     # FSAL stage cache
@@ -276,8 +277,7 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol, collect):
         rho_max = rho_here
         drift = max(drift, defect_c)
         unit_defect = max(unit_defect, defect_s)
-        if collect:
-            rows.append((s, u, v, du, dv))
+        rows.append((s, u, v, du, dv))
         if errnorm > 0.0:
             h *= min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
         else:
@@ -285,16 +285,16 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol, collect):
     else:
         raise SolveError("integrator exceeded the step budget")
 
-    if collect and rows[-1][0] != length:
+    if rows[-1][0] != length:
         last = rows[-1]
         rows[-1] = (length, last[1], last[2], last[3], last[4])
-    return rows, (u, v, du, dv), drift, unit_defect
+    return rows, drift, unit_defect
 
 
 # -- meridian special case --------------------------------------------------
 
 
-def _meridian_shoot(surface, p, sigma, length, collect):
+def _meridian_shoot(surface, p, sigma, length):
     """Integrate an exact meridian (dv = 0) as a 1-D arc-length problem."""
     terms = surface.metric_terms
 
@@ -350,26 +350,22 @@ def _meridian_shoot(surface, p, sigma, length, collect):
             else:
                 u_end = brentq(lambda x: arc(u_cur, x) - remaining, lo, hi,
                                xtol=1e-14)
-            if collect:
-                n_mid = 24
-                for k in range(1, n_mid):
-                    u_k = u_cur + (u_end - u_cur) * k / n_mid
-                    rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
-                                 sig / speed(u_k), 0.0))
+            n_mid = 24
+            for k in range(1, n_mid):
+                u_k = u_cur + (u_end - u_cur) * k / n_mid
+                rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
+                             sig / speed(u_k), 0.0))
             rows.append((s_done + remaining, u_end, v_cur,
                          sig / speed(u_end), 0.0))
-            theta_end = 0.5 * math.pi * sig
-            samples = np.asarray(rows) if collect else np.asarray([rows[0], rows[-1]])
-            return samples, theta_end
+            return np.asarray(rows), 0.5 * math.pi * sig
         if not crosses:
             raise ChartExitError("meridian left the chart", s_done + s_leg)
         # pass through the axis: reflect and rotate the chart by pi
-        if collect:
-            n_mid = 24
-            for k in range(1, n_mid + 1):
-                u_k = u_cur + (u_stop - u_cur) * k / n_mid
-                rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
-                             sig / speed(u_k), 0.0))
+        n_mid = 24
+        for k in range(1, n_mid + 1):
+            u_k = u_cur + (u_stop - u_cur) * k / n_mid
+            rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
+                         sig / speed(u_k), 0.0))
         s_done += s_leg
         u_cur = u_stop
         v_cur += math.pi
@@ -378,12 +374,15 @@ def _meridian_shoot(surface, p, sigma, length, collect):
 
 
 def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
-          tol: float = DEFAULT_TOL, collect: bool = True) -> GeodesicPath:
+          tol: float = DEFAULT_TOL) -> GeodesicPath:
     """Exponential map: follow the geodesic from ``p`` at heading ``theta``.
 
     The integration is adaptive with an embedded error estimate; along the
     accepted path both the unit-speed defect and the drift of the
     conserved quantity ``G v'`` stay below ``10 * tol * max(1, rho)``.
+    Every adaptive integration of the package runs through here, the
+    Newton shots of ``connect`` included; the last sample row holds the
+    end state ``(u, v, du, dv)``.
     """
     surface.check_point(p)
     if length < 0.0:
@@ -393,28 +392,25 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
     E0, G0, _, _, phi0 = surface.metric_terms(p.u)
     a_par, a_mer = math.cos(theta), math.sin(theta)
     c0 = phi0 * a_par
+    du0 = a_mer / math.sqrt(E0)
+    dv0 = a_par / math.sqrt(G0)
 
     if length == 0.0:
-        samples = np.array([[0.0, p.u, p.v,
-                             a_mer / math.sqrt(E0), a_par / math.sqrt(G0)]])
+        samples = np.array([[0.0, p.u, p.v, du0, dv0]])
         return GeodesicPath(surface, samples, 0.0, c0, 0.0, theta, theta)
 
     if abs(a_par) <= _MERIDIAN_SNAP:
         sigma = 1.0 if a_mer > 0 else -1.0
-        samples, theta_end = _meridian_shoot(surface, p, sigma, length, collect)
+        samples, theta_end = _meridian_shoot(surface, p, sigma, length)
         return GeodesicPath(surface, samples, length, 0.0, 0.0,
                             0.5 * math.pi * sigma, theta_end)
 
-    du0 = a_mer / math.sqrt(E0)
-    dv0 = a_par / math.sqrt(G0)
-    rows, end, drift, unit_defect = _integrate(
-        surface, p.u, p.v, du0, dv0, length, tol, collect)
-    if not collect:
-        rows = [(0.0, p.u, p.v, du0, dv0),
-                (length, end[0], end[1], end[2], end[3])]
+    rows, drift, unit_defect = _integrate(
+        surface, p.u, p.v, du0, dv0, length, tol)
     samples = np.asarray(rows, dtype=float)
-    E1, G1, _, _, _ = surface.metric_terms(end[0])
-    theta_end = math.atan2(math.sqrt(E1) * end[2], math.sqrt(G1) * end[3])
+    _, u1, _, du1, dv1 = rows[-1]
+    E1, G1, _, _, _ = surface.metric_terms(u1)
+    theta_end = math.atan2(math.sqrt(E1) * du1, math.sqrt(G1) * dv1)
     return GeodesicPath(surface, samples, length, c0, drift, theta,
                         theta_end, unit_defect=unit_defect)
 

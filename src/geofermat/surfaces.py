@@ -299,9 +299,6 @@ class ProfileSurface:
     def phi(self, u):
         return self._metric(np, np.array(u, dtype=float))[4]
 
-    def psi(self, u):
-        return self._meridian(np, np.array(u, dtype=float))[0]
-
     def metric_at(self, u):
         """Return ``(E, G, E_u, G_u, rho)`` at ``u`` (rho = phi(u))."""
         self.require_chart(float(u))

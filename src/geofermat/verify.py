@@ -20,8 +20,8 @@ from .clairaut import (BranchConstants, alpha1_window, branch_report,
                        triangle_cosine)
 from .connect import distance
 from .errors import UndefinedRatioError
-from .fermat import (floating_test, sector_angles_from_weights,
-                     solve_fermat, weights_from_sector_angles)
+from .fermat import (sector_angles_from_weights, solve_fermat,
+                     weights_from_sector_angles)
 from .geodesics import shoot
 from .surfaces import SurfacePoint, make_surface
 
@@ -196,14 +196,15 @@ def suite_plane_weiszfeld(n=50, seed=404):
         pts = [SurfacePoint(float(r), float(v))
                for r, v in zip(radii, (v1, v2, v3))]
         b = _valid_weights(rng, margin=0.02)
-        if floating_test(plane, pts, b).mode != "interior":
-            continue
         xy = np.array([[r * math.cos(v), r * math.sin(v)]
                        for r, v in ((p.u, p.v) for p in pts)])
         oracle = _weiszfeld(xy, b)
         if min(np.linalg.norm(xy - oracle, axis=1)) < 1e-3:
             continue
+        # solve_fermat runs the floating test first; vertex cases are skipped
         res = solve_fermat(plane, pts, b)
+        if res.mode != "interior":
+            continue
         got = np.asarray(plane.embed(res.point)[:2])
         worst_pos = max(worst_pos, float(np.linalg.norm(got - oracle)))
         expected = sector_angles_from_weights(b)

@@ -196,7 +196,7 @@ class TestSphereProbe:
         rep = branch_report(paraboloid, center, paths, (1, 1, 1))
         assert rep.sphere_probe is None
         with pytest.raises(ValueError):
-            sphere_sine_ratio_probe(paraboloid, rep, (1, 1, 1))
+            sphere_sine_ratio_probe(paraboloid, rep.branches, (1, 1, 1))
 
 
 class TestRotationExperiment:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geofermat.connect as connect_mod
+import geofermat.geodesics as geodesics_mod
 from geofermat import (ConnectOptions, OffChartError, SolveError, SurfacePoint,
                        connect_geodesic, connect_geodesics, distance,
                        make_surface, shoot)
@@ -161,13 +162,25 @@ class TestInvariants:
                                  - paraboloid.embed(A))
             assert gap <= 1e-9 * max(1.0, path.length)
 
-    def test_warm_start_matches_cold(self, sphere):
+    def test_warm_start_matches_cold(self, sphere, monkeypatch):
         A = SurfacePoint(1.1, 0.2)
         B = SurfacePoint(1.5, 1.1)
         cold = connect_geodesic(sphere, A, B)
+        calls = []
+        real = geodesics_mod._integrate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geodesics_mod, "_integrate", counted)
+        monkeypatch.setattr(connect_mod, "_integrate", counted, raising=False)
         warm = connect_geodesic(sphere, A, B,
                                 initial=(cold.theta_start, cold.length))
         assert warm.length == pytest.approx(cold.length, abs=1e-12)
+        # the converged Newton shot is the returned path, not shot again
+        assert len(calls) == 1
+        assert np.array_equal(warm.samples, cold.samples)
 
 
 class TestBatch:

@@ -56,7 +56,6 @@ class TestSectorAngles:
     @settings(max_examples=200)
     def test_cosine_duality(self, b):
         w = WeightTriple(*b)
-        assume(w.interior_ok())
         assume(min(b[0] + b[1] - b[2], b[1] + b[2] - b[0],
                    b[0] + b[2] - b[1]) > 1e-3 * w.total)
         phi = sector_angles_from_weights(w)
