@@ -30,8 +30,8 @@ def main():
           f"({x:.9f}, {y:.9f}), all sectors "
           f"{[round(a, 6) for a in res.sector_angles]}")
     print(f"balance residual {res.residual:.2e} after {res.iterations} "
-          f"iterations, objective strictly decreased "
-          f"{len(res.f_history) - 1} times")
+          f"steps; objective {res.f_history[0]:.9f} -> "
+          f"{res.f_history[-1]:.9f}")
 
     print("\nA dominant weight pins the minimiser to its terminal:")
     regime = floating_test(plane, pts, (1.0, 1.0, 3.0))

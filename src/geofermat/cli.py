@@ -5,7 +5,8 @@
 Commands: shoot, connect, fermat-solve, fermat-inverse, clairaut-report,
 rotate-experiment, verify.  Reports are JSON on stdout (or --out); branch
 polylines go to CSV files under --paths.  Exit codes: 0 success, 1
-configuration error, 2 numerical failure, 3 verification-suite failure.
+configuration error, 2 numerical failure (also for results holding NaN or
+infinity: reports are strict JSON), 3 verification-suite failure.
 
 Reports are deterministic for a given scenario and package version except
 for the ``wall_time_ms`` field.
@@ -378,7 +379,14 @@ def main(argv=None) -> int:
 
     code, report = run(args.command, scenario, paths_dir=args.paths,
                        suites=suites)
-    payload = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        code, report["results"] = 2, {}
+        report["error"] = {"kind": "NonFiniteResult",
+                           "message": "the results hold NaN or infinity, "
+                                      "which strict JSON cannot carry"}
+        payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
     else:

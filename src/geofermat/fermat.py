@@ -14,10 +14,11 @@ and conversely the normalised weights are recovered from measured sector
 angles through the law of sines (each weight is proportional to the sine
 of the sector opposite its branch).
 
-The solver is a Riemannian descent: the residual ``R = sum b_i U_i`` is
-the negative gradient of f wherever the minimal geodesics are unique, so
-stepping along R with an Armijo backtracking line search decreases f
-monotonically until the balance residual is below tolerance.
+The solver iterates on the residual ``R = sum b_i U_i``, the negative
+gradient of f wherever the minimal geodesics are unique.  Each step is
+the Newton step of the flat model Hessian ``sum (b_i / L_i)(I - U_i U_i^T)``
+(exact on the plane), or, when that fails to lower ``|R|``, the Weiszfeld
+step ``R / sum(b_i / L_i)`` halved until f drops.
 """
 
 import math
@@ -42,8 +43,7 @@ __all__ = [
     "solve_fermat",
 ]
 
-_MAX_BACKTRACKS = 60     # step halvings per descent line search
-_ARMIJO = 1e-4           # sufficient-decrease factor of the line search
+_MAX_BACKTRACKS = 60     # halvings of a Weiszfeld step
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,11 @@ class FermatResult:
     In vertex mode the minimiser is the named terminal, ``residual`` is
     the margin by which the balance inequality fails there, and
     ``sector_angles`` is None.
+
+    ``f_history`` holds f at the start and after each accepted step, and
+    ``iterations`` counts those steps.  Each step lowers ``|R|`` (Newton
+    step) or strictly lowers f (Weiszfeld step); f never rises by more
+    than the length noise ``(b1 + b2 + b3) * connect.resid_tol``.
     """
 
     point: SurfacePoint
@@ -293,66 +298,72 @@ def _residual(paths, b):
     return r_par, r_mer
 
 
-def _polish_balance(surface, p, pts, b, paths, grad_tol, opts):
-    """Damped quasi-Newton on the balance residual R(p) = sum b_i U_i.
+def _newton_step(paths, b, r_par, r_mer):
+    """Solve ``H d = R`` for the flat model Hessian of f at P,
+    ``H = sum (b_i / L_i)(I - U_i U_i^T)`` in the unit frame; None when H
+    is singular (all branches leave along one geodesic)."""
+    h11 = h12 = h22 = 0.0
+    for bi, path in zip(b, paths):
+        k = bi / path.length
+        t_par, t_mer = path.start_unit_tangent()
+        h11 += k * (1.0 - t_par * t_par)
+        h12 -= k * t_par * t_mer
+        h22 += k * (1.0 - t_mer * t_mer)
+    det = h11 * h22 - h12 * h12
+    if not det > 0.0:
+        return None
+    return (h22 * r_par - h12 * r_mer) / det, (h11 * r_mer - h12 * r_par) / det
 
-    The descent phase stalls once objective differences fall below the
-    geodesic-length noise floor; the residual, read from departure
-    headings, stays accurate far deeper, so the endgame solves R = 0
-    directly with a finite-difference Jacobian in chart coordinates.
-    """
-    def r_at(q, warm):
-        qp = _branch_data(surface, q, pts, warm, opts)
-        return _residual(qp, b), qp
 
-    (r1, r2), paths = r_at(p, [(pa.theta_start, pa.length) for pa in paths])
-    r_norm = math.hypot(r1, r2)
-    for _ in range(30):
-        if r_norm <= grad_tol:
-            return p, paths, r_norm
-        E, G, _, _, _ = surface.metric_terms(p.u)
-        fd_u = 1e-6 / math.sqrt(E)
-        if not surface.on_chart(p.u + fd_u):
-            fd_u = -fd_u
-        fd_v = 1e-6 / math.sqrt(G)
-        warm = [(pa.theta_start, pa.length) for pa in paths]
-        try:
-            (a1, a2), _ = r_at(SurfacePoint(p.u + fd_u, p.v), warm)
-            (c1, c2), _ = r_at(SurfacePoint(p.u, p.v + fd_v), warm)
-        except (SolveError, ChartExitError, OffChartError):
-            break
-        j11, j21 = (a1 - r1) / fd_u, (a2 - r2) / fd_u
-        j12, j22 = (c1 - r1) / fd_v, (c2 - r2) / fd_v
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            break
-        du = (-r1 * j22 + r2 * j12) / det
-        dv = (-j11 * r2 + j21 * r1) / det
-        lam = 1.0
-        moved = False
-        for _halve in range(12):
-            q = SurfacePoint(p.u + lam * du, p.v + lam * dv)
-            if surface.on_chart(q.u):
-                try:
-                    (n1, n2), q_paths = r_at(q, warm)
-                except (SolveError, ChartExitError, OffChartError):
-                    lam *= 0.5
-                    continue
-                n_norm = math.hypot(n1, n2)
-                if n_norm <= (1.0 - 1e-4 * lam) * r_norm:
-                    p, paths, r1, r2, r_norm = q, q_paths, n1, n2, n_norm
-                    moved = True
-                    break
-            lam *= 0.5
-        if not moved:
-            break
-    return p, paths, r_norm
+def _trial(surface, p, theta, length, pts, warm, b, opts):
+    """Shoot from p and connect the end point to the terminals.  Returns
+    ``(point, paths, f)``, or None when the end point leaves the chart,
+    lands on a terminal or fails to connect."""
+    try:
+        q = shoot(surface, p, theta, length, opts.connect.shoot_tol).end()
+        surface.check_point(q)
+        if q in pts:
+            return None
+        paths = _branch_data(surface, q, pts, warm, opts)
+    except (SolveError, ChartExitError, OffChartError):
+        return None
+    return q, paths, sum(bi * path.length for bi, path in zip(b, paths))
+
+
+def _descend(surface, p, theta, lam, f_cur, pts, warm, b, opts):
+    """Trial step of length lam, halved until f strictly drops below
+    f_cur."""
+    for halving in range(_MAX_BACKTRACKS):
+        step = _trial(surface, p, theta, lam * 0.5 ** halving, pts, warm, b,
+                      opts)
+        if step is not None and step[2] < f_cur:
+            return step
+    raise SolveError(
+        f"Weiszfeld step of length {lam:.3e} lowers f below {f_cur:.12g} "
+        f"in none of {_MAX_BACKTRACKS} halvings")
+
+
+def _leave_terminal(surface, pts, b, regime, i, opts):
+    """Step off terminal i along the pull ``b_j U_j + b_k U_k`` of the
+    other two branches, by their Weiszfeld length shortened by i's margin
+    (positive in interior mode, so f drops).  Returns the new point, its
+    paths and f before and after the step."""
+    others = [j for j in range(3) if j != i]
+    arms = [_vertex_branch(surface, pts, regime.arcs, i, j, opts.connect)
+            for j in others]
+    b_arms = [b[j] for j in others]
+    pull_par, pull_mer = _residual(arms, b_arms)
+    lam = regime.margins[i] / sum(bj / a.length for bj, a in zip(b_arms, arms))
+    f_start = sum(bj * a.length for bj, a in zip(b_arms, arms))
+    q, paths, f = _descend(surface, pts[i], math.atan2(pull_mer, pull_par),
+                           lam, f_start, pts, None, b, opts)
+    return q, paths, [f_start, f]
 
 
 def _vertex_branch(surface, pts, arcs, i, j, opts):
-    """Branch from the vertex terminal i to terminal j, taken from the
-    floating test's arcs; an arc stored toward i is re-shot from i at its
-    reversed end heading."""
+    """Branch from terminal i to terminal j, taken from the floating
+    test's arcs; an arc stored toward i is re-shot from i at its reversed
+    end heading."""
     if j == i:
         return shoot(surface, pts[i], 0.0, 0.0)
     if i < j:
@@ -370,16 +381,21 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     """Locate the weighted Fermat-Torricelli point of three terminals.
 
     Runs the interior-versus-vertex test first; in the vertex regime the
-    winning terminal is returned directly.  Otherwise a Riemannian descent
-    on ``f = sum b_i d(P, A_i)`` iterates until the balance residual
-    ``|sum b_i U_i|`` drops below ``grad_tol``; the accepted objective
-    values decrease monotonically (Armijo backtracking).
+    winning terminal is returned directly.  Otherwise one iteration runs
+    until the balance residual ``|sum b_i U_i|`` drops below ``grad_tol``.
+    Each iteration keeps the flat-model Newton step when it lowers the
+    residual without raising ``f = sum b_i d(P, A_i)`` beyond the length
+    noise, and otherwise takes the Weiszfeld step, halved until f strictly
+    drops.  A start on a terminal first steps off it along the pull of
+    the other two branches.
     """
     opts = opts or FermatOptions()
     w = as_weights(weights)
     b = w.astuple()
     pts = [surface.check_point(p) for p in points]
     grad_tol = opts.grad_tol if opts.grad_tol is not None else 1e-8 * w.total
+    # geodesic lengths are accurate to resid_tol, so f only to this much
+    f_noise = w.total * opts.connect.resid_tol
 
     regime = floating_test(surface, pts, w, opts.connect)
     if regime.mode == "vertex":
@@ -392,65 +408,35 @@ def solve_fermat(surface: ProfileSurface, points, weights,
                             -regime.margins[i], None, "vertex", i, 0, (f_val,))
 
     p = opts.initial or _initial_point(surface, pts, w)
-    paths = _branch_data(surface, p, pts, None, opts)
-    f_cur = sum(bi * path.length for bi, path in zip(b, paths))
-    history = [f_cur]
-    # step per unit residual; self-calibrates against the local curvature
-    gamma = 2.0 * min(path.length for path in paths) / w.total
-    # below this residual, objective differences drown in geodesic-length
-    # noise: hand over to the balance polish
-    switch = max(1e-4 * w.total, grad_tol)
+    if p in pts:
+        p, paths, history = _leave_terminal(surface, pts, b, regime,
+                                            pts.index(p), opts)
+    else:
+        paths = _branch_data(surface, p, pts, None, opts)
+        history = [sum(bi * path.length for bi, path in zip(b, paths))]
+    f_cur = history[-1]
 
-    for iteration in range(opts.max_iter):
+    for _ in range(opts.max_iter):
         r_par, r_mer = _residual(paths, b)
         r_norm = math.hypot(r_par, r_mer)
         if r_norm <= grad_tol:
             break
-        if r_norm <= switch:
-            p, paths, r_norm = _polish_balance(surface, p, pts, b, paths,
-                                               grad_tol, opts)
-            if r_norm <= grad_tol:
-                break
-            raise SolveError(
-                f"balance polish stalled at residual {r_norm:.3e} "
-                f"(tolerance {grad_tol:.3e})")
-        theta_step = math.atan2(r_mer, r_par)
-        min_len = min(path.length for path in paths)
-        lam = min(0.1 * min_len, gamma * r_norm)
-        lam0 = lam
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            try:
-                trial = shoot(surface, p, theta_step, lam,
-                              opts.connect.shoot_tol).end()
-                surface.check_point(trial)
-                warm_guess = [(path.theta_start, path.length) for path in paths]
-                trial_paths = _branch_data(surface, trial, pts, warm_guess, opts)
-            except (SolveError, ChartExitError, OffChartError):
-                lam *= 0.5
-                continue
-            f_trial = sum(bi * path.length
-                          for bi, path in zip(b, trial_paths))
-            if f_trial <= f_cur - _ARMIJO * lam * r_norm:
-                p, paths, f_cur = trial, trial_paths, f_trial
-                history.append(f_cur)
-                gamma = (1.6 * gamma) if lam == lam0 else (lam / r_norm)
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            p, paths, r_norm = _polish_balance(surface, p, pts, b, paths,
-                                               grad_tol, opts)
-            if r_norm <= grad_tol:
-                break
-            raise SolveError(
-                f"line search exhausted {_MAX_BACKTRACKS} halvings at "
-                f"residual {r_norm:.3e}")
+        warm = [(path.theta_start, path.length) for path in paths]
+        d = _newton_step(paths, b, r_par, r_mer)
+        step = None if d is None else _trial(
+            surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, warm, b,
+            opts)
+        if (step is None or step[2] > f_cur + f_noise
+                or math.hypot(*_residual(step[1], b)) >= r_norm):
+            lam = r_norm / sum(bi / path.length for bi, path in zip(b, paths))
+            step = _descend(surface, p, math.atan2(r_mer, r_par), lam, f_cur,
+                            pts, warm, b, opts)
+        p, paths, f_cur = step
+        history.append(f_cur)
     else:
         raise SolveError(
             f"no convergence in {opts.max_iter} iterations "
             f"(residual {r_norm:.3e}, tolerance {grad_tol:.3e})")
-    f_cur = sum(bi * path.length for bi, path in zip(b, paths))
 
     sectors = sector_partition([path.theta_start for path in paths])
     expected = sector_angles_from_weights(w)
@@ -460,5 +446,5 @@ def solve_fermat(surface: ProfileSurface, points, weights,
             f"balance converged but sector angles deviate by {worst:.3e} rad "
             f"from the weight-determined values (tolerance {opts.angle_tol})")
 
-    return FermatResult(p, tuple(paths), f_cur, r_norm, sectors,
-                        "interior", None, iteration + 1, tuple(history))
+    return FermatResult(p, tuple(paths), f_cur, r_norm, sectors, "interior",
+                        None, len(history) - 1, tuple(history))

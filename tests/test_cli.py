@@ -312,6 +312,23 @@ class TestRun:
         assert code == 2
         assert report["error"]["kind"] == "ChartExitError"
 
+    def test_start_on_terminal(self):
+        """The default start, the weighted mean of the terminals, is A2
+        itself here; the solve steps off it toward A0."""
+        scn = scenario_from_dict({
+            "schema": "geofermat/1",
+            "surface": {"kind": "plane"},
+            "points": {"A1": {"u": 1.0, "v": 0.0}, "A2": {"u": 2.0, "v": 1.0},
+                       "A3": {"u": 3.0, "v": 2.0}},
+            "weights": [1.0, 1.0, 1.0],
+        })
+        code, report = cli.run("fermat-solve", scn)
+        assert code == 0
+        point = report["results"]["fermat"]["point"]
+        # the Weiszfeld point of the embedded terminals
+        assert point["u"] == pytest.approx(1.8424466461, abs=1e-6)
+        assert point["v"] == pytest.approx(1.0400190756, abs=1e-6)
+
     def test_determinism_modulo_wall_time(self):
         scn = scenario_from_dict(minimal_scenario())
         code1, rep1 = cli.run("fermat-solve", scn)
@@ -386,6 +403,26 @@ class TestMain:
         report = json.loads(out.read_text())
         assert report["command"] == "shoot"
         assert report["scenario_digest"]
+
+    def test_non_finite_report_is_numerical_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "shoot",
+                            lambda scn, paths_dir, warnings:
+                            {"path": {"length": float("nan")}})
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(minimal_scenario(
+            shoot={"from": "A1", "heading": 0.3, "length": 0.5})))
+        code = cli.main(["shoot", "--scenario", str(scn_path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in out.out + out.err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out.out, parse_constant=reject)
+        assert report["error"]["kind"] == "NonFiniteResult"
+        assert report["results"] == {}
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = cli.main(["connect", "--scenario",

@@ -278,11 +278,35 @@ class TestSolveFermat:
 
     def test_monotone_descent(self, paraboloid):
         pts = self.interior_points(paraboloid)
-        res = solve_fermat(paraboloid, pts, (1.0, 1.2, 0.8))
+        b = (1.0, 1.2, 0.8)
+        res = solve_fermat(paraboloid, pts, b)
         assert res.mode == "interior"
         f = res.f_history
-        assert len(f) >= 3
-        assert all(f[i + 1] < f[i] for i in range(len(f) - 1))
+        assert len(f) >= 3 and res.iterations == len(f) - 1
+        assert f[-1] < f[0]
+        # a Newton step may raise f by the geodesic-length noise at most
+        noise = sum(b) * FermatOptions().connect.resid_tol
+        assert all(f[i + 1] <= f[i] + noise for i in range(len(f) - 1))
+
+    def test_near_terminal_minimiser(self, plane):
+        """A0 lies 0.0017 from A2, whose floating-test margin is 0.0026,
+        so f is nearly flat along the way in."""
+        from geofermat.verify import _weiszfeld
+        pts = [SurfacePoint(1.5064130764675254, 0.834562974951244),
+               SurfacePoint(1.8840350306168903, 0.27272155901390893),
+               SurfacePoint(1.5129990804517774, -0.480490807067919)]
+        b = (1.2771507527800923, 1.6545154790832424, 1.458972738964845)
+        xy = np.array([[p.u * math.cos(p.v), p.u * math.sin(p.v)]
+                       for p in pts])
+        res = solve_fermat(plane, pts, b)
+        assert res.mode == "interior"
+        assert np.linalg.norm(plane.embed(res.point)[:2]
+                              - _weiszfeld(xy, b)) <= 1e-6
+
+    def test_trial_on_terminal_rejected(self, plane):
+        pts = equilateral_plane_points()
+        assert fermat_mod._trial(plane, pts[0], 0.0, 0.0, pts, None,
+                                 (1, 1, 1), FermatOptions()) is None
 
     def test_vertex_mode_result(self, plane):
         pts = equilateral_plane_points()
