@@ -57,7 +57,7 @@ def main():
     terminals = [shoot(paraboloid, center, th, L).end()
                  for th, L in zip(headings, lengths)]
     res = solve_fermat(paraboloid, terminals, b)
-    E, G, _, _, _ = paraboloid.metric_at(center.u)
+    E, G, _, _, _ = paraboloid.metric_terms(center.u)
     gap = math.hypot(math.sqrt(E) * (res.point.u - center.u),
                      math.sqrt(G) * (res.point.v - center.v))
     print(f"recovered the planted point to {gap:.2e} surface distance; "

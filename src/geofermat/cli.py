@@ -22,18 +22,14 @@ from pathlib import Path
 from . import __version__
 from .clairaut import branch_report, rotate_tree_experiment
 from .connect import connect_geodesic, connect_geodesics
-from .errors import (ChartExitError, DegenerateTreeError, ProfileError,
-                     ScenarioError, SolveError, UndefinedRatioError,
-                     WeightDomainError)
+from .errors import (ChartExitError, ScenarioError, SolveError,
+                     UndefinedRatioError, WeightDomainError)
 from .fermat import (measure_sector_angles, solve_fermat,
                      weights_from_sector_angles)
 from .geodesics import shoot, write_path_csv
 from .scenario import (SCHEMA, Scenario, load_scenario, parse_angle,
                        parse_number)
 from .verify import run_suites
-
-COMMANDS = ("shoot", "connect", "fermat-solve", "fermat-inverse",
-            "clairaut-report", "rotate-experiment", "verify")
 
 CONVENTIONS = {
     "frame": "e_parallel = (d/dv)/sqrt(G), e_meridian = (d/du)/sqrt(E)",
@@ -287,6 +283,7 @@ _HANDLERS = {
     "clairaut-report": _cmd_clairaut_report,
     "rotate-experiment": _cmd_rotate_experiment,
 }
+COMMANDS = (*_HANDLERS, "verify")
 
 
 def _digest(raw: dict) -> str:
@@ -327,8 +324,7 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
                                                    report["warnings"])
         else:
             raise ScenarioError(f"unknown command {command!r}")
-    except (ScenarioError, ProfileError, WeightDomainError,
-            DegenerateTreeError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:   # ScenarioError among them
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         exit_code = 1
     except (SolveError, ChartExitError, UndefinedRatioError) as exc:
@@ -369,13 +365,8 @@ def main(argv=None) -> int:
             return 1
 
     suites = None
-    if args.command == "verify" and getattr(args, "suite", None):
+    if args.command == "verify" and args.suite:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    elif args.command != "verify" and scenario is None:
-        print(json.dumps({"error": {"kind": "ScenarioError",
-                                    "message": "--scenario is required"}},
-                         indent=2), file=sys.stderr)
-        return 1
 
     code, report = run(args.command, scenario, paths_dir=args.paths,
                        suites=suites)

@@ -149,7 +149,7 @@ def measure_sector_angles(surface: ProfileSurface, center: SurfacePoint,
     """Sector angles at ``center`` between the geodesic branches to three
     points, from the connect departure headings."""
     points = list(points)
-    if any(p.u == center.u and p.v == center.v for p in points):
+    if any(p.coincides(center) for p in points):
         raise DegenerateTreeError("a terminal coincides with the center")
     paths = connect_geodesics(surface, [(center, p) for p in points], opts)
     return sector_partition([path.theta_start for path in paths])
@@ -182,7 +182,7 @@ def floating_test(surface: ProfileSurface, points, weights,
         raise ValueError("exactly three terminals are required")
     for i in range(3):
         for j in range(i + 1, 3):
-            if pts[i].u == pts[j].u and pts[i].v == pts[j].v:
+            if pts[i].coincides(pts[j]):
                 raise DegenerateTreeError("terminals must be pairwise distinct")
 
     keys = [(0, 1), (0, 2), (1, 2)]
@@ -265,30 +265,34 @@ class FermatResult:
 def _initial_point(surface, pts, weights):
     b = weights.astuple()
     total = sum(b)
-    v0 = pts[0].v
-    vs = []
-    for p in pts:
-        dv = math.remainder(p.v - v0, TWO_PI)
-        vs.append(v0 + dv)
+    # the copy of each terminal nearest the first one
+    vs = [pts[0].v + math.remainder(p.v - pts[0].v, TWO_PI) for p in pts]
     u = sum(bi * p.u for bi, p in zip(b, pts)) / total
     v = sum(bi * vv for bi, vv in zip(b, vs)) / total
     u = min(max(u, surface.u_min), surface.u_max)
-    p = SurfacePoint(u, v)
-    if not surface.on_chart(u):
+    try:
+        return surface.check_point(SurfacePoint(u, v))
+    except OffChartError as exc:
         raise SolveError(
             "default initial point falls outside the chart; "
-            "pass FermatOptions(initial=...)")
-    return p
+            "pass FermatOptions(initial=...)") from exc
 
 
 def _branch_data(surface, p, pts, warm, opts):
     """Connect p to each terminal and return the paths: cold in one batch,
-    or from the warm starts ``warm[i]`` (a start that fails to converge
-    falls back to a cold connect)."""
+    or warm from the previous branches ``warm[i]``, aimed at the copy of
+    the terminal they reached (a start that fails to converge falls back to
+    a cold connect)."""
     if warm is None:
         return connect_geodesics(surface, [(p, t) for t in pts], opts.connect)
-    return [connect_geodesic(surface, p, t, opts.connect, initial=init)
-            for t, init in zip(pts, warm)]
+    paths = []
+    for t, prev in zip(pts, warm):
+        path = connect_geodesic(
+            surface, p, SurfacePoint(t.u, t.v + TWO_PI * prev.winding),
+            opts.connect, initial=(prev.theta_start, prev.length))
+        path.winding += prev.winding
+        paths.append(path)
+    return paths
 
 
 def _residual(paths, b):
@@ -301,7 +305,8 @@ def _residual(paths, b):
 def _newton_step(paths, b, r_par, r_mer):
     """Solve ``H d = R`` for the flat model Hessian of f at P,
     ``H = sum (b_i / L_i)(I - U_i U_i^T)`` in the unit frame; None when H
-    is singular (all branches leave along one geodesic)."""
+    is singular (all branches leave along one geodesic) or the step
+    overflows."""
     h11 = h12 = h22 = 0.0
     for bi, path in zip(b, paths):
         k = bi / path.length
@@ -312,7 +317,8 @@ def _newton_step(paths, b, r_par, r_mer):
     det = h11 * h22 - h12 * h12
     if not det > 0.0:
         return None
-    return (h22 * r_par - h12 * r_mer) / det, (h11 * r_mer - h12 * r_par) / det
+    d = (h22 * r_par - h12 * r_mer) / det, (h11 * r_mer - h12 * r_par) / det
+    return d if math.isfinite(math.hypot(*d)) else None
 
 
 def _trial(surface, p, theta, length, pts, warm, b, opts):
@@ -322,7 +328,7 @@ def _trial(surface, p, theta, length, pts, warm, b, opts):
     try:
         q = shoot(surface, p, theta, length, opts.connect.shoot_tol).end()
         surface.check_point(q)
-        if q in pts:
+        if any(q.coincides(t) for t in pts):
             return None
         paths = _branch_data(surface, q, pts, warm, opts)
     except (SolveError, ChartExitError, OffChartError):
@@ -408,9 +414,9 @@ def solve_fermat(surface: ProfileSurface, points, weights,
                             -regime.margins[i], None, "vertex", i, 0, (f_val,))
 
     p = opts.initial or _initial_point(surface, pts, w)
-    if p in pts:
-        p, paths, history = _leave_terminal(surface, pts, b, regime,
-                                            pts.index(p), opts)
+    i = next((i for i, t in enumerate(pts) if p.coincides(t)), None)
+    if i is not None:
+        p, paths, history = _leave_terminal(surface, pts, b, regime, i, opts)
     else:
         paths = _branch_data(surface, p, pts, None, opts)
         history = [sum(bi * path.length for bi, path in zip(b, paths))]
@@ -421,16 +427,15 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         r_norm = math.hypot(r_par, r_mer)
         if r_norm <= grad_tol:
             break
-        warm = [(path.theta_start, path.length) for path in paths]
         d = _newton_step(paths, b, r_par, r_mer)
         step = None if d is None else _trial(
-            surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, warm, b,
+            surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, paths, b,
             opts)
         if (step is None or step[2] > f_cur + f_noise
                 or math.hypot(*_residual(step[1], b)) >= r_norm):
             lam = r_norm / sum(bi / path.length for bi, path in zip(b, paths))
             step = _descend(surface, p, math.atan2(r_mer, r_par), lam, f_cur,
-                            pts, warm, b, opts)
+                            pts, paths, b, opts)
         p, paths, f_cur = step
         history.append(f_cur)
     else:

@@ -385,10 +385,10 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
     end state ``(u, v, du, dv)``.
     """
     surface.check_point(p)
-    if length < 0.0:
-        raise ValueError("length must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"length must be finite and nonnegative, got {length!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     E0, G0, _, _, phi0 = surface.metric_terms(p.u)
     a_par, a_mer = math.cos(theta), math.sin(theta)
     c0 = phi0 * a_par

@@ -41,11 +41,13 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_SAME_V_TOL = 1e-12     # relative rounding of v in SurfacePoint.coincides
 
 # How close |dphi/ds| must be to 1 at a phi -> 0 chart end for the profile
 # to count as closing smoothly on the axis (sphere-like cap).
 _CLOSURE_SLOPE_TOL = 1e-6
 _CLOSURE_PHI_TOL = 1e-9
+_MIN_GUARD = 1e-150      # phi above it keeps G = phi**2 from underflowing
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,13 @@ class SurfacePoint:
     def wrapped_v(self) -> float:
         """Rotation angle reduced to [0, 2*pi), for display only."""
         return self.v % TWO_PI
+
+    def coincides(self, other: "SurfacePoint") -> bool:
+        """Whether both name one surface point: equal ``u``, and ``v`` equal
+        up to whole turns and rounding."""
+        return (self.u == other.u
+                and abs(math.remainder(self.v - other.v, TWO_PI))
+                <= _SAME_V_TOL * max(1.0, abs(self.v), abs(other.v)))
 
 
 # Each profile is written once, as two functions of an array module ``xp``:
@@ -204,30 +213,17 @@ class _Spline:
 
 
 def _custom_fns(samples):
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 4:
-        raise ProfileError("custom profile needs >= 4 rows of (u, phi, psi)")
-    u_s, phi_s, psi_s = arr[:, 0], arr[:, 1], arr[:, 2]
+    if (samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 4
+            or not np.all(np.isfinite(samples))):
+        raise ProfileError("custom profile needs >= 4 finite rows of (u, phi, psi)")
+    u_s, phi_s, psi_s = samples.T
     if np.any(np.diff(u_s) <= 0):
         raise ProfileError("custom profile samples must have strictly increasing u")
     if np.any(phi_s <= 0):
         raise ProfileError("custom profile requires phi > 0 at every sample")
-    sp = _Spline(u_s, phi_s, psi_s)
-    return sp.metric, sp.meridian, (float(u_s[0]), float(u_s[-1]))
-
-
-CATALOGUE = ("sphere", "cylinder", "cone", "paraboloid", "catenoid",
-             "torus", "plane", "custom")
-
-
-def _positive(params, key, kind):
-    try:
-        val = float(params[key])
-    except KeyError:
-        raise ProfileError(f"{kind} requires parameter '{key}'") from None
-    if not math.isfinite(val) or val <= 0.0:
-        raise ProfileError(f"{kind}: parameter '{key}' must be positive, got {val!r}")
-    return val
+    with np.errstate(all="ignore"):     # scipy rejects an overflowing slope
+        sp = _Spline(u_s, phi_s, psi_s)
+    return sp.metric, sp.meridian
 
 
 class ProfileSurface:
@@ -237,10 +233,8 @@ class ProfileSurface:
     functions of immutable data and safe for concurrent use.
     """
 
-    def __init__(self, kind, params, metric, meridian, u_min, u_max,
-                 axis_guard):
+    def __init__(self, kind, metric, meridian, u_min, u_max, axis_guard):
         self.kind = kind
-        self.params = dict(params)
         self.u_min = float(u_min)
         self.u_max = float(u_max)
         self.axis_guard = float(axis_guard)
@@ -248,15 +242,17 @@ class ProfileSurface:
         self._meridian = meridian    # (xp, u) -> (psi, psi')
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
-        if not self.axis_guard > 0.0:
-            raise ProfileError("axis_guard must be positive")
+        if not self.axis_guard >= _MIN_GUARD:
+            raise ProfileError(f"axis_guard must be at least {_MIN_GUARD:g}, "
+                               f"got {self.axis_guard!r}")
         self._check_regular()
         self.closes_at_min = self._closes_smoothly(self.u_min)
         self.closes_at_max = self._closes_smoothly(self.u_max)
 
     def _check_regular(self):
-        E, _, _, _, phi = self._metric(
-            np, np.linspace(self.u_min, self.u_max, 33))
+        with np.errstate(all="ignore"):     # non-finite terms are rejected
+            E, _, _, _, phi = self._metric(
+                np, np.linspace(self.u_min, self.u_max, 33))
         if not np.all(np.isfinite(E)) or np.any(E <= 0.0):
             raise ProfileError("profile is not regular: E <= 0 somewhere on the chart")
         if np.all(phi <= self.axis_guard):
@@ -276,33 +272,22 @@ class ProfileSurface:
         u_mid = 0.5 * (self.u_min + self.u_max)
         return max(1e-12, self._metric(math, u_mid)[4])
 
-    # -- chart checks ------------------------------------------------------
-
-    def on_chart(self, u: float) -> bool:
-        if not (self.u_min <= u <= self.u_max):
-            return False
-        return self._metric(math, u)[4] > self.axis_guard
-
-    def require_chart(self, u: float) -> None:
-        if not (self.u_min <= u <= self.u_max):
-            raise OffChartError(
-                f"u={u!r} outside chart [{self.u_min}, {self.u_max}]")
-        if self._metric(math, u)[4] <= self.axis_guard:
-            raise OffChartError(f"phi(u) <= axis guard {self.axis_guard} at u={u!r}")
+    # -- chart check ------------------------------------------------------
 
     def check_point(self, p: SurfacePoint) -> SurfacePoint:
-        self.require_chart(p.u)
+        """Return ``p`` when it lies on the chart, else raise OffChartError."""
+        if not (self.u_min <= p.u <= self.u_max):
+            raise OffChartError(
+                f"u={p.u!r} outside chart [{self.u_min}, {self.u_max}]")
+        if self._metric(math, p.u)[4] <= self.axis_guard:
+            raise OffChartError(
+                f"phi(u) <= axis guard {self.axis_guard} at u={p.u!r}")
         return p
 
     # -- metric and embedding ---------------------------------------------
 
     def phi(self, u):
         return self._metric(np, np.array(u, dtype=float))[4]
-
-    def metric_at(self, u):
-        """Return ``(E, G, E_u, G_u, rho)`` at ``u`` (rho = phi(u))."""
-        self.require_chart(float(u))
-        return self._metric(math, float(u))
 
     def metric_terms(self, u: float):
         """Unchecked scalar metric terms ``(E, G, E_u, G_u, phi)``."""
@@ -339,29 +324,53 @@ class ProfileSurface:
         return e_par, e_mer
 
 
-_DEFAULTS = {
-    "sphere": lambda p: (0.0, math.pi, 1e-6 * p["radius"]),
-    "cylinder": lambda p: (-20.0, 20.0, 1e-6 * p["radius"]),
-    "cone": lambda p: (0.0, 20.0, 1e-6),
-    "paraboloid": lambda p: (0.0, 10.0, 1e-6),
-    "catenoid": lambda p: (-3.0 * p["a"], 3.0 * p["a"], 1e-6 * p["a"]),
-    "torus": lambda p: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * p["R"]),
-    "plane": lambda p: (0.0, 50.0, 1e-6),
+# kind -> (parameter names, profile functions, chart defaults).  Both
+# functions take the parameters in the listed order; the chart defaults are
+# ``(u_min, u_max, axis_guard)``.
+_KINDS = {
+    "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R)),
+    "cylinder": (("radius",), _cylinder_fns, lambda R: (-20.0, 20.0, 1e-6 * R)),
+    "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6)),
+    "paraboloid": (("a",), _paraboloid_fns, lambda a: (0.0, 10.0, 1e-6)),
+    "catenoid": (("a",), _catenoid_fns, lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a)),
+    "torus": (("R", "r"), _torus_fns,
+              lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R)),
+    "plane": ((), _plane_fns, lambda: (0.0, 50.0, 1e-6)),
+    "custom": (("samples",), _custom_fns,
+               lambda rows: (rows[0, 0], rows[-1, 0], 1e-6)),
 }
+CATALOGUE = tuple(_KINDS)
+
+
+def _parameter(kind, key, value):
+    """A parameter as the profile functions take it: the custom samples as
+    a float array, any other as a finite number, positive but for the
+    cone's slope."""
+    try:
+        if key == "samples":
+            return np.asarray(value, dtype=float)
+        val = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProfileError(f"{kind}: parameter '{key}' must be numeric") from None
+    if not math.isfinite(val) or (val <= 0.0 and key != "slope"):
+        raise ProfileError(f"{kind}: parameter '{key}' must be finite"
+                           f"{'' if key == 'slope' else ' and positive'}, got {val!r}")
+    return val
 
 
 def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
                  **params) -> ProfileSurface:
-    """Build a catalogue surface or a custom spline-profile surface.
+    """Build a catalogue surface from its kind and exactly its parameters.
 
-    Catalogue kinds and their parameters:
+    One table lists, for each kind, its parameter names, its profile
+    functions and its default chart ``(u_min, u_max, axis_guard)``:
 
     ========== ============================ ==========================
     kind       parameters                   profile
     ========== ============================ ==========================
     sphere     radius                       (R sin u, R cos u)
     cylinder   radius                       (R, u)
-    cone       slope                        (u, slope * u)
+    cone       slope (any sign)             (u, slope * u)
     paraboloid a                            (u, u**2 / (2 a))
     catenoid   a                            (a cosh(u/a), u)
     torus      R, r  (0 < r < R)            (R + r cos u, r sin u)
@@ -369,67 +378,26 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     custom     samples: rows of (u,phi,psi) C2 not-a-knot spline
     ========== ============================ ==========================
 
-    ``u_min``/``u_max``/``axis_guard`` override per-kind defaults.
+    Every listed parameter is required and no other is accepted.  Numbers
+    must be finite and, but for the cone's slope, positive.  A custom chart
+    defaults to the span of its sample ``u``.  ``u_min``/``u_max``/
+    ``axis_guard`` override the defaults.
     """
-    if kind == "sphere":
-        R = _positive(params, "radius", kind)
-        metric, meridian = _sphere_fns(R)
-        norm_params = {"radius": R}
-    elif kind == "cylinder":
-        R = _positive(params, "radius", kind)
-        metric, meridian = _cylinder_fns(R)
-        norm_params = {"radius": R}
-    elif kind == "cone":
-        try:
-            slope = float(params["slope"])
-        except KeyError:
-            raise ProfileError("cone requires parameter 'slope'") from None
-        if not math.isfinite(slope):
-            raise ProfileError("cone slope must be finite")
-        metric, meridian = _cone_fns(slope)
-        norm_params = {"slope": slope}
-    elif kind == "paraboloid":
-        a = _positive(params, "a", kind)
-        metric, meridian = _paraboloid_fns(a)
-        norm_params = {"a": a}
-    elif kind == "catenoid":
-        a = _positive(params, "a", kind)
-        metric, meridian = _catenoid_fns(a)
-        norm_params = {"a": a}
-    elif kind == "torus":
-        R = _positive(params, "R", kind)
-        r = _positive(params, "r", kind)
-        if r >= R:
-            raise ProfileError(f"torus requires r < R, got R={R}, r={r}")
-        metric, meridian = _torus_fns(R, r)
-        norm_params = {"R": R, "r": r}
-    elif kind == "plane":
-        metric, meridian = _plane_fns()
-        norm_params = {}
-    elif kind == "custom":
-        if "samples" not in params:
-            raise ProfileError("custom profile requires 'samples'")
-        metric, meridian, span = _custom_fns(params["samples"])
-        norm_params = {"samples": np.asarray(params["samples"], float).tolist()}
-        if u_min is None:
-            u_min = span[0]
-        if u_max is None:
-            u_max = span[1]
-    else:
+    if kind not in CATALOGUE:
         raise ProfileError(f"unknown surface kind {kind!r}; "
                            f"expected one of {CATALOGUE}")
-
-    if kind != "custom":
-        extra = set(params) - set(norm_params)
-        if extra:
-            raise ProfileError(f"{kind}: unknown parameters {sorted(extra)}")
-        d_min, d_max, d_guard = _DEFAULTS[kind](norm_params)
-    else:
-        d_min, d_max, d_guard = u_min, u_max, 1e-6
-
+    names, fns, defaults = _KINDS[kind]
+    if set(params) != set(names):
+        raise ProfileError(f"{kind} takes exactly the parameters "
+                           f"{list(names)}, got {sorted(params)}")
+    values = [_parameter(kind, key, params[key]) for key in names]
+    if kind == "torus" and values[1] >= values[0]:
+        raise ProfileError(f"torus requires r < R, got R={values[0]}, "
+                           f"r={values[1]}")
+    metric, meridian = fns(*values)
+    d_min, d_max, d_guard = defaults(*values)
     return ProfileSurface(
-        kind, norm_params, metric, meridian,
-        u_min=d_min if u_min is None else float(u_min),
-        u_max=d_max if u_max is None else float(u_max),
-        axis_guard=d_guard if axis_guard is None else float(axis_guard),
-    )
+        kind, metric, meridian,
+        u_min=d_min if u_min is None else u_min,
+        u_max=d_max if u_max is None else u_max,
+        axis_guard=d_guard if axis_guard is None else axis_guard)

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +29,10 @@ def minimal_scenario(**extra):
     }
     data.update(extra)
     return data
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 class TestScenarioLoading:
@@ -103,8 +112,18 @@ class TestScenarioLoading:
         {"kind": "sphere", "radius": 1.0, "u_max": "x"},
         {"kind": "custom", "samples": "abc"},
         {"kind": "sphere", "radius": 1.0, "axis_guard": math.nan},
+        {"kind": "custom", "radius": 9.0, "samples": [
+            [u, math.sin(u), math.cos(u)] for u in (0.5, 1.0, 1.5, 2.0, 2.5)]},
+        {"kind": "custom", "samples": [[10 ** 400, 1.0, 0.0]] * 4},
+        {"kind": "cylinder", "radius": 1.9494548477577465e-283},
+        {"kind": "paraboloid", "a": 1e-300},
+        {"kind": "custom",
+         "samples": [[0, 1, 0], [1e-300, 1, 1e10], [1, 1, 1], [2, 1, 2]]},
     ], ids=["radius-text", "radius-list", "u_max-text", "samples-text",
-            "axis_guard-nan"])
+            "axis_guard-nan", "custom-extra-field", "samples-overflow",
+            "radius-underflow", "a-tiny", "spline-overflow"])
+    # a warning printed beside the stderr report would break its JSON
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_surface_field_is_config_error(self, tmp_path, capsys,
                                                surface):
         path = tmp_path / "s.json"
@@ -329,6 +348,28 @@ class TestRun:
         assert point["u"] == pytest.approx(1.8424466461, abs=1e-6)
         assert point["v"] == pytest.approx(1.0400190756, abs=1e-6)
 
+    def test_terminal_given_a_turn_away(self):
+        """A2 given 2*pi away is the same surface point: the default start
+        lands on it and the solve steps off it as for A2 = (2, 1).  It used
+        to exit 2, 'unreachable within search budget'."""
+        def solve(v2):
+            scn = scenario_from_dict({
+                "schema": "geofermat/1",
+                "surface": {"kind": "plane"},
+                "points": {"A1": {"u": 1.0, "v": 0.0},
+                           "A2": {"u": 2.0, "v": v2},
+                           "A3": {"u": 3.0, "v": 2.0}},
+                "weights": [1.0, 1.0, 1.0],
+            })
+            code, report = cli.run("fermat-solve", scn)
+            assert code == 0, report.get("error")
+            return report["results"]["fermat"]["point"]
+
+        got, want = solve(1.0 + 2 * math.pi), solve(1.0)
+        assert got["u"] == pytest.approx(want["u"], abs=1e-6)
+        assert math.remainder(got["v"] - want["v"], 2 * math.pi) == \
+            pytest.approx(0.0, abs=1e-6)
+
     def test_determinism_modulo_wall_time(self):
         scn = scenario_from_dict(minimal_scenario())
         code1, rep1 = cli.run("fermat-solve", scn)
@@ -416,11 +457,7 @@ class TestMain:
         out = capsys.readouterr()
         assert code == 2
         assert "Traceback" not in out.out + out.err
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads(out.out, parse_constant=reject)
+        report = json.loads(out.out, parse_constant=_reject_constant)
         assert report["error"]["kind"] == "NonFiniteResult"
         assert report["results"] == {}
 
@@ -431,3 +468,71 @@ class TestMain:
 
     def test_scenario_required_for_solves(self, capsys):
         assert cli.main(["fermat-solve"]) == 1
+
+    def test_shoot_without_scenario(self, capsys):
+        assert cli.main(["shoot"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["kind"] == "ScenarioError"
+
+
+# each bundled scenario with the command it is written for, and one with
+# an inverse section so that all six commands run
+_CLI_BASES = [
+    (json.loads((TestBundledScenarios.SCENARIOS / name).read_text()), command)
+    for name, command in [("cylinder_pair.json", "connect"),
+                          ("plane_equilateral.json", "fermat-solve"),
+                          ("rotate_paraboloid.json", "rotate-experiment"),
+                          ("shoot_sphere.json", "shoot"),
+                          ("sphere_triangle.json", "clairaut-report"),
+                          ("sphere_triangle.json", "fermat-inverse")]]
+_CLI_BASES[-1][0]["inverse"] = {"center": {"u": 1.4, "v": 0.3}, "total": 9.0}
+_CLI_CASES = [(data, command, path) for data, command in _CLI_BASES
+              for path in [*_field_paths(data), ("surface", "slope"),
+                           ("points", "A4")]]
+# JSON values that keep every run short: NaN, infinities, 1e-300 and an
+# integer beyond the float range, but no number far from the bundled ones
+# (a shoot of length 1e300 runs to the integrator's step budget, and a point
+# many turns away or next to the axis takes seconds to solve or give up on)
+_cli_numbers = (st.integers(-2, 2) | st.floats(-2.0, 2.0).map(lambda x: round(x, 1))
+                | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400,
+                                   1e-300]))
+cli_values = _cli_numbers | st.recursive(
+    st.none() | st.booleans() | _cli_numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from(_CLI_CASES), value=cli_values)
+    def test_any_field_value_gives_exit_code_and_strict_json(self, case,
+                                                             value):
+        """One field of a bundled scenario set to any JSON value: the
+        matching command answers or rejects it with exit 0, 1 or 2 and
+        writes strict JSON (to --out, or to stderr when the scenario
+        fails to load, with no warning beside it).  Derandomized so that
+        tier-1 time stays fixed."""
+        base, command, path = case
+        data = json.loads(json.dumps(base))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            scn_path, out = Path(tmp) / "s.json", Path(tmp) / "r.json"
+            scn_path.write_text(json.dumps(data))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main([command, "--scenario", str(scn_path),
+                                 "--out", str(out)])
+            if out.exists():
+                text = out.read_text()
+            else:   # the report went to stderr, where a warning would go too
+                assert not caught, [str(w.message) for w in caught]
+                text = err.getvalue()
+        assert code in (0, 1, 2)
+        json.loads(text, parse_constant=_reject_constant)

@@ -264,7 +264,7 @@ class TestSolveFermat:
         pts = [shoot(paraboloid, center, th, L).end()
                for th, L in zip(headings, (0.3, 0.4, 0.5))]
         res = solve_fermat(paraboloid, pts, b)
-        E, G, _, _, _ = paraboloid.metric_at(center.u)
+        E, G, _, _, _ = paraboloid.metric_terms(center.u)
         gap = math.hypot(math.sqrt(E) * (res.point.u - center.u),
                          math.sqrt(G) * (res.point.v - center.v))
         assert gap <= 1e-5

@@ -126,6 +126,17 @@ class TestShoot:
         assert path.samples.shape[0] == 1
         assert path.end() == SurfacePoint(1.0, 2.0)
 
+    @pytest.mark.parametrize("length,tol", [
+        (-1.0, 1e-10), (math.inf, 1e-10), (math.nan, 1e-10),
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+    ], ids=["negative-length", "inf-length", "nan-length", "nan-tol",
+            "inf-tol", "zero-tol"])
+    def test_rejects_input_it_cannot_integrate(self, sphere, length, tol):
+        """A NaN tol used to accept every step (c_drift 3.7e-4) and an
+        infinite length to return a path ending at its start."""
+        with pytest.raises(ValueError):
+            shoot(sphere, SurfacePoint(1.0, 0.0), 0.7, length, tol)
+
     def test_sample_ordering(self, catenoid):
         path = shoot(catenoid, SurfacePoint(0.2, 0.0), 0.8, 2.5)
         s = path.samples[:, 0]

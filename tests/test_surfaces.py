@@ -33,6 +33,32 @@ class TestCatalogue:
         with pytest.raises(ProfileError):
             make_surface("torus", R=1.0, r=1.5)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("sphere", {}),
+        ("custom", {}),
+        ("custom", {"samples": _catenoid_table(9), "radius": 5.0}),
+        ("cone", {"slope": math.inf}),
+        ("catenoid", {"a": -1.0}),
+        ("sphere", {"radius": "abc"}),
+        ("custom", {"samples": [[10 ** 400, 1.0, 0.0]] * 4}),
+        ("custom", {"samples": [[0, 1, 0], [1, 1, 1], [2, 1, 2], [3, math.nan, 3]]}),
+        ("cylinder", {"radius": 1.9494548477577465e-283}),
+        ("sphere", {"radius": 1.0, "axis_guard": 1e-200}),
+    ], ids=["sphere-missing", "custom-missing", "custom-extra",
+            "cone-inf", "catenoid-negative", "radius-text",
+            "samples-overflow", "samples-nan", "radius-underflow",
+            "guard-underflow"])
+    def test_bad_parameter_is_profile_error(self, kind, params):
+        """Every kind takes exactly its listed parameters (a custom surface
+        used to ignore extra ones).  A radius or guard whose square
+        underflows to 0 made a connect divide by G = 0."""
+        with pytest.raises(ProfileError):
+            make_surface(kind, **params)
+
+    def test_cone_slope_any_sign(self):
+        cone = make_surface("cone", slope=-0.5)
+        assert cone.embed(SurfacePoint(2.0, 0.0))[2] == -1.0
+
 
 class TestEmbed:
     def test_sphere_equator_points(self, sphere):
@@ -52,20 +78,37 @@ class TestEmbed:
             sphere.embed(SurfacePoint(1e-9, 0.0))  # inside the axis guard
 
 
+class TestPoints:
+    def test_check_point_is_the_chart_check(self, sphere):
+        p = SurfacePoint(1.0, 0.0)
+        assert sphere.check_point(p) is p
+        for u in (4.0, 1e-9, math.nan):    # outside, in the axis guard, NaN
+            with pytest.raises(OffChartError):
+                sphere.check_point(SurfacePoint(u, 0.0))
+
+    def test_points_whole_turns_apart_coincide(self):
+        p = SurfacePoint(2.0, 1.0)
+        assert p.coincides(SurfacePoint(2.0, 1.0 + 2 * math.pi))
+        assert p.coincides(SurfacePoint(2.0, 1.0 - 6 * math.pi))
+        assert not p.coincides(SurfacePoint(2.0, 1.0 + math.pi))
+        assert not p.coincides(SurfacePoint(2.0, 1.0 + 1e-9))
+        assert not p.coincides(SurfacePoint(2.0 + 1e-12, 1.0))
+
+
 class TestMetric:
     def test_sphere_equator(self, sphere):
-        E, G, E_u, G_u, rho = sphere.metric_at(math.pi / 2)
+        E, G, E_u, G_u, rho = sphere.metric_terms(math.pi / 2)
         assert (E, G, rho) == pytest.approx((1.0, 1.0, 1.0))
         assert G_u == pytest.approx(0.0, abs=1e-15)
 
     def test_cylinder_radius_two(self):
         cyl = make_surface("cylinder", radius=2.0)
-        E, G, E_u, G_u, rho = cyl.metric_at(0.3)
+        E, G, E_u, G_u, rho = cyl.metric_terms(0.3)
         assert (E, G, G_u) == (1.0, 4.0, 0.0)
         assert rho == 2.0
 
     def test_paraboloid_at_one(self, paraboloid):
-        E, G, _, _, rho = paraboloid.metric_at(1.0)
+        E, G, _, _, rho = paraboloid.metric_terms(1.0)
         assert E == pytest.approx(2.0, rel=1e-15)
         assert G == pytest.approx(1.0, rel=1e-15)
         assert rho == 1.0
