@@ -312,7 +312,10 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
             report["results"]["verify"] = [
                 {"name": r.name, "criterion": int(r.criterion),
                  "passed": bool(r.passed), "detail": r.detail,
-                 "elapsed_s": round(float(r.elapsed_s), 3)}
+                 "elapsed_s": round(float(r.elapsed_s), 3),
+                 # numpy scalars unwrapped to Python bools, ints and floats
+                 "stats": {key: val.item() if hasattr(val, "item") else val
+                           for key, val in r.stats.items()}}
                 for r in results
             ]
             if not all(r.passed for r in results):
@@ -358,10 +361,12 @@ def main(argv=None) -> int:
         try:
             scenario = load_scenario(args.scenario)
         except ScenarioError as exc:
-            print(json.dumps({"error": {"kind": "ScenarioError",
-                                        "message": str(exc),
-                                        "field": exc.field}}, indent=2),
-                  file=sys.stderr)
+            payload = json.dumps({"error": {"kind": "ScenarioError",
+                                            "message": str(exc),
+                                            "field": exc.field}}, indent=2)
+            print(payload, file=sys.stderr)
+            if args.out:
+                Path(args.out).write_text(payload + "\n", encoding="utf-8")
             return 1
 
     suites = None

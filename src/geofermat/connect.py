@@ -6,10 +6,11 @@ chart metric frozen at the target point.  Initial guesses come from a
 cheap fixed-step fan of headings (batched RK4) screened against every
 requested winding of the target; the embedded chord direction is always
 included as a start.  Each promising start is polished by a damped
-quasi-Newton iteration whose Jacobian uses a finite-difference heading
-column and the analytic length column (the endpoint velocity).  Every
-Newton shot is a ``shoot``, and a converged candidate keeps its path:
-the geodesic returned is the shot whose residual converged, not a
+Newton iteration whose heading column is the Jacobi field ``m1`` of the
+last shot along its end normal (``GeodesicPath.jacobi``) and whose length
+column is the endpoint velocity: one shot per iteration, plus halvings.
+Every Newton shot is a ``shoot``, and a converged candidate keeps its
+path: the geodesic returned is the shot whose residual converged, not a
 second integration of it.
 
 ``connect_geodesics`` solves several pairs at once: the fan lanes of all
@@ -38,7 +39,9 @@ __all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics",
            "distance"]
 
 _NEWTON_MAX_ITER = 30    # damped Newton iterations per start
-_FAN_STEPS = 80          # fewest fixed RK4 steps in the screening fan
+# fewest fixed RK4 steps in the screening fan: a short fan samples each lane
+# every 0.08 chord, 5 times finer than the gap of 16 lanes at the target
+_FAN_STEPS = 40
 _REFINE_TOP = 4          # screened starts polished by Newton
 _AMBIGUITY_TOL = 1e-6    # a second geodesic this close in length: ambiguous
 _TIE_TOL = 1e-9          # lengths this close tie
@@ -103,13 +106,13 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     for _ in range(_NEWTON_MAX_ITER):
         if r_norm <= opts.resid_tol:
             return _Candidate(theta, L, 0, r_norm, cur[4])
-        # Jacobian: finite-difference heading column, analytic length column
-        d_th = 1e-7 * max(1.0, abs(theta))
-        bumped = res(theta + d_th, L)
-        if bumped is None:
-            return None
-        j00 = (bumped[0] - cur[0]) / d_th
-        j10 = (bumped[1] - cur[1]) / d_th
+        # Jacobian: the heading column is the Jacobi field m1 along the end
+        # normal, the length column the end velocity
+        path = cur[4]
+        m1 = path.jacobi()[0]
+        E, G, _, _, _ = surface.metric_terms(path.samples[-1, 1])
+        j00 = s_e * m1 * math.cos(path.theta_end) / math.sqrt(E)
+        j10 = -s_g * m1 * math.sin(path.theta_end) / math.sqrt(G)
         j01 = s_e * cur[2]
         j11 = s_g * cur[3]
         det = j00 * j11 - j01 * j10

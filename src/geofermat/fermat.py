@@ -16,9 +16,11 @@ of the sector opposite its branch).
 
 The solver iterates on the residual ``R = sum b_i U_i``, the negative
 gradient of f wherever the minimal geodesics are unique.  Each step is
-the Newton step of the flat model Hessian ``sum (b_i / L_i)(I - U_i U_i^T)``
-(exact on the plane), or, when that fails to lower ``|R|``, the Weiszfeld
-step ``R / sum(b_i / L_i)`` halved until f drops.
+the Newton step of the exact Hessian ``sum b_i (m2_i / m1_i)(I - U_i U_i^T)``,
+with ``m1``, ``m2`` the Jacobi scalars at the end of branch i (``1 / L_i``
+on a flat surface, ``cot L_i`` on the unit sphere), or, when that fails
+to lower ``|R|``, the Weiszfeld step ``R / sum(b_i / L_i)`` halved until
+f drops.
 """
 
 import math
@@ -303,19 +305,24 @@ def _residual(paths, b):
 
 
 def _newton_step(paths, b, r_par, r_mer):
-    """Solve ``H d = R`` for the flat model Hessian of f at P,
-    ``H = sum (b_i / L_i)(I - U_i U_i^T)`` in the unit frame; None when H
-    is singular (all branches leave along one geodesic) or the step
-    overflows."""
+    """Solve ``H d = R`` for the Hessian of f at P,
+    ``H = sum b_i (m2_i / m1_i)(I - U_i U_i^T)`` in the unit frame, where
+    ``m2_i / m1_i`` is the curvature of the distance circle about A_i
+    through P (``GeodesicPath.jacobi`` of the branch from P).  None when H
+    is not positive definite (all branches leave along one geodesic, or
+    a branch nears or passes its conjugate point) or the step overflows."""
     h11 = h12 = h22 = 0.0
     for bi, path in zip(b, paths):
-        k = bi / path.length
+        m1, _, m2, _ = path.jacobi()
+        if not m1 > 0.0:
+            return None
+        k = bi * m2 / m1
         t_par, t_mer = path.start_unit_tangent()
         h11 += k * (1.0 - t_par * t_par)
         h12 -= k * t_par * t_mer
         h22 += k * (1.0 - t_mer * t_mer)
     det = h11 * h22 - h12 * h12
-    if not det > 0.0:
+    if not (det > 0.0 and h11 > 0.0):
         return None
     d = (h22 * r_par - h12 * r_mer) / det, (h11 * r_mer - h12 * r_par) / det
     return d if math.isfinite(math.hypot(*d)) else None
@@ -389,10 +396,10 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     Runs the interior-versus-vertex test first; in the vertex regime the
     winning terminal is returned directly.  Otherwise one iteration runs
     until the balance residual ``|sum b_i U_i|`` drops below ``grad_tol``.
-    Each iteration keeps the flat-model Newton step when it lowers the
-    residual without raising ``f = sum b_i d(P, A_i)`` beyond the length
-    noise, and otherwise takes the Weiszfeld step, halved until f strictly
-    drops.  A start on a terminal first steps off it along the pull of
+    Each iteration keeps the Newton step of the exact Hessian (from the
+    branches' Jacobi scalars) when it lowers the residual without raising
+    ``f = sum b_i d(P, A_i)`` beyond the length noise, and otherwise takes
+    the Weiszfeld step, halved until f strictly drops.  A start on a terminal first steps off it along the pull of
     the other two branches.
     """
     opts = opts or FermatOptions()

@@ -94,6 +94,36 @@ class GeodesicPath:
     def embed_samples(self) -> np.ndarray:
         return self.surface.embed_batch(self.samples[:, 1], self.samples[:, 2])
 
+    def jacobi(self):
+        """Jacobi scalars at the end, ``(m1, m1', m2, m2')``: the solutions
+        of ``m'' + K m = 0`` that start as ``(m, m') = (0, 1)`` and ``(1, 0)``.
+
+        A heading change d(theta) at the start moves the end point by
+        ``m1 d(theta)`` along the end normal (the end tangent turned by
+        +pi/2).  RK4 runs over the path's own samples; mid-step ``u`` comes
+        from the cubic Hermite interpolant of ``(u, du)``.
+        """
+        s, u, _, du, dv = self.samples.T
+        n = len(s)
+        h = np.diff(s)
+        du0 = du[:-1]
+        if not dv.any():    # a meridian's du flips sign where it crosses the axis
+            du0 = np.copysign(du0, du[1:])
+        u_mid = 0.5 * (u[:-1] + u[1:]) + 0.125 * h * (du0 - du[1:])
+        K = self.surface.curvature(np.concatenate([u, u_mid]))
+        k0, k_mid, k1 = K[:n - 1], K[n:], K[1:n]
+        # one RK4 step maps (m, m') linearly: (m, m') <- [[A, B], [C, D]] (m, m')
+        q = h * h
+        A = 1.0 - q * (k0 + 2.0 * k_mid) / 6.0 + q * q * k0 * k_mid / 24.0
+        B = h * (1.0 - q * k_mid / 6.0)
+        C = h * (q * k_mid * (k0 + k1) / 12.0 - (k0 + 4.0 * k_mid + k1) / 6.0)
+        D = 1.0 - q * (2.0 * k_mid + k1) / 6.0 + q * q * k_mid * k1 / 24.0
+        m1, p1, m2, p2 = 0.0, 1.0, 1.0, 0.0
+        for a, b, c, d in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()):
+            m1, p1 = a * m1 + b * p1, c * m1 + d * p1
+            m2, p2 = a * m2 + b * p2, c * m2 + d * p2
+        return m1, p1, m2, p2
+
 
 def clairaut_constant(surface: ProfileSurface, p: SurfacePoint, theta: float) -> float:
     """Conserved value ``phi(u) cos(theta)`` for a unit launch at heading theta."""

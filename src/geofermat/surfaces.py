@@ -69,10 +69,12 @@ class SurfacePoint:
                 <= _SAME_V_TOL * max(1.0, abs(self.v), abs(other.v)))
 
 
-# Each profile is written once, as two functions of an array module ``xp``:
-# ``math`` for a scalar ``u`` (the integrator's hot path) and ``numpy`` for
-# an array.  ``metric(xp, u)`` gives ``(E, G, E_u, G_u, phi)`` in closed form
-# and ``meridian(xp, u)`` gives ``(psi, psi')``; ``phi' = G_u / (2 phi)``.
+# Each profile is written once, as three functions of an array module
+# ``xp``: ``math`` for a scalar ``u`` (the integrator's hot path) and
+# ``numpy`` for an array.  ``metric(xp, u)`` gives ``(E, G, E_u, G_u, phi)``
+# in closed form, ``meridian(xp, u)`` gives ``(psi, psi')`` and
+# ``curvature(xp, u)`` the Gaussian curvature
+# ``K = psi' (phi' psi'' - phi'' psi') / (phi E**2)``; ``phi' = G_u / (2 phi)``.
 # Constant terms add ``zero = 0.0 * u`` so that a batch gets arrays shaped
 # like ``u``.
 
@@ -88,7 +90,14 @@ def _sphere_fns(R):
     def meridian(xp, u):
         return R * xp.cos(u), -R * xp.sin(u)
 
-    return metric, meridian
+    def curvature(xp, u):
+        return 1.0 / R2 + 0.0 * u
+
+    return metric, meridian, curvature
+
+
+def _flat(xp, u):
+    return 0.0 * u
 
 
 def _cylinder_fns(R):
@@ -101,7 +110,7 @@ def _cylinder_fns(R):
     def meridian(xp, u):
         return u, 1.0 + 0.0 * u
 
-    return metric, meridian
+    return metric, meridian, _flat
 
 
 def _cone_fns(slope):
@@ -114,7 +123,7 @@ def _cone_fns(slope):
     def meridian(xp, u):
         return slope * u, slope + 0.0 * u
 
-    return metric, meridian
+    return metric, meridian, _flat
 
 
 def _paraboloid_fns(a):
@@ -127,7 +136,11 @@ def _paraboloid_fns(a):
     def meridian(xp, u):
         return 0.5 * u * u * inv_a, u * inv_a
 
-    return metric, meridian
+    def curvature(xp, u):
+        w = 1.0 + u * u * inv_a2
+        return inv_a2 / (w * w)
+
+    return metric, meridian, curvature
 
 
 def _catenoid_fns(a):
@@ -143,7 +156,11 @@ def _catenoid_fns(a):
     def meridian(xp, u):
         return u, 1.0 + 0.0 * u
 
-    return metric, meridian
+    def curvature(xp, u):
+        ch = xp.cosh(u * inv_a)
+        return -inv_a * inv_a / (ch * ch * ch * ch)
+
+    return metric, meridian, curvature
 
 
 def _torus_fns(R, r):
@@ -158,7 +175,11 @@ def _torus_fns(R, r):
     def meridian(xp, u):
         return r * xp.sin(u), r * xp.cos(u)
 
-    return metric, meridian
+    def curvature(xp, u):
+        c = xp.cos(u)
+        return c / (r * (R + r * c))
+
+    return metric, meridian, curvature
 
 
 def _plane_fns():
@@ -170,7 +191,7 @@ def _plane_fns():
         zero = 0.0 * u
         return zero, zero
 
-    return metric, meridian
+    return metric, meridian, _flat
 
 
 class _Spline:
@@ -197,15 +218,22 @@ class _Spline:
                     self._last)
         return self._c[:, i], u - self._x[i]
 
-    def metric(self, xp, u):
+    def _derivatives(self, xp, u):
+        """``(phi, phi', phi'', psi', psi'')`` at u."""
         (a, b, c, d, e, f, g, _), t = self._interval(xp, u)
-        ph = ((a * t + b) * t + c) * t + d
-        dph = (3.0 * a * t + 2.0 * b) * t + c
-        d2ph = 6.0 * a * t + 2.0 * b
-        dps = (3.0 * e * t + 2.0 * f) * t + g
-        d2ps = 6.0 * e * t + 2.0 * f
+        return (((a * t + b) * t + c) * t + d,
+                (3.0 * a * t + 2.0 * b) * t + c, 6.0 * a * t + 2.0 * b,
+                (3.0 * e * t + 2.0 * f) * t + g, 6.0 * e * t + 2.0 * f)
+
+    def metric(self, xp, u):
+        ph, dph, d2ph, dps, d2ps = self._derivatives(xp, u)
         return (dph * dph + dps * dps, ph * ph,
                 2.0 * (dph * d2ph + dps * d2ps), 2.0 * ph * dph, ph)
+
+    def curvature(self, xp, u):
+        ph, dph, d2ph, dps, d2ps = self._derivatives(xp, u)
+        E = dph * dph + dps * dps
+        return dps * (dph * d2ps - d2ph * dps) / (ph * E * E)
 
     def meridian(self, xp, u):
         (_, _, _, _, e, f, g, h), t = self._interval(xp, u)
@@ -223,7 +251,7 @@ def _custom_fns(samples):
         raise ProfileError("custom profile requires phi > 0 at every sample")
     with np.errstate(all="ignore"):     # scipy rejects an overflowing slope
         sp = _Spline(u_s, phi_s, psi_s)
-    return sp.metric, sp.meridian
+    return sp.metric, sp.meridian, sp.curvature
 
 
 class ProfileSurface:
@@ -233,13 +261,15 @@ class ProfileSurface:
     functions of immutable data and safe for concurrent use.
     """
 
-    def __init__(self, kind, metric, meridian, u_min, u_max, axis_guard):
+    def __init__(self, kind, metric, meridian, curvature, u_min, u_max,
+                 axis_guard):
         self.kind = kind
         self.u_min = float(u_min)
         self.u_max = float(u_max)
         self.axis_guard = float(axis_guard)
         self._metric = metric        # (xp, u) -> (E, G, E_u, G_u, phi)
         self._meridian = meridian    # (xp, u) -> (psi, psi')
+        self._curvature = curvature  # (xp, u) -> K
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
         if not self.axis_guard >= _MIN_GUARD:
@@ -297,6 +327,10 @@ class ProfileSurface:
         """Unchecked metric terms as arrays shaped like ``u``."""
         return self._metric(np, np.array(u, dtype=float))
 
+    def curvature(self, u):
+        """Unchecked Gaussian curvature K as an array shaped like ``u``."""
+        return self._curvature(np, np.array(u, dtype=float))
+
     def embed(self, p: SurfacePoint) -> np.ndarray:
         """Embedding r(u, v) = (phi cos v, phi sin v, psi) in 3-space."""
         self.check_point(p)
@@ -325,7 +359,8 @@ class ProfileSurface:
 
 
 # kind -> (parameter names, profile functions, chart defaults).  Both
-# functions take the parameters in the listed order; the chart defaults are
+# take the parameters in the listed order; the profile functions are
+# ``(metric, meridian, curvature)`` and the chart defaults
 # ``(u_min, u_max, axis_guard)``.
 _KINDS = {
     "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R)),
@@ -394,10 +429,9 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     if kind == "torus" and values[1] >= values[0]:
         raise ProfileError(f"torus requires r < R, got R={values[0]}, "
                            f"r={values[1]}")
-    metric, meridian = fns(*values)
     d_min, d_max, d_guard = defaults(*values)
     return ProfileSurface(
-        kind, metric, meridian,
+        kind, *fns(*values),
         u_min=d_min if u_min is None else u_min,
         u_max=d_max if u_max is None else u_max,
         axis_guard=d_guard if axis_guard is None else axis_guard)

@@ -82,3 +82,7 @@ def test_criterion_11_verify_command(verify_run):
     assert elapsed <= 300.0
     assert len(rows) == len(SUITES)
     assert all(r["passed"] for r in rows)
+    # each row carries its suite's stats as plain JSON scalars
+    for r in rows:
+        assert r["stats"] and all(isinstance(val, (bool, int, float))
+                                  for val in r["stats"].values())

@@ -466,6 +466,21 @@ class TestMain:
                          str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_load_error_is_written_to_out(self, tmp_path, capsys):
+        """A scenario that fails to load used to leave --out unwritten (or
+        stale): its error report went to stderr only."""
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(minimal_scenario(weights=[-1, 2, 3])))
+        out = tmp_path / "report.json"
+        out.write_text("stale")
+        code = cli.main(["fermat-solve", "--scenario", str(scn_path),
+                         "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert report["error"]["kind"] == "ScenarioError"
+        assert report["error"]["field"] == "weights[0]"
+        assert json.loads(capsys.readouterr().err) == report
+
     def test_scenario_required_for_solves(self, capsys):
         assert cli.main(["fermat-solve"]) == 1
 
@@ -503,6 +518,17 @@ cli_values = _cli_numbers | st.recursive(
     max_leaves=6)
 
 
+# a wavy vase: 17 knots on u in [0, 8], and a connect between two points on it
+_VASE_SCENARIO = {
+    "schema": "geofermat/1",
+    "surface": {"kind": "custom", "samples": [
+        [0.5 * k, round(1.2 + 0.35 * math.sin(0.65 * k) + 0.025 * k, 12),
+         round(0.5 * k + 0.2 * math.sin(0.5 * k), 12)] for k in range(17)]},
+    "points": {"A": {"u": 2.0, "v": 0.0}, "B": {"u": 3.0, "v": 0.8}},
+    "connect": {"from": "A", "to": "B"},
+}
+
+
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -510,29 +536,57 @@ class TestCliFuzz:
     def test_any_field_value_gives_exit_code_and_strict_json(self, case,
                                                              value):
         """One field of a bundled scenario set to any JSON value: the
-        matching command answers or rejects it with exit 0, 1 or 2 and
-        writes strict JSON (to --out, or to stderr when the scenario
-        fails to load, with no warning beside it).  Derandomized so that
-        tier-1 time stays fixed."""
+        matching command answers or rejects it with exit 0, 1 or 2, no
+        warning, and strict JSON in --out (a scenario that fails to load
+        goes to stderr as well).  Derandomized so that tier-1 time stays
+        fixed."""
         base, command, path = case
         data = json.loads(json.dumps(base))
         target = data
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        with tempfile.TemporaryDirectory() as tmp:
-            scn_path, out = Path(tmp) / "s.json", Path(tmp) / "r.json"
-            scn_path.write_text(json.dumps(data))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = cli.main([command, "--scenario", str(scn_path),
-                                 "--out", str(out)])
-            if out.exists():
-                text = out.read_text()
-            else:   # the report went to stderr, where a warning would go too
-                assert not caught, [str(w.message) for w in caught]
-                text = err.getvalue()
-        assert code in (0, 1, 2)
-        json.loads(text, parse_constant=_reject_constant)
+        _run_fuzz_case(data, command)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edit=st.sampled_from(["cell", "row", "drop", "duplicate"]),
+           row=st.integers(0, 16), col=st.integers(0, 2), value=cli_values)
+    def test_any_custom_sample_edit_gives_exit_code_and_strict_json(
+            self, edit, row, col, value):
+        """One cell or row of a custom surface's samples set to any JSON
+        value, or one row dropped or duplicated: ``connect`` answers or
+        rejects the scenario with exit 0, 1 or 2, strict JSON and no
+        warning."""
+        data = json.loads(json.dumps(_VASE_SCENARIO))
+        rows = data["surface"]["samples"]
+        if edit == "cell":
+            rows[row][col] = value
+        elif edit == "row":
+            rows[row] = value
+        elif edit == "drop":
+            del rows[row]
+        else:
+            rows.insert(row, list(rows[row]))
+        _run_fuzz_case(data, "connect")
+
+
+def _run_fuzz_case(data, command):
+    """Run ``command`` on ``data`` through ``cli.main --out``: exit 0, 1 or
+    2, no warning, strict JSON in --out, and stderr empty or the same
+    report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scn_path, out = Path(tmp) / "s.json", Path(tmp) / "r.json"
+        scn_path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--scenario", str(scn_path),
+                             "--out", str(out)])
+        text = out.read_text()
+    assert code in (0, 1, 2)
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert not caught, [str(w.message) for w in caught]
+    if err.getvalue():      # a load error goes to stderr as well
+        assert json.loads(err.getvalue()) == report

@@ -182,6 +182,26 @@ class TestInvariants:
         assert len(calls) == 1
         assert np.array_equal(warm.samples, cold.samples)
 
+    def test_newton_makes_one_shot_per_iteration(self, sphere, monkeypatch):
+        """The heading column comes from the Jacobi field of the last shot,
+        so each iteration makes one shot: from a start 1e-3 off, Newton
+        converges within four shots, each at a new length."""
+        A, B = SurfacePoint(1.1, 0.2), SurfacePoint(1.5, 1.1)
+        cold = connect_geodesic(sphere, A, B)
+        shots = []
+        real = connect_mod.shoot
+
+        def counted(surface, p, theta, length, *rest):
+            shots.append((theta, length))
+            return real(surface, p, theta, length, *rest)
+
+        monkeypatch.setattr(connect_mod, "shoot", counted)
+        warm = connect_geodesic(sphere, A, B, initial=(
+            cold.theta_start + 1e-3, cold.length - 1e-3))
+        assert warm.length == pytest.approx(cold.length, abs=1e-12)
+        assert len(shots) <= 4
+        assert len({length for _, length in shots}) == len(shots)
+
 
 class TestBatch:
     # per surface: pairs from several starts with fans of 80 and more

@@ -357,6 +357,29 @@ class TestSolveFermat:
         assert res.f_value == pytest.approx(
             b[0] * expected[0].length + b[1] * expected[1].length, abs=1e-8)
 
+    def test_sphere_newton_is_quadratic(self, sphere):
+        """The Newton step uses the exact Hessian b_i m2/m1 = b_i cot L_i on
+        the unit sphere, so it converges quadratically (the flat model
+        b_i / L_i only linearly): 25 planted trees with branches 0.2-1.2
+        take at most 6 accepted steps on average."""
+        rng = np.random.default_rng(8)
+        steps = []
+        for _ in range(25):
+            b = tuple(rng.uniform(1.0, 2.0, 3))
+            center = SurfacePoint(float(rng.uniform(1.0, 2.1)),
+                                  float(rng.uniform(-math.pi, math.pi)))
+            phi = sector_angles_from_weights(b)
+            theta0 = float(rng.uniform(0.0, TWO_PI))
+            headings = (theta0, theta0 + phi[0], theta0 + phi[0] + phi[1])
+            pts = planted_triangle(sphere, center, headings,
+                                   rng.uniform(0.2, 1.2, 3))
+            res = solve_fermat(sphere, pts, b)
+            gap = math.hypot(res.point.u - center.u,
+                             math.sin(center.u) * (res.point.v - center.v))
+            assert gap <= 1e-6
+            steps.append(res.iterations)
+        assert np.mean(steps) <= 6.0
+
     def test_iteration_cap(self, paraboloid):
         pts = self.interior_points(paraboloid)
         with pytest.raises(SolveError):

@@ -170,6 +170,58 @@ class TestShootFan:
         assert np.all(us[:, 0] == [1.2] * 3 + [0.3] * 3 + [2.0] * 2)
 
 
+# a wavy vase: 17 knots on u in [0, 8]
+_VASE_U = np.linspace(0.0, 8.0, 17)
+VASE = np.column_stack([_VASE_U, 1.2 + 0.35 * np.sin(1.3 * _VASE_U) + 0.05 * _VASE_U,
+                        _VASE_U + 0.2 * np.sin(_VASE_U)])
+
+
+class TestJacobi:
+    @pytest.mark.parametrize("u0,theta,length", [
+        (1.0, 0.3, 2.0), (1.2, -2.0, 0.4), (0.6, 1.1, 3.0),
+        (0.5, -math.pi / 2, 2.0),       # a meridian through the pole
+        (1.0, math.pi / 2, 1.5),
+    ])
+    def test_unit_sphere_closed_form(self, sphere, u0, theta, length):
+        """On the unit sphere m1 = sin L and m2 = cos L."""
+        path = shoot(sphere, SurfacePoint(u0, 0.3), theta, length)
+        m1, dm1, m2, dm2 = path.jacobi()
+        want = (math.sin(length), math.cos(length), math.cos(length),
+                -math.sin(length))
+        assert np.allclose((m1, dm1, m2, dm2), want, rtol=0.0, atol=1e-6)
+
+    def test_zero_length(self, sphere):
+        path = shoot(sphere, SurfacePoint(1.0, 0.0), 0.3, 0.0)
+        assert path.jacobi() == (0.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("kind,params,u0,theta,length", [
+        ("torus", {"R": 2.0, "r": 0.7}, 0.5, 0.8, 3.0),
+        ("catenoid", {"a": 1.0}, 0.3, 0.4, 2.5),
+        ("custom", {"samples": VASE}, 2.0, 0.6, 2.5),
+    ])
+    def test_m1_is_the_heading_derivative(self, kind, params, u0, theta,
+                                          length):
+        """m1 against a central difference of two shots: the end point
+        moves by m1 d(theta) along the end normal and not along the end
+        tangent."""
+        surface = make_surface(kind, **params)
+        p = SurfacePoint(u0, 0.1)
+        path = shoot(surface, p, theta, length, tol=1e-12)
+        d = 1e-5
+        plus = shoot(surface, p, theta + d, length, tol=1e-12).end()
+        minus = shoot(surface, p, theta - d, length, tol=1e-12).end()
+        E, G, _, _, _ = surface.metric_terms(path.end().u)
+        move_par = math.sqrt(G) * (plus.v - minus.v) / (2 * d)
+        move_mer = math.sqrt(E) * (plus.u - minus.u) / (2 * d)
+        th = path.theta_end
+        normal = -math.sin(th) * move_par + math.cos(th) * move_mer
+        along = math.cos(th) * move_par + math.sin(th) * move_mer
+        m1 = path.jacobi()[0]
+        assert abs(m1) > 0.1
+        assert abs(m1 - normal) <= 1e-5 * abs(m1)
+        assert abs(along) <= 1e-5 * abs(m1)
+
+
 class TestClairautConstant:
     def test_equator(self, sphere):
         assert clairaut_constant(sphere, SurfacePoint(math.pi / 2, 0.0),

@@ -181,6 +181,25 @@ class TestProfileFormulas:
         assert np.allclose(E, (G_u / (2.0 * phi)) ** 2 + dpsi ** 2,
                            rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_curvature_matches_brioschi(self, kind):
+        """K, written apart from the metric, against the Brioschi formula
+        of the diagonal metric, K = -(G_u / sqrt(EG))_u / (2 sqrt(EG)),
+        with the outer derivative a central difference of ``metric``."""
+        params, u = self.CASES[kind]
+        surface = make_surface(kind, **params)
+
+        def g(x):
+            E, G, _, G_u, _ = surface.metric_terms_batch(x)
+            return G_u / np.sqrt(E * G)
+
+        h = 1e-5
+        E, G, _, _, _ = surface.metric_terms_batch(u)
+        brioschi = -(g(u + h) - g(u - h)) / (2 * h) / (2.0 * np.sqrt(E * G))
+        K = surface.curvature(u)
+        assert K.shape == u.shape
+        assert np.all(np.abs(K - brioschi) <= 1e-6 * np.maximum(1.0, np.abs(K)))
+
 
 class TestCustomSpline:
     def test_matches_catenoid_at_100_points(self, catenoid):
