@@ -429,9 +429,10 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     if kind == "torus" and values[1] >= values[0]:
         raise ProfileError(f"torus requires r < R, got R={values[0]}, "
                            f"r={values[1]}")
+    profile = fns(*values)          # validates the custom samples first
     d_min, d_max, d_guard = defaults(*values)
     return ProfileSurface(
-        kind, *fns(*values),
+        kind, *profile,
         u_min=d_min if u_min is None else u_min,
         u_max=d_max if u_max is None else u_max,
         axis_guard=d_guard if axis_guard is None else axis_guard)

@@ -44,14 +44,18 @@ class TestCatalogue:
         ("custom", {"samples": [[0, 1, 0], [1, 1, 1], [2, 1, 2], [3, math.nan, 3]]}),
         ("cylinder", {"radius": 1.9494548477577465e-283}),
         ("sphere", {"radius": 1.0, "axis_guard": 1e-200}),
+        ("custom", {"samples": None}),
+        ("custom", {"samples": [0.0, 1.0, 2.0]}),
     ], ids=["sphere-missing", "custom-missing", "custom-extra",
             "cone-inf", "catenoid-negative", "radius-text",
             "samples-overflow", "samples-nan", "radius-underflow",
-            "guard-underflow"])
+            "guard-underflow", "samples-null", "samples-flat"])
     def test_bad_parameter_is_profile_error(self, kind, params):
         """Every kind takes exactly its listed parameters (a custom surface
         used to ignore extra ones).  A radius or guard whose square
-        underflows to 0 made a connect divide by G = 0."""
+        underflows to 0 made a connect divide by G = 0.  Samples that are
+        not a table used to reach the chart defaults unchecked and raise
+        IndexError."""
         with pytest.raises(ProfileError):
             make_surface(kind, **params)
 
