@@ -471,8 +471,8 @@ def shoot_fan(surface, starts, thetas, lengths, n_steps):
     dv = np.cos(thetas) / s_g
     h = lengths / n_steps
 
-    def rhs(u_, du_, dv_):
-        E, G, E_u, G_u, _ = surface.metric_terms_batch(u_)
+    def rhs(terms, du_, dv_):
+        E, G, E_u, G_u, _ = terms
         ddu = (-E_u * du_ * du_ + G_u * dv_ * dv_) / (2.0 * E)
         ddv = -(G_u / G) * du_ * dv_
         return ddu, ddv
@@ -484,29 +484,34 @@ def shoot_fan(surface, starts, thetas, lengths, n_steps):
     vs[:, 0] = v
     alive[:, 0] = True
     live = np.ones(k, dtype=bool)
+    batch = surface.metric_terms_batch
+    # first same as last: the metric at a step's end, which decides which
+    # lanes stay alive, is also the next step's first stage; a dead lane's
+    # stages go unread, since its samples stay frozen
+    terms = batch(u)
     with np.errstate(all="ignore"):
         for i in range(n_steps):
-            ka1, kb1 = rhs(u, du, dv)
+            ka1, kb1 = rhs(terms, du, dv)
             u2 = u + 0.5 * h * du
             du2 = du + 0.5 * h * ka1
             dv2 = dv + 0.5 * h * kb1
-            ka2, kb2 = rhs(u2, du2, dv2)
+            ka2, kb2 = rhs(batch(u2), du2, dv2)
             u3 = u + 0.5 * h * du2
             du3 = du + 0.5 * h * ka2
             dv3 = dv + 0.5 * h * kb2
-            ka3, kb3 = rhs(u3, du3, dv3)
+            ka3, kb3 = rhs(batch(u3), du3, dv3)
             u4 = u + h * du3
             du4 = du + h * ka3
             dv4 = dv + h * kb3
-            ka4, kb4 = rhs(u4, du4, dv4)
+            ka4, kb4 = rhs(batch(u4), du4, dv4)
             v = v + (h / 6.0) * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4)
             u = u + (h / 6.0) * (du + 2.0 * du2 + 2.0 * du3 + du4)
             du = du + (h / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
             dv = dv + (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-            phi = surface.metric_terms_batch(u)[4]
+            terms = batch(u)
             good = (np.isfinite(u) & np.isfinite(v) & np.isfinite(du)
                     & np.isfinite(dv) & (u >= surface.u_min)
-                    & (u <= surface.u_max) & (phi > surface.axis_guard))
+                    & (u <= surface.u_max) & (terms[4] > surface.axis_guard))
             live = live & good
             # freeze dead trajectories so they stop producing overflows
             u = np.where(live, u, us[:, i])

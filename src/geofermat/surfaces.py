@@ -63,9 +63,11 @@ class SurfacePoint:
 
     def coincides(self, other: "SurfacePoint") -> bool:
         """Whether both name one surface point: equal ``u``, and ``v`` equal
-        up to whole turns and rounding."""
-        return (self.u == other.u
-                and abs(math.remainder(self.v - other.v, TWO_PI))
+        up to whole turns and rounding (never when ``v`` differ by more than
+        the float range)."""
+        dv = self.v - other.v
+        return (self.u == other.u and math.isfinite(dv)
+                and abs(math.remainder(dv, TWO_PI))
                 <= _SAME_V_TOL * max(1.0, abs(self.v), abs(other.v)))
 
 

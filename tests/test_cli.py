@@ -370,6 +370,36 @@ class TestRun:
         assert math.remainder(got["v"] - want["v"], 2 * math.pi) == \
             pytest.approx(0.0, abs=1e-6)
 
+    @staticmethod
+    def _bundled_triangle(command, name, v):
+        data = json.loads((TestBundledScenarios.SCENARIOS
+                           / "sphere_triangle.json").read_text())
+        data["points"][name]["v"] = v
+        return cli.run(command, scenario_from_dict(data))
+
+    def test_terminal_many_turns_away_solves_as_its_nearest_copy(self):
+        """A3 given 166 turns away used to exit 2 after seconds: every
+        connect to it searched windings counted from the copy given."""
+        code, far = self._bundled_triangle("fermat-solve", "A3", 1044.0)
+        assert code == 0, far.get("error")
+        _, near = self._bundled_triangle(
+            "fermat-solve", "A3", math.remainder(1044.0, 2 * math.pi))
+        got, want = far["results"]["fermat"], near["results"]["fermat"]
+        assert got["f_value"] == pytest.approx(want["f_value"], abs=1e-9)
+        for key in ("u", "v"):
+            assert got["point"][key] == pytest.approx(want["point"][key],
+                                                      abs=1e-9)
+
+    def test_clairaut_report_with_a_far_terminal_matches_its_copy(self):
+        """A2 at v = 11 is the vertex-regime error of A2 at 11 - 4 pi; it
+        used to be a Weiszfeld SolveError after seconds."""
+        code, far = self._bundled_triangle("clairaut-report", "A2", 11.0)
+        near_code, near = self._bundled_triangle("clairaut-report", "A2",
+                                                 11.0 - 4 * math.pi)
+        assert code == near_code == 2
+        assert far["error"] == near["error"]
+        assert "vertex-regime" in far["error"]["message"]
+
     def test_determinism_modulo_wall_time(self):
         scn = scenario_from_dict(minimal_scenario())
         code1, rep1 = cli.run("fermat-solve", scn)
@@ -480,6 +510,28 @@ class TestMain:
         assert report["error"]["kind"] == "ScenarioError"
         assert report["error"]["field"] == "weights[0]"
         assert json.loads(capsys.readouterr().err) == report
+
+    @pytest.mark.parametrize("u2", [1.5, 1.0])
+    def test_non_finite_v_difference_is_numerical_failure(self, tmp_path,
+                                                          capsys, u2):
+        """A1.v = 1e308 and A2.v = -1e308 differ by more than the float
+        range: a SolveError naming the difference, not numpy overflow
+        warnings (or a 'math domain error' exit 1 when the u are equal)."""
+        data = minimal_scenario()
+        data["points"]["A1"]["v"] = 1e308
+        data["points"]["A2"] = {"u": u2, "v": -1e308}
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["fermat-solve", "--scenario", str(scn_path),
+                             "--out", str(out)])
+        assert code == 2
+        assert not caught, [str(w.message) for w in caught]
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert report["error"]["kind"] == "SolveError"
+        assert "not finite" in report["error"]["message"]
 
     def test_scenario_required_for_solves(self, capsys):
         assert cli.main(["fermat-solve"]) == 1

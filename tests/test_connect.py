@@ -203,6 +203,81 @@ class TestInvariants:
         assert len({length for _, length in shots}) == len(shots)
 
 
+class TestChartCopy:
+    """A cold connect counts windings from the copy of B nearest A, so B
+    given whole turns away gives the same geodesic with its winding
+    shifted by those turns."""
+    SURFACES = {"sphere": dict(radius=1.0), "cylinder": dict(radius=1.0),
+                "torus": dict(R=2.0, r=0.7)}
+    # per surface: a pair inside one turn and a pair across v = +-pi
+    PAIRS = {
+        "sphere": [((1.2, 0.3), (1.5, 1.0)),
+                   ((2.0575125857866254, 2.932839280621671),
+                    (2.1447960299637048, -2.1063221042765794))],
+        "cylinder": [((0.0, 0.0), (1.0, 0.5 * math.pi)),
+                     ((0.6193384289577564, 2.8080903072770056),
+                      (1.4368868490089848, -1.3987718694167557))],
+        "torus": [((0.3, -0.5), (-1.0, 0.6)), ((2.5, 2.9), (1.0, -2.8))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_target_copy_invariance(self, name):
+        surface = make_surface(name, **self.SURFACES[name])
+        for a, b in self.PAIRS[name]:
+            A, B = SurfacePoint(*a), SurfacePoint(*b)
+            base = connect_geodesic(surface, A, B)
+            for n in (-2, -1, 1, 2):
+                far = connect_geodesic(
+                    surface, A, SurfacePoint(B.u, B.v + 2 * math.pi * n))
+                assert far.length == pytest.approx(base.length, abs=1e-9)
+                assert far.theta_start == pytest.approx(base.theta_start,
+                                                        abs=1e-9)
+                assert far.winding == base.winding - n
+
+    # cylinder pairs given across the seam on which the shortest winding
+    # was once missed (the screening cutoff dropped it)
+    @pytest.mark.parametrize("a, b", [
+        ((0.6193384289577564, 2.8080903072770056),
+         (1.4368868490089848, -1.3987718694167557)),
+        ((-1.446005574164814, 2.542625196892409),
+         (1.2542789105622223, -1.4332220802118936)),
+        ((-0.025937113731029804, 2.9981488908685154),
+         (-0.8000399823716067, -0.8784906958549721)),
+    ])
+    def test_cylinder_shortest_winding_across_the_seam(self, cylinder, a, b):
+        path = connect_geodesic(cylinder, SurfacePoint(*a), SurfacePoint(*b))
+        # the unrolled strip: the shortest of the straight lines to B's copies
+        dv = math.remainder(b[1] - a[1], 2 * math.pi)
+        assert path.length == pytest.approx(math.hypot(b[0] - a[0], dv),
+                                            rel=1e-7)
+
+    def test_seam_pair_takes_few_shots(self, sphere, monkeypatch):
+        """A sphere pair across v = +-pi: aimed at B as given, the chord
+        seed chased a target 5 rad away and the connect took 89 shots."""
+        A = SurfacePoint(2.0575125857866254, 2.932839280621671)
+        B = SurfacePoint(2.1447960299637048, -2.1063221042765794)
+        shots = []
+        real = connect_mod.shoot
+
+        def counted(surface, p, theta, length, *rest):
+            shots.append((theta, length))
+            return real(surface, p, theta, length, *rest)
+
+        monkeypatch.setattr(connect_mod, "shoot", counted)
+        path = connect_geodesic(sphere, A, B)
+        want = math.acos(math.cos(A.u) * math.cos(B.u) + math.sin(A.u)
+                         * math.sin(B.u) * math.cos(A.v - B.v))
+        assert path.length == pytest.approx(want, rel=1e-7)
+        assert path.winding == 1
+        assert len(shots) <= 10
+
+    def test_non_finite_v_difference_is_a_solve_error(self, sphere):
+        A, B = SurfacePoint(1.0, 1e308), SurfacePoint(1.0, -1e308)
+        with pytest.raises(SolveError, match="not finite"):
+            connect_geodesic(sphere, A, B)
+        assert not A.coincides(B)
+
+
 class TestBatch:
     # per surface: pairs from several starts with fans of 80 and more
     # steps, a coincident pair and (on the cylinder) an ambiguous tie

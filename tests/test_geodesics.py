@@ -169,6 +169,27 @@ class TestShootFan:
         assert not alive[3, -1] and alive[0, -1]   # the pole lane dies
         assert np.all(us[:, 0] == [1.2] * 3 + [0.3] * 3 + [2.0] * 2)
 
+    @pytest.mark.parametrize("n_steps", [40, 60])
+    def test_one_metric_call_per_stage_first_same_as_last(self, n_steps,
+                                                           monkeypatch):
+        """The metric at a step's end checks the lanes and is the next
+        step's first stage: 4 batch calls per step, plus 1 at the start."""
+        sphere = make_surface("sphere", radius=1.0)
+        calls = []
+        real = sphere.metric_terms_batch
+
+        def counted(u):
+            calls.append(len(u))
+            return real(u)
+
+        monkeypatch.setattr(sphere, "metric_terms_batch", counted)
+        _, _, _, alive = shoot_fan(sphere, [SurfacePoint(0.3, 0.0)] * 3,
+                                   [-math.pi / 2, 0.2, 3.0], [1.5] * 3,
+                                   n_steps)
+        assert len(calls) == 4 * n_steps + 1
+        assert calls == [3] * len(calls)
+        assert not alive[0, -1] and alive[1, -1]   # the pole lane dies
+
 
 # a wavy vase: 17 knots on u in [0, 8]
 _VASE_U = np.linspace(0.0, 8.0, 17)
