@@ -19,10 +19,13 @@ path: the geodesic returned is the shot whose residual converged, not a
 second integration of it.
 
 ``connect_geodesics`` solves several pairs at once: the fan lanes of all
-pairs whose fans take the same number of steps run in one ``shoot_fan``
-call, and each pair is then screened and polished on its own, so every
+pairs run in one ``shoot_fan`` call, each lane with its own pair's step
+size, for the largest step count of the batch.  Each pair then reads its
+own steps of its lanes and is screened and polished on its own, so every
 answer equals that of a lone cold ``connect_geodesic``.  Without a
-converged warm start, ``connect_geodesic`` is a batch of one pair.
+converged warm start, ``connect_geodesic`` is a batch of one pair.  A
+cold pair whose meridian arc ``|int sqrt(E) du|`` alone exceeds
+``max_len`` is unreachable, and is rejected before any fan runs.
 
 Among converged candidates the shortest is returned; lengths within
 ``_TIE_TOL`` of it count as ties, which prefer smaller |winding| from B*,
@@ -35,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from .errors import ChartExitError, SolveError
 from .geodesics import shoot, shoot_fan, GeodesicPath
@@ -183,6 +187,24 @@ def _check_pair(surface, A, B, opts):
     return near, k, math.sqrt(E_b), math.sqrt(G_b), chord
 
 
+def _check_cold(surface, A, B, opts):
+    """``_check_pair`` for a pair that goes to the cold search, which also
+    bounds its reach by the meridian arc: every curve from A to B is at
+    least ``|int sqrt(E) du|`` long over [A.u, B.u]."""
+    target = _check_pair(surface, A, B, opts)
+    if target is not None:
+        # full_output keeps quad quiet and appends a message when it
+        # fails; a failed quad bounds nothing
+        out = quad(lambda u: math.sqrt(surface.metric_terms(u)[0]), A.u,
+                   B.u, full_output=1)
+        arc = abs(out[0])
+        if len(out) == 3 and arc - out[1] > opts.max_len:
+            raise SolveError(
+                f"unreachable within search budget: meridian arc {arc:.6g} "
+                f"exceeds max_len {opts.max_len:.6g}")
+    return target
+
+
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
                      opts: ConnectOptions | None = None,
                      initial: tuple[float, float] | None = None) -> GeodesicPath:
@@ -212,15 +234,17 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     """Shortest found geodesic for each pair ``(A, B)``, in pair order.
 
     Each pair is checked, screened and polished as a lone cold connect
-    would be, and gets the same answer; the fans of all pairs with the
-    same step count run as one ``shoot_fan`` call.  All pairs are checked
-    before any fan runs, and the first failing check raises.
+    would be, and gets the same answer; the fans of all pairs run as one
+    ``shoot_fan`` call, in which the lanes of a pair with fewer steps run
+    on past its fan length and are read only up to it.  All pairs are
+    checked before any fan runs, and the first failing check raises.
     """
     opts = opts or _DEFAULT
     pairs = list(pairs)
-    targets = [_check_pair(surface, A, B, opts) for A, B in pairs]
+    targets = [_check_cold(surface, A, B, opts) for A, B in pairs]
 
-    groups = {}         # fan step count -> [(pair index, thetas, fan length)]
+    lanes = []          # (start, heading, step) of every fan lane
+    grids = {}          # pair index -> (first lane, thetas, s_grid)
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
@@ -230,19 +254,18 @@ def connect_geodesics(surface: ProfileSurface, pairs,
         thetas.append(_chord_heading(surface, A, near))
         L_fan = min(opts.max_len, 3.2 * chord + 0.1)
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
-        groups.setdefault(n_steps, []).append((n, thetas, L_fan))
+        grids[n] = (len(lanes), thetas,
+                    np.linspace(0.0, L_fan, n_steps + 1))
+        lanes += [(A, theta, L_fan / n_steps) for theta in thetas]
 
     fans = {}           # pair index -> (thetas, s_grid, us, vs, alive)
-    for n_steps, group in groups.items():
-        lanes = [(pairs[n][0], theta, L_fan)
-                 for n, thetas, L_fan in group for theta in thetas]
-        starts, headings, lengths = zip(*lanes)
-        out = shoot_fan(surface, starts, headings, lengths, n_steps)
-        row = 0
-        for n, thetas, _ in group:
-            rows = slice(row, row + len(thetas))
-            fans[n] = (thetas, *(arr[rows] for arr in out))
-            row += len(thetas)
+    if lanes:
+        starts, headings, steps = zip(*lanes)
+        n_most = max(len(s_grid) for _, _, s_grid in grids.values()) - 1
+        out = shoot_fan(surface, starts, headings, steps, n_most)
+        for n, (row, thetas, s_grid) in grids.items():
+            fans[n] = (thetas, s_grid, *(arr[row:row + len(thetas),
+                                             :len(s_grid)] for arr in out))
 
     return [shoot(surface, A, 0.0, 0.0) if target is None
             else _polish(surface, A, target, fans[n], opts)
@@ -266,7 +289,7 @@ def _polish(surface, A, target, fan, opts):
             i = int(idx[j])
             r = float(r2[j, i])
             if math.isfinite(r):
-                seeds.append(_Candidate(theta, float(s_grid[j, i]), int(k),
+                seeds.append(_Candidate(theta, float(s_grid[i]), int(k),
                                         math.sqrt(r)))
 
     ranked = sorted(seeds[1:], key=lambda c: c.resid)

@@ -448,81 +448,66 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
 # -- batched fixed-step screening integrator ---------------------------------
 
 
-def shoot_fan(surface, starts, thetas, lengths, n_steps):
+def shoot_fan(surface, starts, thetas, steps, n_steps):
     """Fixed-step RK4 trajectories, used as cheap screening for
     boundary-value solves.  Lane j starts at ``starts[j]`` with heading
-    ``thetas[j]`` and runs ``n_steps`` equal steps over ``lengths[j]``.
-    Returns (s_grid, u, v, alive), each of shape (lanes, n_steps + 1);
-    dead samples (off chart or non-finite) are flagged.  Lanes do not
-    interact: a lane gives the same samples in any fan.
+    ``thetas[j]`` and takes ``n_steps`` steps of its own size
+    ``steps[j]``.  Returns (u, v, alive), each of shape
+    (lanes, n_steps + 1).  A lane dies at its first sample that is off the
+    chart, inside the axis guard or not finite; sample 0 is always live,
+    and every sample after a lane's death repeats its last live sample.
+    Lanes do not interact: a lane gives the same samples in any fan.
     """
     thetas = np.asarray(thetas, dtype=float)
-    lengths = np.asarray(lengths, dtype=float)
-    k = len(thetas)
+    h = np.asarray(steps, dtype=float)
     scales = {}          # start u -> (sqrt(E), sqrt(G)), one metric call each
     for p in starts:
         if p.u not in scales:
             E0, G0, _, _, _ = surface.metric_terms(p.u)
             scales[p.u] = (math.sqrt(E0), math.sqrt(G0))
-    u = np.array([p.u for p in starts], dtype=float)
-    v = np.array([p.v for p in starts], dtype=float)
     s_e, s_g = np.array([scales[p.u] for p in starts]).T
-    du = np.sin(thetas) / s_e
-    dv = np.cos(thetas) / s_g
-    h = lengths / n_steps
-
-    def rhs(terms, du_, dv_):
-        E, G, E_u, G_u, _ = terms
-        ddu = (-E_u * du_ * du_ + G_u * dv_ * dv_) / (2.0 * E)
-        ddv = -(G_u / G) * du_ * dv_
-        return ddu, ddv
-
-    us = np.empty((k, n_steps + 1))
-    vs = np.empty((k, n_steps + 1))
-    alive = np.empty((k, n_steps + 1), dtype=bool)
-    us[:, 0] = u
-    vs[:, 0] = v
-    alive[:, 0] = True
-    live = np.ones(k, dtype=bool)
+    # one (4, lanes) state (u, v, du, dv) and its slope (du, dv, du', dv')
+    y = np.array([[p.u for p in starts], [p.v for p in starts],
+                  np.sin(thetas) / s_e, np.cos(thetas) / s_g])
     batch = surface.metric_terms_batch
-    # first same as last: the metric at a step's end, which decides which
-    # lanes stay alive, is also the next step's first stage; a dead lane's
-    # stages go unread, since its samples stay frozen
-    terms = batch(u)
+
+    def slope(y_, terms):
+        du, dv = y_[2], y_[3]
+        E, G, E_u, G_u, _ = terms
+        return np.array([du, dv, (-E_u * du * du + G_u * dv * dv) / (2.0 * E),
+                         -(G_u / G) * du * dv])
+
+    ys = np.empty((n_steps + 1, 4, len(thetas)))
+    phis = np.empty((n_steps + 1, len(thetas)))
+    ys[0] = y
+    # first same as last: the metric at a step's end, whose phi decides
+    # which lanes stay alive, is also the next step's first stage.  Dead
+    # lanes keep integrating; their samples are replaced after the loop
+    terms = batch(y[0])
+    phis[0] = terms[4]
+    half, sixth = 0.5 * h, h / 6.0
     with np.errstate(all="ignore"):
         for i in range(n_steps):
-            ka1, kb1 = rhs(terms, du, dv)
-            u2 = u + 0.5 * h * du
-            du2 = du + 0.5 * h * ka1
-            dv2 = dv + 0.5 * h * kb1
-            ka2, kb2 = rhs(batch(u2), du2, dv2)
-            u3 = u + 0.5 * h * du2
-            du3 = du + 0.5 * h * ka2
-            dv3 = dv + 0.5 * h * kb2
-            ka3, kb3 = rhs(batch(u3), du3, dv3)
-            u4 = u + h * du3
-            du4 = du + h * ka3
-            dv4 = dv + h * kb3
-            ka4, kb4 = rhs(batch(u4), du4, dv4)
-            v = v + (h / 6.0) * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4)
-            u = u + (h / 6.0) * (du + 2.0 * du2 + 2.0 * du3 + du4)
-            du = du + (h / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-            dv = dv + (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-            terms = batch(u)
-            good = (np.isfinite(u) & np.isfinite(v) & np.isfinite(du)
-                    & np.isfinite(dv) & (u >= surface.u_min)
-                    & (u <= surface.u_max) & (terms[4] > surface.axis_guard))
-            live = live & good
-            # freeze dead trajectories so they stop producing overflows
-            u = np.where(live, u, us[:, i])
-            v = np.where(live, v, vs[:, i])
-            du = np.where(live, du, 0.0)
-            dv = np.where(live, dv, 0.0)
-            us[:, i + 1] = u
-            vs[:, i + 1] = v
-            alive[:, i + 1] = live
-    s_grid = np.linspace(0.0, lengths, n_steps + 1, axis=1)
-    return s_grid, us, vs, alive
+            k1 = slope(y, terms)
+            y2 = y + half * k1
+            k2 = slope(y2, batch(y2[0]))
+            y3 = y + half * k2
+            k3 = slope(y3, batch(y3[0]))
+            y4 = y + h * k3
+            k4 = slope(y4, batch(y4[0]))
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            terms = batch(y[0])
+            ys[i + 1] = y
+            phis[i + 1] = terms[4]
+    u = ys[:, 0]
+    good = (np.isfinite(ys).all(axis=1) & (u >= surface.u_min)
+            & (u <= surface.u_max) & (phis > surface.axis_guard))
+    good[0] = True
+    alive = np.logical_and.accumulate(good, axis=0)
+    # sample i of a lane reads its sample min(i, last live)
+    last = np.minimum(np.arange(n_steps + 1)[:, None], alive.sum(axis=0) - 1)
+    lanes = np.arange(len(thetas))
+    return ys[last, 0, lanes].T, ys[last, 1, lanes].T, alive.T
 
 
 def write_path_csv(path: GeodesicPath, fileobj) -> None:

@@ -300,13 +300,13 @@ class TestBatch:
         steps = []
         real = connect_mod.shoot_fan
 
-        def counted(surface, starts, thetas, lengths, n_steps):
+        def counted(surface, starts, thetas, step_sizes, n_steps):
             steps.append(n_steps)
-            return real(surface, starts, thetas, lengths, n_steps)
+            return real(surface, starts, thetas, step_sizes, n_steps)
 
         monkeypatch.setattr(connect_mod, "shoot_fan", counted)
         batch = connect_geodesics(surface, pairs)
-        assert len(steps) == len(set(steps)) >= 2   # one fan per step count
+        assert len(steps) == 1      # one fan per batch
         assert len(batch) == len(pairs)
         for got, want in zip(batch, alone):
             assert ((got.theta_start, got.length, got.winding, got.ambiguous)
@@ -325,6 +325,32 @@ class TestBatch:
         with pytest.raises(OffChartError):
             connect_geodesics(sphere, [ok, off, far], opts)
         assert connect_geodesics(sphere, []) == []
+
+    def test_meridian_arc_over_budget_runs_no_fan(self, monkeypatch):
+        """On a vase whose psi jumps to 100 at u = 3.5, the chord from A to
+        B is 1.4 but every curve between them is at least the meridian arc
+        33.5 long: the pair is rejected before any fan or shot."""
+        rows = [[0.5 * k, 1.2 + 0.35 * math.sin(0.65 * k) + 0.025 * k,
+                 0.5 * k + 0.2 * math.sin(0.5 * k)] for k in range(17)]
+        rows[7][2] = 100.0
+        vase = make_surface("custom", samples=rows)
+        calls = []
+
+        def counted(name):
+            real = getattr(connect_mod, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in ("shoot_fan", "shoot"):
+            monkeypatch.setattr(connect_mod, name, counted(name))
+        A, B = SurfacePoint(2.0, 0.0), SurfacePoint(3.0, 0.8)
+        with pytest.raises(SolveError, match="unreachable within search "
+                           "budget: meridian arc 33.5"):
+            connect_geodesic(vase, A, B)
+        assert calls == []
 
 
 class TestOptions:

@@ -144,6 +144,81 @@ class TestShoot:
         assert np.all(np.diff(s) > 0.0)
 
 
+def _reference_fan(surface, starts, thetas, lengths, n_steps):
+    """The fan as four separate lane arrays with per-step liveness: lane j
+    runs ``n_steps`` equal steps over ``lengths[j]`` and a dead lane is
+    frozen at its last live sample.  ``shoot_fan`` must match it bit for
+    bit.  Returns (u, v, alive)."""
+    thetas = np.asarray(thetas, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    k = len(thetas)
+    scales = {}
+    for p in starts:
+        if p.u not in scales:
+            E0, G0, _, _, _ = surface.metric_terms(p.u)
+            scales[p.u] = (math.sqrt(E0), math.sqrt(G0))
+    u = np.array([p.u for p in starts], dtype=float)
+    v = np.array([p.v for p in starts], dtype=float)
+    s_e, s_g = np.array([scales[p.u] for p in starts]).T
+    du = np.sin(thetas) / s_e
+    dv = np.cos(thetas) / s_g
+    h = lengths / n_steps
+
+    def rhs(terms, du_, dv_):
+        E, G, E_u, G_u, _ = terms
+        ddu = (-E_u * du_ * du_ + G_u * dv_ * dv_) / (2.0 * E)
+        ddv = -(G_u / G) * du_ * dv_
+        return ddu, ddv
+
+    us = np.empty((k, n_steps + 1))
+    vs = np.empty((k, n_steps + 1))
+    alive = np.empty((k, n_steps + 1), dtype=bool)
+    us[:, 0] = u
+    vs[:, 0] = v
+    alive[:, 0] = True
+    live = np.ones(k, dtype=bool)
+    batch = surface.metric_terms_batch
+    terms = batch(u)
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            ka1, kb1 = rhs(terms, du, dv)
+            u2 = u + 0.5 * h * du
+            du2 = du + 0.5 * h * ka1
+            dv2 = dv + 0.5 * h * kb1
+            ka2, kb2 = rhs(batch(u2), du2, dv2)
+            u3 = u + 0.5 * h * du2
+            du3 = du + 0.5 * h * ka2
+            dv3 = dv + 0.5 * h * kb2
+            ka3, kb3 = rhs(batch(u3), du3, dv3)
+            u4 = u + h * du3
+            du4 = du + h * ka3
+            dv4 = dv + h * kb3
+            ka4, kb4 = rhs(batch(u4), du4, dv4)
+            v = v + (h / 6.0) * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            u = u + (h / 6.0) * (du + 2.0 * du2 + 2.0 * du3 + du4)
+            du = du + (h / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+            dv = dv + (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+            terms = batch(u)
+            good = (np.isfinite(u) & np.isfinite(v) & np.isfinite(du)
+                    & np.isfinite(dv) & (u >= surface.u_min)
+                    & (u <= surface.u_max) & (terms[4] > surface.axis_guard))
+            live = live & good
+            u = np.where(live, u, us[:, i])
+            v = np.where(live, v, vs[:, i])
+            du = np.where(live, du, 0.0)
+            dv = np.where(live, dv, 0.0)
+            us[:, i + 1] = u
+            vs[:, i + 1] = v
+            alive[:, i + 1] = live
+    return us, vs, alive
+
+
+def _fan(surface, starts, thetas, lengths, n_steps):
+    """``shoot_fan`` with each lane's step size ``lengths[j] / n_steps``."""
+    steps = np.asarray(lengths, dtype=float) / n_steps
+    return shoot_fan(surface, starts, thetas, steps, n_steps)
+
+
 class TestShootFan:
     def test_batched_lanes_equal_one_fan_per_start(self, sphere):
         # three starts, two lengths, and a lane that dies at the pole
@@ -151,21 +226,19 @@ class TestShootFan:
                   SurfacePoint(2.0, 2.5)]
         thetas = [(-0.4, 1.1, 2.9), (-math.pi / 2, 0.2, 3.0), (0.5, -2.2)]
         lengths = [(1.5, 1.5, 0.8), (1.5, 0.8, 0.8), (0.8, 1.5)]
-        batch = shoot_fan(sphere,
-                          [p for p, ths in zip(starts, thetas) for _ in ths],
-                          [t for ths in thetas for t in ths],
-                          [L for ls in lengths for L in ls], 60)
+        batch = _fan(sphere,
+                     [p for p, ths in zip(starts, thetas) for _ in ths],
+                     [t for ths in thetas for t in ths],
+                     [L for ls in lengths for L in ls], 60)
         row = 0
         for p, ths, ls in zip(starts, thetas, lengths):
-            alone = shoot_fan(sphere, [p] * len(ths), ths, ls, 60)
+            alone = _fan(sphere, [p] * len(ths), ths, ls, 60)
             rows = slice(row, row + len(ths))
             for got, want in zip(batch, alone):
                 assert got[rows].shape == want.shape
                 assert np.array_equal(got[rows], want)
             row += len(ths)
-        s_grid, us, _, alive = batch
-        assert s_grid[0, -1] == 1.5 and s_grid[1, -1] == 1.5
-        assert s_grid[2, -1] == 0.8
+        us, _, alive = batch
         assert not alive[3, -1] and alive[0, -1]   # the pole lane dies
         assert np.all(us[:, 0] == [1.2] * 3 + [0.3] * 3 + [2.0] * 2)
 
@@ -183,9 +256,8 @@ class TestShootFan:
             return real(u)
 
         monkeypatch.setattr(sphere, "metric_terms_batch", counted)
-        _, _, _, alive = shoot_fan(sphere, [SurfacePoint(0.3, 0.0)] * 3,
-                                   [-math.pi / 2, 0.2, 3.0], [1.5] * 3,
-                                   n_steps)
+        _, _, alive = _fan(sphere, [SurfacePoint(0.3, 0.0)] * 3,
+                           [-math.pi / 2, 0.2, 3.0], [1.5] * 3, n_steps)
         assert len(calls) == 4 * n_steps + 1
         assert calls == [3] * len(calls)
         assert not alive[0, -1] and alive[1, -1]   # the pole lane dies
@@ -195,6 +267,74 @@ class TestShootFan:
 _VASE_U = np.linspace(0.0, 8.0, 17)
 VASE = np.column_stack([_VASE_U, 1.2 + 0.35 * np.sin(1.3 * _VASE_U) + 0.05 * _VASE_U,
                         _VASE_U + 0.2 * np.sin(_VASE_U)])
+
+# per kind: surface parameters, and starts whose 12 lanes of length 3 include
+# some that leave the chart or (on the sphere) cross the pole
+_FAN_CASES = {
+    "sphere": ({"radius": 1.0}, (0.05, 1.3, 2.9)),
+    "cylinder": ({"radius": 1.0}, (-19.0, 0.0)),
+    "cone": ({"slope": 1.0}, (0.3, 19.0)),
+    "paraboloid": ({"a": 1.0}, (0.2, 9.9)),
+    "catenoid": ({"a": 1.0}, (-2.8, 0.0, 2.8)),
+    "torus": ({"R": 2.0, "r": 0.7}, (-12.0, 0.5, 12.0)),
+    "plane": ({}, (0.1, 49.0)),
+    "custom": ({"samples": VASE}, (0.5, 4.0, 7.5)),
+}
+
+
+class TestShootFanReference:
+    @pytest.mark.parametrize("kind", sorted(_FAN_CASES))
+    def test_equals_reference_bit_for_bit(self, kind):
+        params, us0 = _FAN_CASES[kind]
+        surface = make_surface(kind, **params)
+        starts = [SurfacePoint(u0, 0.4) for u0 in us0 for _ in range(12)]
+        thetas = [-math.pi + 2.0 * math.pi * (j + 0.5) / 12
+                  for _ in us0 for j in range(12)]
+        got = _fan(surface, starts, thetas, [3.0] * len(starts), 80)
+        want = _reference_fan(surface, starts, thetas, [3.0] * len(starts), 80)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        alive = got[2]
+        assert alive[:, 0].all() and not alive[:, -1].all()
+
+    @pytest.mark.parametrize("kind, u0, theta, dies_below", [
+        ("sphere", 0.05, -math.pi / 2, True),       # the pole
+        ("catenoid", 2.8, math.pi / 2, False),      # the chart edge u = 3
+        ("custom", 7.5, math.pi / 2, False),        # past the last knot
+    ])
+    def test_dead_lane_repeats_its_last_live_sample(self, kind, u0, theta,
+                                                    dies_below):
+        params, _ = _FAN_CASES[kind]
+        surface = make_surface(kind, **params)
+        starts = [SurfacePoint(u0, 0.4)] * 2
+        us, vs, alive = _fan(surface, starts, [theta, 0.0], [2.0, 2.0], 60)
+        want = _reference_fan(surface, starts, [theta, 0.0], [2.0, 2.0], 60)
+        for a, b in zip((us, vs, alive), want):
+            assert np.array_equal(a, b)
+        n_live = int(alive[0].sum())
+        assert 1 < n_live < 61 and alive[1].all()
+        assert not alive[0, n_live:].any()
+        assert np.all(us[0, n_live:] == us[0, n_live - 1])
+        assert np.all(vs[0, n_live:] == vs[0, n_live - 1])
+        last = us[0, n_live - 1]
+        assert (last < u0) == dies_below
+
+    def test_two_step_sizes_in_one_fan(self, sphere):
+        """Lanes of 40 steps ride along in a fan of 60: their first 41
+        samples are those of a lone 40-step fan."""
+        starts = [SurfacePoint(1.2, 0.3)] * 3 + [SurfacePoint(0.4, -1.0)] * 3
+        thetas = [-0.4, 1.1, 2.9, -math.pi / 2, 0.2, 3.0]
+        short = _fan(sphere, starts[:3], thetas[:3], [0.8] * 3, 40)
+        long_ = _fan(sphere, starts[3:], thetas[3:], [1.5] * 3, 60)
+        steps = [0.8 / 40] * 3 + [1.5 / 60] * 3
+        both = shoot_fan(sphere, starts, thetas, steps, 60)
+        for got, a, b in zip(both, short, long_):
+            assert np.array_equal(got[:3, :41], a)
+            assert np.array_equal(got[3:], b)
+        ref = _reference_fan(sphere, starts[:3], thetas[:3], [0.8] * 3, 40)
+        for a, b in zip(short, ref):
+            assert np.array_equal(a, b)
+        assert not both[2][3, -1]       # the pole lane dies
 
 
 class TestJacobi:
