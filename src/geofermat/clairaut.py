@@ -23,7 +23,8 @@ first; sector angles are unchanged by the reflection.
 import math
 from dataclasses import dataclass
 
-from .errors import SolveError, UndefinedRatioError, WeightDomainError
+from .errors import (DegenerateTreeError, SolveError, UndefinedRatioError,
+                     WeightDomainError)
 from .fermat import (as_weights, measure_sector_angles, sector_angles_from_weights,
                      sector_partition, weights_from_sector_angles)
 from .geodesics import shoot
@@ -265,14 +266,15 @@ def _anchored(surface, center, path):
     gap = math.hypot(math.sqrt(E) * (start.u - center.u),
                      math.sqrt(G) * (start.v - center.v))
     if gap > 1e-9 * max(1.0, path.length):
-        raise ValueError(
+        raise SolveError(
             f"branch does not depart from the branching point (offset {gap:.3e})")
 
 
 def branch_report(surface: ProfileSurface, center: SurfacePoint, branches,
                   weights) -> ClairautReport:
     """Clairaut constants, angles, and closed-form comparisons for three
-    branch paths departing from ``center``."""
+    branch paths departing from ``center``.  Raises SolveError when a
+    branch does not depart from ``center`` or two headings coincide."""
     branches = tuple(branches)
     if len(branches) != 3:
         raise ValueError("exactly three branches are required")
@@ -291,7 +293,10 @@ def branch_report(surface: ProfileSurface, center: SurfacePoint, branches,
     data = tuple(data)
 
     thetas = [br.theta for br in data]
-    sectors = sector_partition(thetas)
+    try:
+        sectors = sector_partition(thetas)
+    except DegenerateTreeError as exc:
+        raise SolveError(f"measured branch headings: {exc}") from exc
     d2 = (thetas[1] - thetas[0]) % TWO_PI
     d3 = (thetas[2] - thetas[0]) % TWO_PI
     ccw = d2 < d3
@@ -372,8 +377,9 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
     recover the weights from each rotated copy.
 
     Raises SolveError if any recovered weight triple deviates from the
-    normalised input by more than 1e-6; raises ChartExitError
-    if a rotated branch leaves the chart.
+    normalised input by more than 1e-6 or a rotated tree's measured
+    headings are degenerate; raises ChartExitError if a rotated branch
+    leaves the chart.
     """
     w = as_weights(weights)
     lengths = tuple(float(x) for x in lengths)
@@ -390,8 +396,11 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
         paths = [shoot(surface, center, th, L)
                  for th, L in zip(headings, lengths)]
         endpoints = tuple(path.end() for path in paths)
-        angles = measure_sector_angles(surface, center, endpoints,
-                                       connect_opts)
+        try:
+            angles = measure_sector_angles(surface, center, endpoints,
+                                           connect_opts)
+        except DegenerateTreeError as exc:
+            raise SolveError(f"rotation {delta!r}: {exc}") from exc
         recovered = weights_from_sector_angles(angles, 1.0).astuple()
         err = max(abs(r - f) for r, f in zip(recovered, fractions))
         if err > _WEIGHT_TOL:

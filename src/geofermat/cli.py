@@ -22,8 +22,8 @@ from pathlib import Path
 from . import __version__
 from .clairaut import branch_report, rotate_tree_experiment
 from .connect import connect_geodesic, connect_geodesics
-from .errors import (ChartExitError, ScenarioError, SolveError,
-                     UndefinedRatioError, WeightDomainError)
+from .errors import (ChartExitError, DegenerateTreeError, ScenarioError,
+                     SolveError, UndefinedRatioError, WeightDomainError)
 from .fermat import (measure_sector_angles, solve_fermat,
                      weights_from_sector_angles)
 from .geodesics import shoot, write_path_csv
@@ -205,8 +205,13 @@ def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
     raw = scn.section("clairaut", optional=True)
     if "center" in raw:
         center = scn.point(raw["center"], "clairaut.center")
+        points = [center, *scn.terminals()]
+        if any(p.coincides(q) for i, p in enumerate(points)
+               for q in points[i + 1:]):
+            raise DegenerateTreeError(
+                "clairaut.center and the terminals must be pairwise distinct")
         branches = tuple(connect_geodesics(
-            scn.surface, [(center, t) for t in scn.terminals()],
+            scn.surface, [(center, t) for t in points[1:]],
             scn.connect_opts))
         solve = None
     else:

@@ -2,18 +2,30 @@
 
 Finds a geodesic arc between two chart points as a two-unknown root
 solve over (heading, length).  The endpoint residual is measured in the
-chart metric frozen at the target point.  Initial guesses come from a
-cheap fixed-step fan of headings (batched RK4) screened against every
-requested winding of the target; the embedded chord direction is always
-included as a start.  The windings count from the copy of the target
-nearest the start, ``B* = (B.u, B.v + 2 pi k)`` with k the whole turns
-nearest ``(A.v - B.v) / 2 pi``: the chord seed, the fan screening and
-Newton all aim at B* and its neighbours, and the ``winding`` reported is
-relative to B as given (the winding found from B* plus k).  Each
-promising start is polished by a damped Newton iteration whose heading
-column is the Jacobi field ``m1`` of the last shot along its end normal
-(``GeodesicPath.jacobi``) and whose length column is the endpoint
-velocity: one shot per iteration, plus halvings.
+chart metric frozen at the target point.  The windings count from the
+copy of the target nearest the start, ``B* = (B.u, B.v + 2 pi k)`` with
+k the whole turns nearest ``(A.v - B.v) / 2 pi``: every start aims at B*
+or its neighbours, and the ``winding`` reported is relative to B as
+given (the winding found from B* plus k).  A cold connect runs in four
+steps:
+
+1. Chord seed.  Newton from the embedded chord direction, with the
+   chord as length, aimed at B*.
+2. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
+   heading among them.  When the chord seed converged to a length L*,
+   the fan keeps its step h but runs only ``ceil(1.1 L* / h) + 2`` of its
+   steps, so its samples are a prefix of the full fan's.  A lane passes
+   nearest B* no later than the length of the geodesic it shadows, so
+   samples beyond ``1.1 L* + 2h`` could only seed geodesics longer than
+   the one in hand.  Otherwise the fan runs in full.
+3. Screen.  Each lane's nearest pass to every requested winding of
+   B* is a seed; the best few go on.
+4. Polish.  Each pick is polished by a damped Newton iteration whose
+   heading column is the Jacobi field ``m1`` of the last shot along its
+   end normal (``GeodesicPath.jacobi``) and whose length column is the
+   endpoint velocity: one shot per iteration, plus halvings.  The chord
+   seed's result from step 1 is reused, not polished again.
+
 Every Newton shot is a ``shoot``, and a converged candidate keeps its
 path: the geodesic returned is the shot whose residual converged, not a
 second integration of it.
@@ -48,8 +60,9 @@ __all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics",
            "distance"]
 
 _NEWTON_MAX_ITER = 30    # damped Newton iterations per start
-# fewest fixed RK4 steps in the screening fan: a short fan samples each lane
-# every 0.08 chord, 5 times finer than the gap of 16 lanes at the target
+# fewest fixed RK4 steps in the full screening fan: a short fan samples each
+# lane every 0.08 chord, 5 times finer than the gap of 16 lanes at the
+# target.  A pair whose chord seed converged runs a prefix of its full fan
 _FAN_STEPS = 40
 _REFINE_TOP = 4          # screened starts polished by Newton
 _AMBIGUITY_TOL = 1e-6    # a second geodesic this close in length: ambiguous
@@ -101,10 +114,13 @@ class _Candidate:
 
 def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     """Damped Newton on the 2-D endpoint residual.  Returns a _Candidate
-    with the converged residual and shot, or None."""
+    with the converged residual and shot, or None, and the shots made."""
     theta, L = theta0, max(L0, 1e-12)
+    shots = 0
 
     def res(th, ln):
+        nonlocal shots
+        shots += 1
         try:
             path = shoot(surface, A, th, ln, opts.shoot_tol)
         except (ChartExitError, SolveError):
@@ -114,11 +130,11 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
 
     cur = res(theta, L)
     if cur is None:
-        return None
+        return None, shots
     r_norm = math.hypot(cur[0], cur[1])
     for _ in range(_NEWTON_MAX_ITER):
         if r_norm <= opts.resid_tol:
-            return _Candidate(theta, L, 0, r_norm, cur[4])
+            return _Candidate(theta, L, 0, r_norm, cur[4]), shots
         # Jacobian: the heading column is the Jacobi field m1 along the end
         # normal, the length column the end velocity
         path = cur[4]
@@ -130,7 +146,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
         j11 = s_g * cur[3]
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
-            return None
+            return None, shots
         step_th = (-cur[0] * j11 + cur[1] * j01) / det
         step_L = (-j00 * cur[1] + j10 * cur[0]) / det
         # near-conjugate configurations make the heading column tiny; a
@@ -150,10 +166,10 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
                     break
             lam *= 0.5
         if not improved:
-            return None
+            return None, shots
     if r_norm <= opts.resid_tol:
-        return _Candidate(theta, L, 0, r_norm, cur[4])
-    return None
+        return _Candidate(theta, L, 0, r_norm, cur[4]), shots
+    return None, shots
 
 
 def _wrap_pi(theta):
@@ -221,8 +237,8 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
         if target is None:
             return shoot(surface, A, 0.0, 0.0)
         _, _, s_e, s_g, _ = target
-        got = _newton(surface, A, B.u, B.v, s_e, s_g, initial[0], initial[1],
-                      opts)
+        got, _ = _newton(surface, A, B.u, B.v, s_e, s_g, initial[0],
+                         initial[1], opts)
         if got is not None:
             got.path.winding = 0
             return got.path
@@ -234,10 +250,14 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     """Shortest found geodesic for each pair ``(A, B)``, in pair order.
 
     Each pair is checked, screened and polished as a lone cold connect
-    would be, and gets the same answer; the fans of all pairs run as one
-    ``shoot_fan`` call, in which the lanes of a pair with fewer steps run
-    on past its fan length and are read only up to it.  All pairs are
-    checked before any fan runs, and the first failing check raises.
+    would be, and gets the same answer.  All pairs are checked before any
+    Newton or fan runs, and the first failing check raises.  Then each
+    pair's chord seed is polished, which sets how many fan steps the pair
+    reads: ``ceil(1.1 L* / h) + 2`` of its ``n`` full steps of size h when
+    the seed converged to length L*, all ``n`` otherwise.  The fans of all
+    pairs run as one ``shoot_fan`` call, for the largest step count of the
+    batch, in which the lanes of a pair with fewer steps run on past them
+    and are read only up to them.
     """
     opts = opts or _DEFAULT
     pairs = list(pairs)
@@ -245,18 +265,25 @@ def connect_geodesics(surface: ProfileSurface, pairs,
 
     lanes = []          # (start, heading, step) of every fan lane
     grids = {}          # pair index -> (first lane, thetas, s_grid)
+    seeded = {}         # pair index -> the chord seed's (Newton result, shots)
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
         thetas = [-math.pi + TWO_PI * (j + 0.5) / opts.n_starts
                   for j in range(opts.n_starts)]
-        near, _, _, _, chord = target
+        near, _, s_e, s_g, chord = target
         thetas.append(_chord_heading(surface, A, near))
+        got, shots = _newton(surface, A, near.u, near.v, s_e, s_g,
+                             thetas[-1], chord, opts)
+        seeded[n] = (got, shots)
         L_fan = min(opts.max_len, 3.2 * chord + 0.1)
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
+        h = L_fan / n_steps
+        n_read = n_steps if got is None else min(
+            n_steps, math.ceil(1.1 * got.length / h) + 2)
         grids[n] = (len(lanes), thetas,
-                    np.linspace(0.0, L_fan, n_steps + 1))
-        lanes += [(A, theta, L_fan / n_steps) for theta in thetas]
+                    np.linspace(0.0, L_fan, n_steps + 1)[:n_read + 1])
+        lanes += [(A, theta, h) for theta in thetas]
 
     fans = {}           # pair index -> (thetas, s_grid, us, vs, alive)
     if lanes:
@@ -268,14 +295,15 @@ def connect_geodesics(surface: ProfileSurface, pairs,
                                              :len(s_grid)] for arr in out))
 
     return [shoot(surface, A, 0.0, 0.0) if target is None
-            else _polish(surface, A, target, fans[n], opts)
+            else _polish(surface, A, target, fans[n], seeded[n], opts)
             for n, ((A, B), target) in enumerate(zip(pairs, targets))]
 
 
-def _polish(surface, A, target, fan, opts):
+def _polish(surface, A, target, fan, seeded, opts):
     """Newton-polish the best screened fan starts of one pair toward the
     copy B* of its target nearest A, and return the shortest converged
-    geodesic with its winding counted from B as given."""
+    geodesic with its winding counted from B as given.  ``seeded`` is the
+    chord seed's ``(Newton result, shots)``, which is not polished again."""
     near, turns, s_e, s_g, chord = target
     fan_thetas, s_grid, us, vs, alive = fan
     seeds: list[_Candidate] = [_Candidate(fan_thetas[-1], chord, 0, 0.0)]
@@ -311,10 +339,12 @@ def _polish(surface, A, target, fan, opts):
         if not dup:
             picks.append(cand)
     converged: list[_Candidate] = []
+    spent = {}          # winding from B* -> [Newton starts, shots]
 
-    def _absorb(cand):
-        got = _newton(surface, A, near.u, near.v + TWO_PI * cand.winding,
-                      s_e, s_g, cand.theta, cand.length, opts)
+    def _absorb(cand, got, shots):
+        tally = spent.setdefault(cand.winding, [0, 0])
+        tally[0] += 1
+        tally[1] += shots
         if got is None:
             return
         got.winding = cand.winding
@@ -325,11 +355,21 @@ def _polish(surface, A, target, fan, opts):
         if not dup:
             converged.append(got)
 
-    for cand in picks:
-        _absorb(cand)
+    _absorb(picks[0], *seeded)
+    for cand in picks[1:]:
+        _absorb(cand, *_newton(surface, A, near.u,
+                               near.v + TWO_PI * cand.winding, s_e, s_g,
+                               cand.theta, cand.length, opts))
 
     if not converged:
-        raise SolveError("unreachable within search budget")
+        # the chord seed is among the failed starts, so the fan ran in full
+        tallies = ", ".join(f"{k}: {n}/{m}"
+                            for k, (n, m) in sorted(spent.items()))
+        screened = f"{ranked[0].resid:.3e}" if ranked else "none"
+        raise SolveError(
+            "unreachable within search budget: the chord seed did not "
+            "converge; Newton starts/shots per winding from the copy of B "
+            f"nearest A: {tallies}; best screened residual {screened}")
 
     best_len = min(c.length for c in converged)
     pool = [c for c in converged if c.length <= best_len + _TIE_TOL]

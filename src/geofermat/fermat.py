@@ -450,7 +450,10 @@ def solve_fermat(surface: ProfileSurface, points, weights,
             f"no convergence in {opts.max_iter} iterations "
             f"(residual {r_norm:.3e}, tolerance {grad_tol:.3e})")
 
-    sectors = sector_partition([path.theta_start for path in paths])
+    try:
+        sectors = sector_partition([path.theta_start for path in paths])
+    except DegenerateTreeError as exc:
+        raise SolveError(f"converged branches are degenerate: {exc}") from exc
     expected = sector_angles_from_weights(w)
     worst = max(abs(a - e) for a, e in zip(sectors, expected))
     if worst > opts.angle_tol:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geofermat import (ChartExitError, SurfacePoint,
+from geofermat import (ChartExitError, SolveError, SurfacePoint,
                        UndefinedRatioError, WeightDomainError, branch_report,
                        law_of_sines_diameter, make_surface,
                        predict_clairaut_constants, rotate_tree_experiment,
@@ -155,7 +155,9 @@ class TestBranchReport:
         center = SurfacePoint(1.0, 0.0)
         good = [shoot(paraboloid, center, th, 0.3) for th in (0.5, 2.5)]
         stray = shoot(paraboloid, SurfacePoint(1.3, 0.4), 1.0, 0.3)
-        with pytest.raises(ValueError):
+        # the offset is measured on the branches, so it is a numerical
+        # failure (exit 2 in the CLI), not a configuration error
+        with pytest.raises(SolveError, match="does not depart"):
             branch_report(paraboloid, center, good + [stray], (1, 1, 1))
 
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import geofermat.cli as cli
+import geofermat.fermat as fermat_mod
 import geofermat.verify as verify_mod
-from geofermat import ScenarioError, load_scenario
+from geofermat import (DegenerateTreeError, ScenarioError, SurfacePoint,
+                       load_scenario, shoot)
 from geofermat.scenario import Scenario, scenario_from_dict
 from geofermat.verify import SuiteResult
 
@@ -409,6 +411,84 @@ class TestRun:
         assert code1 == code2 == 0
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2,
                                                               sort_keys=True)
+
+
+def _plane_report(points, center):
+    """clairaut-report on the plane at a given center, equal weights."""
+    return cli.run("clairaut-report", scenario_from_dict({
+        "schema": "geofermat/1", "surface": {"kind": "plane"},
+        "points": {f"A{i + 1}": {"u": u, "v": v}
+                   for i, (u, v) in enumerate(points)},
+        "weights": [1.0, 1.0, 1.0],
+        "clairaut": {"center": {"u": center[0], "v": center[1]}}}))
+
+
+class TestMeasuredFailureExitCodes:
+    """A failure found in measured values (connect headings, branch
+    offsets) is numerical and exits 2; terminals given coincident in the
+    scenario stay a configuration error, exit 1."""
+
+    @staticmethod
+    def _numerical(code, report, message):
+        assert code == 2
+        assert report["error"]["kind"] == "SolveError"
+        assert message in report["error"]["message"]
+        json.dumps(report, allow_nan=False)
+
+    def test_branch_offset(self, monkeypatch):
+        real = cli.connect_geodesics
+
+        def offset(surface, pairs, opts):
+            paths = real(surface, pairs, opts)
+            A = pairs[0][0]
+            stray = shoot(surface, SurfacePoint(A.u + 0.1, A.v),
+                          paths[0].theta_start, paths[0].length)
+            return [stray, *paths[1:]]
+
+        monkeypatch.setattr(cli, "connect_geodesics", offset)
+        code, report = _plane_report([(2.0, 0.3), (1.5, 1.0), (2.5, -0.5)],
+                                     (1.8, 0.2))
+        self._numerical(code, report, "does not depart")
+
+    def test_report_headings_coincide(self):
+        """A1 and A2 lie on one ray from the center: their measured
+        headings coincide."""
+        code, report = _plane_report([(2.0, 0.0), (3.0, 0.0), (1.5, 1.0)],
+                                     (1.0, 0.0))
+        self._numerical(code, report, "two branch directions coincide")
+
+    def test_solve_headings_coincide(self, monkeypatch):
+        def coincide(headings):
+            raise DegenerateTreeError("two branch directions coincide")
+
+        monkeypatch.setattr(fermat_mod, "sector_partition", coincide)
+        code, report = cli.run("fermat-solve",
+                               scenario_from_dict(minimal_scenario()))
+        self._numerical(code, report, "converged branches are degenerate")
+
+    def test_rotation_headings_coincide(self, monkeypatch):
+        real = fermat_mod.connect_geodesics
+
+        def first_thrice(surface, pairs, opts):
+            return real(surface, pairs[:1], opts) * 3
+
+        monkeypatch.setattr(fermat_mod, "connect_geodesics", first_thrice)
+        code, report = cli.run("rotate-experiment", scenario_from_dict(
+            minimal_scenario(
+                points={"C": {"u": 1.2, "v": 0.5}},
+                experiment={"center": "C", "theta0": 0.7,
+                            "lengths": [0.3, 0.4, 0.5], "deltas": [0.0]})))
+        self._numerical(code, report, "rotation 0.0: two branch directions")
+
+    @pytest.mark.parametrize("points, center", [
+        ([(2.0, 0.3), (2.0, 0.3), (1.5, 1.0)], (1.0, 0.0)),
+        ([(1.0, 0.0), (2.0, 0.3), (1.5, 1.0)], (1.0, 0.0)),
+    ])
+    def test_coincident_points_given_stay_config_errors(self, points,
+                                                        center):
+        code, report = _plane_report(points, center)
+        assert code == 1
+        assert report["error"]["kind"] == "DegenerateTreeError"
 
 
 class TestVerifyCommand:

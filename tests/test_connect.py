@@ -365,3 +365,164 @@ class TestOptions:
             ConnectOptions(shoot_tol=0.0)
         with pytest.raises(ValueError):
             ConnectOptions(windings=())
+
+
+def _vase():
+    """The wavy 17-knot vase of the CLI fuzz tests."""
+    return make_surface("custom", samples=[
+        [0.5 * k, 1.2 + 0.35 * math.sin(0.65 * k) + 0.025 * k,
+         0.5 * k + 0.2 * math.sin(0.5 * k)] for k in range(17)])
+
+
+def _full_fan(surface, A, B, opts=connect_mod._DEFAULT):
+    """Length and step count of the pair's full screening fan."""
+    chord = connect_mod._check_cold(surface, A, B, opts)[4]
+    L_fan = min(opts.max_len, 3.2 * chord + 0.1)
+    return L_fan, max(connect_mod._FAN_STEPS, min(320, int(L_fan * 16)))
+
+
+def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
+    """``_polish`` fed the pair's full screening fan, every step up to
+    ``3.2 chord + 0.1``, as the fan ran before it was cut at the chord
+    seed's length."""
+    target = connect_mod._check_cold(surface, A, B, opts)
+    near, _, s_e, s_g, chord = target
+    thetas = [-math.pi + 2 * math.pi * (j + 0.5) / opts.n_starts
+              for j in range(opts.n_starts)]
+    thetas.append(connect_mod._chord_heading(surface, A, near))
+    L_fan, n_steps = _full_fan(surface, A, B, opts)
+    fan = geodesics_mod.shoot_fan(surface, [A] * len(thetas), thetas,
+                                  [L_fan / n_steps] * len(thetas), n_steps)
+    seeded = connect_mod._newton(surface, A, near.u, near.v, s_e, s_g,
+                                 thetas[-1], chord, opts)
+    return connect_mod._polish(
+        surface, A, target,
+        (thetas, np.linspace(0.0, L_fan, n_steps + 1), *fan), seeded, opts)
+
+
+class TestChordSeedFirst:
+    """A pair whose chord seed converges to length L* reads its fan only
+    up to about 1.1 L*: a prefix of the full fan, with the same answer."""
+    SURFACES = {**{name: build for name, (build, _) in
+                   TestInvariants.SAMPLERS.items()},
+                "vase": _vase}
+    DRAWS = {**{name: draw for name, (_, draw) in
+                TestInvariants.SAMPLERS.items()},
+             "vase": lambda rng: tuple(
+                 SurfacePoint(rng.uniform(1.0, 6.0), rng.uniform(-1.0, 1.0))
+                 for _ in range(2))}
+    # the cylinder half-turn tie and a near-antipodal sphere pair
+    EXTRA = {"cylinder": [((0.0, 0.0), (0.7, math.pi))],
+             "sphere": [((1.2, 0.1), (math.pi - 1.2, 0.1 + math.pi - 1e-3))]}
+
+    @pytest.mark.parametrize("name", sorted(SURFACES))
+    def test_full_fan_gives_the_same_path(self, name):
+        surface = self.SURFACES[name]()
+        rng = np.random.default_rng(41)
+        pairs = [self.DRAWS[name](rng) for _ in range(6)]
+        pairs += [(SurfacePoint(*a), SurfacePoint(*b))
+                  for a, b in self.EXTRA.get(name, [])]
+        for A, B in pairs:
+            got = connect_geodesic(surface, A, B)
+            want = _full_fan_path(surface, A, B)
+            assert np.array_equal(got.samples, want.samples)
+            assert (got.winding, got.ambiguous) == (want.winding,
+                                                    want.ambiguous)
+        if name == "cylinder":
+            assert got.ambiguous        # the half-turn tie
+
+    @staticmethod
+    def _fan_steps(monkeypatch):
+        steps = []
+        real = connect_mod.shoot_fan
+
+        def counted(surface, starts, thetas, step_sizes, n_steps):
+            steps.append((step_sizes[0], n_steps))
+            return real(surface, starts, thetas, step_sizes, n_steps)
+
+        monkeypatch.setattr(connect_mod, "shoot_fan", counted)
+        return steps
+
+    # a torus pair with five Newton starts; the chord seed's geodesic is
+    # the answer, and a fan seed finds it too
+    TORUS_PAIR = (SurfacePoint(0.3, -0.5), SurfacePoint(-1.0, 0.6))
+
+    def test_fan_runs_to_the_chord_seed_length(self, sphere, monkeypatch):
+        A, B = SurfacePoint(1.2, 0.3), SurfacePoint(1.5, 1.0)
+        steps = self._fan_steps(monkeypatch)
+        path = connect_geodesic(sphere, A, B)
+        L_fan, n_full = _full_fan(sphere, A, B)
+        h = L_fan / n_full
+        # the chord seed's geodesic is the answer here
+        assert steps == [(h, min(n_full,
+                                 math.ceil(1.1 * path.length / h) + 2))]
+        assert steps[0][1] < n_full
+
+    def test_failed_chord_seed_runs_the_full_fan(self, monkeypatch):
+        torus = make_surface("torus", R=2.0, r=0.7)
+        A, B = self.TORUS_PAIR
+        want = connect_geodesic(torus, A, B)
+        steps = self._fan_steps(monkeypatch)
+        real = connect_mod._newton
+        calls = []
+
+        def chord_fails(*args):
+            calls.append(args)
+            got, shots = real(*args)
+            return (None, shots) if len(calls) == 1 else (got, shots)
+
+        monkeypatch.setattr(connect_mod, "_newton", chord_fails)
+        path = connect_geodesic(torus, A, B)
+        L_fan, n_full = _full_fan(torus, A, B)
+        assert steps == [(L_fan / n_full, n_full)]
+        assert path.length == pytest.approx(want.length, abs=1e-10)
+
+    def test_chord_seed_is_polished_once(self, monkeypatch):
+        torus = make_surface("torus", R=2.0, r=0.7)
+        A, B = self.TORUS_PAIR
+        real = connect_mod._newton
+        starts = []
+
+        def counted(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, opts):
+            starts.append((v_t, theta0, L0))
+            return real(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, opts)
+
+        monkeypatch.setattr(connect_mod, "_newton", counted)
+        connect_geodesic(torus, A, B)
+        chord = float(np.linalg.norm(torus.embed(B) - torus.embed(A)))
+        assert starts[0] == (B.v, connect_mod._chord_heading(torus, A, B),
+                             chord)
+        assert len(starts) == 5
+        assert len(set(starts)) == len(starts)
+
+    def test_unreachable_error_names_the_work(self, sphere, monkeypatch):
+        """Every Newton start fails: the error says so, with the starts
+        and shots per winding and the best screened residual."""
+        real_newton, real_shoot = connect_mod._newton, connect_mod.shoot
+        shots, starts = [], []
+
+        def failing(*args):
+            starts.append(args)
+            return None, real_newton(*args)[1]
+
+        def counted(*args):
+            shots.append(args)
+            return real_shoot(*args)
+
+        monkeypatch.setattr(connect_mod, "_newton", failing)
+        monkeypatch.setattr(connect_mod, "shoot", counted)
+        with pytest.raises(SolveError) as err:
+            connect_geodesic(sphere, SurfacePoint(1.2, 0.3),
+                             SurfacePoint(1.5, 1.0))
+        text = str(err.value)
+        head, tallies, best = text.split("; ")
+        assert head == ("unreachable within search budget: the chord seed "
+                        "did not converge")
+        prefix = "Newton starts/shots per winding from the copy of B " \
+                 "nearest A: "
+        assert tallies.startswith(prefix)
+        spent = [part.split(": ")[1].split("/")
+                 for part in tallies[len(prefix):].split(", ")]
+        assert sum(int(n) for n, _ in spent) == len(starts)
+        assert sum(int(m) for _, m in spent) == len(shots)
+        assert float(best.removeprefix("best screened residual ")) > 0.0
