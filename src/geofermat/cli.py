@@ -128,6 +128,19 @@ def _cmd_fermat_solve(scn: Scenario, paths_dir, warnings):
     return {"fermat": _fermat_result_dict(res)}
 
 
+def _center_and_terminals(scn: Scenario, section: str):
+    """The center given in ``section`` and the three terminals; points
+    given coincident are a configuration error, found before any connect."""
+    center = scn.point(scn.section(section)["center"], f"{section}.center")
+    terminals = scn.terminals()
+    points = [center, *terminals]
+    if any(p.coincides(q) for i, p in enumerate(points)
+           for q in points[i + 1:]):
+        raise DegenerateTreeError(
+            f"{section}.center and the terminals must be pairwise distinct")
+    return center, terminals
+
+
 def _cmd_fermat_inverse(scn: Scenario, paths_dir, warnings):
     spec = scn.section("inverse")
     total = parse_number(spec.get("total", 1.0), "inverse.total",
@@ -140,15 +153,20 @@ def _cmd_fermat_inverse(scn: Scenario, paths_dir, warnings):
         angles = tuple(parse_angle(a, f"inverse.angles[{i}]")
                        for i, a in enumerate(raw))
     elif "center" in spec:
-        center = scn.point(spec["center"], "inverse.center")
-        angles = measure_sector_angles(scn.surface, center, scn.terminals(),
-                                       scn.connect_opts)
+        center, terminals = _center_and_terminals(scn, "inverse")
+        try:
+            angles = measure_sector_angles(scn.surface, center, terminals,
+                                           scn.connect_opts)
+        except DegenerateTreeError as exc:
+            raise SolveError(f"measured branch headings: {exc}") from exc
     else:
         raise ScenarioError("inverse needs 'angles' or 'center'", "inverse")
     try:
         w = weights_from_sector_angles(angles, total)
     except WeightDomainError as exc:
-        raise ScenarioError(str(exc), "inverse.angles") from exc
+        if "angles" in spec:
+            raise ScenarioError(str(exc), "inverse.angles") from exc
+        raise SolveError(f"measured sector angles {list(angles)}: {exc}") from exc
     return {"inverse": {"angles": list(angles), "total": total,
                         "weights": list(w.astuple()),
                         "normalized": list(w.normalized())}}
@@ -204,15 +222,9 @@ def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
                             "weights")
     raw = scn.section("clairaut", optional=True)
     if "center" in raw:
-        center = scn.point(raw["center"], "clairaut.center")
-        points = [center, *scn.terminals()]
-        if any(p.coincides(q) for i, p in enumerate(points)
-               for q in points[i + 1:]):
-            raise DegenerateTreeError(
-                "clairaut.center and the terminals must be pairwise distinct")
+        center, terminals = _center_and_terminals(scn, "clairaut")
         branches = tuple(connect_geodesics(
-            scn.surface, [(center, t) for t in points[1:]],
-            scn.connect_opts))
+            scn.surface, [(center, t) for t in terminals], scn.connect_opts))
         solve = None
     else:
         solve = solve_fermat(scn.surface, scn.terminals(), scn.weights,

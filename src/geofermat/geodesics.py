@@ -144,9 +144,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _integrate(surface, u0, v0, du0, dv0, length, tol):
-    """Core stepper.  Returns (sample rows, drift, unit defect); the last
-    row holds the end state.
+def _integrate(surface, u0, v0, du0, dv0, length, tol, launch):
+    """Core stepper; ``launch`` is ``metric_terms(u0)``.  Returns (sample
+    rows, drift, unit defect, end terms); the last row holds the end state
+    and the end terms are ``metric_terms`` at its u.
 
     Raises ChartExitError when the trajectory reaches the chart boundary
     and SolveError when the conservation budget cannot be met.
@@ -154,7 +155,7 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol):
     terms = surface.metric_terms
     u_lo, u_hi, guard = surface.u_min, surface.u_max, surface.axis_guard
 
-    E, G, _, _, phi = terms(u0)
+    E, G, E_u, G_u, phi = end_terms = launch
     c0 = G * dv0
     rho_max = max(1.0, phi)
     budget_factor = 10.0 * tol
@@ -167,7 +168,6 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol):
     s_eps = 1e-15 * max(1.0, length)
 
     # FSAL stage cache
-    E, G, E_u, G_u, _ = terms(u)
     a1 = (-E_u * du * du + G_u * dv * dv) / (2.0 * E)
     b1 = -(G_u / G) * du * dv
 
@@ -179,50 +179,40 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol):
         if h > length - s:
             h = length - s
 
+        # stage k evaluates the metric at u + h * sum(A_kj du_j) and the
+        # acceleration at the velocity (du_k, dv_k)
         try:
-            # stage 2
-            uu = u + h * _A21 * du
-            d1 = du + h * _A21 * a1
-            e1 = dv + h * _A21 * b1
-            E, G, E_u, G_u, _ = terms(uu)
-            a2 = (-E_u * d1 * d1 + G_u * e1 * e1) / (2.0 * E)
-            b2 = -(G_u / G) * d1 * e1
-            du2, dv2 = d1, e1
-            # stage 3
-            uu = u + h * (_A31 * du + _A32 * du2)
-            d1 = du + h * (_A31 * a1 + _A32 * a2)
-            e1 = dv + h * (_A31 * b1 + _A32 * b2)
-            E, G, E_u, G_u, _ = terms(uu)
-            a3 = (-E_u * d1 * d1 + G_u * e1 * e1) / (2.0 * E)
-            b3 = -(G_u / G) * d1 * e1
-            du3, dv3 = d1, e1
-            # stage 4
-            uu = u + h * (_A41 * du + _A42 * du2 + _A43 * du3)
-            d1 = du + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
-            e1 = dv + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
-            E, G, E_u, G_u, _ = terms(uu)
-            a4 = (-E_u * d1 * d1 + G_u * e1 * e1) / (2.0 * E)
-            b4 = -(G_u / G) * d1 * e1
-            du4, dv4 = d1, e1
-            # stage 5
-            uu = u + h * (_A51 * du + _A52 * du2 + _A53 * du3 + _A54 * du4)
-            d1 = du + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
-            e1 = dv + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-            E, G, E_u, G_u, _ = terms(uu)
-            a5 = (-E_u * d1 * d1 + G_u * e1 * e1) / (2.0 * E)
-            b5 = -(G_u / G) * d1 * e1
-            du5, dv5 = d1, e1
-            # stage 6
-            uu = u + h * (_A61 * du + _A62 * du2 + _A63 * du3 + _A64 * du4
-                          + _A65 * du5)
-            d1 = du + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4
-                           + _A65 * a5)
-            e1 = dv + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4
-                           + _A65 * b5)
-            E, G, E_u, G_u, _ = terms(uu)
-            a6 = (-E_u * d1 * d1 + G_u * e1 * e1) / (2.0 * E)
-            b6 = -(G_u / G) * d1 * e1
-            du6, dv6 = d1, e1
+            du2 = du + h * _A21 * a1
+            dv2 = dv + h * _A21 * b1
+            E, G, E_u, G_u, _ = terms(u + h * _A21 * du)
+            a2 = (-E_u * du2 * du2 + G_u * dv2 * dv2) / (2.0 * E)
+            b2 = -(G_u / G) * du2 * dv2
+            du3 = du + h * (_A31 * a1 + _A32 * a2)
+            dv3 = dv + h * (_A31 * b1 + _A32 * b2)
+            E, G, E_u, G_u, _ = terms(u + h * (_A31 * du + _A32 * du2))
+            a3 = (-E_u * du3 * du3 + G_u * dv3 * dv3) / (2.0 * E)
+            b3 = -(G_u / G) * du3 * dv3
+            du4 = du + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+            dv4 = dv + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
+            E, G, E_u, G_u, _ = terms(u + h * (_A41 * du + _A42 * du2
+                                               + _A43 * du3))
+            a4 = (-E_u * du4 * du4 + G_u * dv4 * dv4) / (2.0 * E)
+            b4 = -(G_u / G) * du4 * dv4
+            du5 = du + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+            dv5 = dv + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+            E, G, E_u, G_u, _ = terms(u + h * (_A51 * du + _A52 * du2
+                                               + _A53 * du3 + _A54 * du4))
+            a5 = (-E_u * du5 * du5 + G_u * dv5 * dv5) / (2.0 * E)
+            b5 = -(G_u / G) * du5 * dv5
+            du6 = du + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4
+                            + _A65 * a5)
+            dv6 = dv + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4
+                            + _A65 * b5)
+            E, G, E_u, G_u, _ = terms(u + h * (_A61 * du + _A62 * du2
+                                               + _A63 * du3 + _A64 * du4
+                                               + _A65 * du5))
+            a6 = (-E_u * du6 * du6 + G_u * dv6 * dv6) / (2.0 * E)
+            b6 = -(G_u / G) * du6 * dv6
             # 5th order solution (b7 = 0)
             u_n = u + h * (_B1 * du + _B3 * du3 + _B4 * du4 + _B5 * du5
                            + _B6 * du6)
@@ -233,7 +223,7 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol):
             v_n = v + h * (_B1 * dv + _B3 * dv3 + _B4 * dv4 + _B5 * dv5
                            + _B6 * dv6)
             # FSAL stage 7 at the new point
-            E_n, G_n, E_u7, G_u7, phi_n = terms(u_n)
+            E_n, G_n, E_u7, G_u7, phi_n = fsal = terms(u_n)
             a7 = (-E_u7 * du_n * du_n + G_u7 * dv_n * dv_n) / (2.0 * E_n)
             b7 = -(G_u7 / G_n) * du_n * dv_n
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -303,7 +293,7 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol):
         chart_rejects = 0
         s += h
         u, v, du, dv = u_n, v_n, du_n, dv_n
-        a1, b1 = a7, b7
+        a1, b1, end_terms = a7, b7, fsal
         rho_max = rho_here
         drift = max(drift, defect_c)
         unit_defect = max(unit_defect, defect_s)
@@ -318,7 +308,7 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol):
     if rows[-1][0] != length:
         last = rows[-1]
         rows[-1] = (length, last[1], last[2], last[3], last[4])
-    return rows, drift, unit_defect
+    return rows, drift, unit_defect, end_terms
 
 
 # -- meridian special case --------------------------------------------------
@@ -334,8 +324,10 @@ def _meridian_shoot(surface, p, sigma, length):
     def arc(ua, ub):
         if ua == ub:
             return 0.0
-        val, _ = quad(speed, ua, ub, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return abs(val)
+        # full_output keeps quad from warning when roundoff stops it short
+        # of the 1e-13 target; the value it reached is used as it stands
+        return abs(quad(speed, ua, ub, epsabs=1e-13, epsrel=1e-13,
+                        limit=200, full_output=1)[0])
 
     def guard_stop(ua, direction):
         """First chart exit along the travel direction.
@@ -370,32 +362,24 @@ def _meridian_shoot(surface, p, sigma, length):
         u_stop, crosses = guard_stop(u_cur, sig)
         s_leg = arc(u_cur, u_stop)
         remaining = length - s_done
-        if remaining <= s_leg + 1e-15 or s_leg == 0.0 and not crosses:
-            if remaining > s_leg + 1e-15:
-                raise ChartExitError("meridian left the chart", s_done + s_leg)
-            # endpoint inside this leg
+        ends = remaining <= s_leg + 1e-15
+        if not (ends or crosses):
+            raise ChartExitError("meridian left the chart", s_done + s_leg)
+        u_end = u_stop
+        if ends and remaining < s_leg - 1e-13:    # endpoint inside this leg
             lo, hi = (u_cur, u_stop) if sig > 0 else (u_stop, u_cur)
-            if hi - lo < 1e-15 or remaining >= s_leg - 1e-13:
-                u_end = u_stop if remaining >= s_leg - 1e-13 else u_cur
-            else:
-                u_end = brentq(lambda x: arc(u_cur, x) - remaining, lo, hi,
-                               xtol=1e-14)
-            n_mid = 24
-            for k in range(1, n_mid):
-                u_k = u_cur + (u_end - u_cur) * k / n_mid
-                rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
-                             sig / speed(u_k), 0.0))
+            u_end = u_cur if hi - lo < 1e-15 else brentq(
+                lambda x: arc(u_cur, x) - remaining, lo, hi, xtol=1e-14)
+        # 24 rows per leg; an ending leg's last row is its exact endpoint
+        for k in range(1, 24 if ends else 25):
+            u_k = u_cur + (u_end - u_cur) * k / 24
+            rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
+                         sig / speed(u_k), 0.0))
+        if ends:
             rows.append((s_done + remaining, u_end, v_cur,
                          sig / speed(u_end), 0.0))
             return np.asarray(rows), 0.5 * math.pi * sig
-        if not crosses:
-            raise ChartExitError("meridian left the chart", s_done + s_leg)
         # pass through the axis: reflect and rotate the chart by pi
-        n_mid = 24
-        for k in range(1, n_mid + 1):
-            u_k = u_cur + (u_stop - u_cur) * k / n_mid
-            rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
-                         sig / speed(u_k), 0.0))
         s_done += s_leg
         u_cur = u_stop
         v_cur += math.pi
@@ -419,7 +403,7 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
         raise ValueError(f"length must be finite and nonnegative, got {length!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    E0, G0, _, _, phi0 = surface.metric_terms(p.u)
+    E0, G0, _, _, phi0 = launch = surface.metric_terms(p.u)
     a_par, a_mer = math.cos(theta), math.sin(theta)
     c0 = phi0 * a_par
     du0 = a_mer / math.sqrt(E0)
@@ -435,11 +419,10 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
         return GeodesicPath(surface, samples, length, 0.0, 0.0,
                             0.5 * math.pi * sigma, theta_end)
 
-    rows, drift, unit_defect = _integrate(
-        surface, p.u, p.v, du0, dv0, length, tol)
+    rows, drift, unit_defect, (E1, G1, _, _, _) = _integrate(
+        surface, p.u, p.v, du0, dv0, length, tol, launch)
     samples = np.asarray(rows, dtype=float)
-    _, u1, _, du1, dv1 = rows[-1]
-    E1, G1, _, _, _ = surface.metric_terms(u1)
+    _, _, _, du1, dv1 = rows[-1]
     theta_end = math.atan2(math.sqrt(E1) * du1, math.sqrt(G1) * dv1)
     return GeodesicPath(surface, samples, length, c0, drift, theta,
                         theta_end, unit_defect=unit_defect)

@@ -413,14 +413,16 @@ class TestRun:
                                                               sort_keys=True)
 
 
-def _plane_report(points, center):
-    """clairaut-report on the plane at a given center, equal weights."""
-    return cli.run("clairaut-report", scenario_from_dict({
+def _plane_report(points, center, command="clairaut-report"):
+    """clairaut-report (or fermat-inverse) on the plane at a given center,
+    equal weights."""
+    section = {"clairaut-report": "clairaut", "fermat-inverse": "inverse"}
+    return cli.run(command, scenario_from_dict({
         "schema": "geofermat/1", "surface": {"kind": "plane"},
         "points": {f"A{i + 1}": {"u": u, "v": v}
                    for i, (u, v) in enumerate(points)},
         "weights": [1.0, 1.0, 1.0],
-        "clairaut": {"center": {"u": center[0], "v": center[1]}}}))
+        section[command]: {"center": {"u": center[0], "v": center[1]}}}))
 
 
 class TestMeasuredFailureExitCodes:
@@ -489,6 +491,32 @@ class TestMeasuredFailureExitCodes:
         code, report = _plane_report(points, center)
         assert code == 1
         assert report["error"]["kind"] == "DegenerateTreeError"
+
+    def test_inverse_measured_angle_outside_open_half_turn(self):
+        """The center lies outside the triangle, so one measured sector
+        exceeds pi.  This used to exit 1 as a ScenarioError on the field
+        inverse.angles, which the scenario never gave."""
+        code, report = _plane_report([(2.0, 0.3), (2.5, 0.2), (1.5, 1.0)],
+                                     (1.0, 0.0), "fermat-inverse")
+        self._numerical(code, report, "measured sector angles [")
+        assert "outside (0, pi)" in report["error"]["message"]
+
+    def test_inverse_headings_coincide(self):
+        """A1 and A2 lie on one ray from the center."""
+        code, report = _plane_report([(2.0, 0.0), (3.0, 0.0), (1.5, 1.0)],
+                                     (1.0, 0.0), "fermat-inverse")
+        self._numerical(code, report, "two branch directions coincide")
+
+    def test_inverse_coincident_terminals_given(self, monkeypatch):
+        """Rejected before any connect, not after as coinciding
+        headings."""
+        monkeypatch.setattr(fermat_mod, "connect_geodesics", None)
+        code, report = _plane_report([(2.0, 0.3), (2.0, 0.3), (1.5, 1.0)],
+                                     (1.0, 0.0), "fermat-inverse")
+        assert code == 1
+        assert report["error"]["kind"] == "DegenerateTreeError"
+        assert "pairwise distinct" in report["error"]["message"]
+        json.dumps(report, allow_nan=False)
 
 
 class TestVerifyCommand:
@@ -616,6 +644,17 @@ class TestMain:
     def test_scenario_required_for_solves(self, capsys):
         assert cli.main(["fermat-solve"]) == 1
 
+    def test_vase_meridian_shoot_is_quiet(self):
+        """An exact meridian on the vase whose arc quadrature stops at
+        roundoff short of its 1e-13 target used to print scipy's
+        IntegrationWarning beside an exit-0 report."""
+        data = {**_VASE_SCENARIO,
+                "points": {"P": {"u": 2.588204360826584, "v": 0.1}},
+                "shoot": {"from": "P", "heading": math.pi / 2,
+                          "length": 2.180196746879833}}
+        del data["connect"]
+        assert _run_fuzz_case(data, "shoot") == 0
+
     def test_shoot_without_scenario(self, capsys):
         assert cli.main(["shoot"]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -706,7 +745,7 @@ class TestCliFuzz:
 def _run_fuzz_case(data, command):
     """Run ``command`` on ``data`` through ``cli.main --out``: exit 0, 1 or
     2, no warning, strict JSON in --out, and stderr empty or the same
-    report."""
+    report.  Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         scn_path, out = Path(tmp) / "s.json", Path(tmp) / "r.json"
         scn_path.write_text(json.dumps(data))
@@ -722,3 +761,4 @@ def _run_fuzz_case(data, command):
     assert not caught, [str(w.message) for w in caught]
     if err.getvalue():      # a load error goes to stderr as well
         assert json.loads(err.getvalue()) == report
+    return code

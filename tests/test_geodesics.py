@@ -137,6 +137,22 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(sphere, SurfacePoint(1.0, 0.0), 0.7, length, tol)
 
+    def test_one_metric_call_at_launch_and_per_stage(self, monkeypatch):
+        """The launch terms serve the first stage and the FSAL terms of the
+        last step give theta_end: one call at launch, then 6 per accepted
+        step (this shot rejects none), and none repeated at either end."""
+        torus = make_surface("torus", R=2.0, r=0.7)
+        calls = []
+        real = torus.metric_terms
+
+        def counted(u):
+            calls.append(u)
+            return real(u)
+
+        monkeypatch.setattr(torus, "metric_terms", counted)
+        path = shoot(torus, SurfacePoint(0.3, 0.0), 0.7, 8.0)
+        assert len(calls) == 1 + 6 * (len(path.samples) - 1) == 811
+
     def test_sample_ordering(self, catenoid):
         path = shoot(catenoid, SurfacePoint(0.2, 0.0), 0.8, 2.5)
         s = path.samples[:, 0]
