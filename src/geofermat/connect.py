@@ -6,38 +6,61 @@ chart metric frozen at the target point.  The windings count from the
 copy of the target nearest the start, ``B* = (B.u, B.v + 2 pi k)`` with
 k the whole turns nearest ``(A.v - B.v) / 2 pi``: every start aims at B*
 or its neighbours, and the ``winding`` reported is relative to B as
-given (the winding found from B* plus k).  A cold connect runs in four
+given (the winding found from B* plus k).  A cold connect runs in five
 steps:
 
 1. Chord seed.  Newton from the embedded chord direction, with the
-   chord as length, aimed at B*.
-2. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
+   chord as length, aimed at B* (winding 0, which every search
+   includes).
+2. Settle.  When the chord seed converged to a length L*, a requested
+   winding is settled when no other candidate of it can be shorter than
+   L*, tie with it or make it ambiguous:
+
+   - winding 0, when K <= 0 everywhere (``ProfileSurface.
+     nonpositive_curvature``).  On the universal cover, the (u, v) strip
+     with v unwrapped, two distinct geodesics from A to B* would bound a
+     disc D with two corners of interior angles a1, a2 > 0, and
+     Gauss-Bonnet would give ``int_D K dA = a1 + a2 > 0``.  So B* has
+     one geodesic from A;
+   - winding k, when ``hypot(arc_lo, phi_floor |B*.v + 2 pi k - A.v|)``
+     exceeds ``L* + 2 _AMBIGUITY_TOL``.  As ``ds^2 = E du^2 + phi^2 dv^2
+     >= E du^2 + phi_floor^2 dv^2``, Minkowski's inequality makes every
+     curve to that copy of B at least that long; ``arc_lo`` is a lower
+     bound on the meridian arc ``|int sqrt(E) du|`` from A.u to B.u, and
+     ``phi_floor`` one on phi (``ProfileSurface.phi_floor``).
+
+   A pair whose requested windings are all settled runs no fan: its
+   answer is the chord seed's geodesic.
+3. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
    heading among them.  When the chord seed converged to a length L*,
    the fan keeps its step h but runs only ``ceil(1.1 L* / h) + 2`` of its
    steps, so its samples are a prefix of the full fan's.  A lane passes
    nearest B* no later than the length of the geodesic it shadows, so
    samples beyond ``1.1 L* + 2h`` could only seed geodesics longer than
    the one in hand.  Otherwise the fan runs in full.
-3. Screen.  Each lane's nearest pass to every requested winding of
-   B* is a seed; the best few go on.
-4. Polish.  Each pick is polished by a damped Newton iteration whose
-   heading column is the Jacobi field ``m1`` of the last shot along its
-   end normal (``GeodesicPath.jacobi``) and whose length column is the
-   endpoint velocity: one shot per iteration, plus halvings.  The chord
-   seed's result from step 1 is reused, not polished again.
+4. Screen.  Each lane's nearest pass to every requested winding of
+   B* is a seed; the best few go on.  Settled windings are screened
+   too, so the picks are those of a search without the cuts.
+5. Polish.  Each pick of an unsettled winding is polished by a damped
+   Newton iteration whose heading column is the Jacobi field ``m1`` of
+   the last shot along its end normal (``GeodesicPath.jacobi``) and
+   whose length column is the endpoint velocity: one shot per
+   iteration, plus halvings.  The chord seed's result from step 1 is
+   reused, not polished again.
 
 Every Newton shot is a ``shoot``, and a converged candidate keeps its
 path: the geodesic returned is the shot whose residual converged, not a
 second integration of it.
 
 ``connect_geodesics`` solves several pairs at once: the fan lanes of all
-pairs run in one ``shoot_fan`` call, each lane with its own pair's step
-size, for the largest step count of the batch.  Each pair then reads its
-own steps of its lanes and is screened and polished on its own, so every
-answer equals that of a lone cold ``connect_geodesic``.  Without a
-converged warm start, ``connect_geodesic`` is a batch of one pair.  A
-cold pair whose meridian arc ``|int sqrt(E) du|`` alone exceeds
-``max_len`` is unreachable, and is rejected before any fan runs.
+pairs run in at most one ``shoot_fan`` call (none when every pair is
+settled), each lane with its own pair's step size, for the largest step
+count of the batch.  Each pair then reads its own steps of its lanes and
+is screened and polished on its own, so every answer equals that of a
+lone cold ``connect_geodesic``.  Without a converged warm start,
+``connect_geodesic`` is a batch of one pair.  A cold pair whose meridian
+arc ``|int sqrt(E) du|`` alone exceeds ``max_len`` is unreachable, and is
+rejected before any fan runs.
 
 Among converged candidates the shortest is returned; lengths within
 ``_TIE_TOL`` of it count as ties, which prefer smaller |winding| from B*,
@@ -72,8 +95,8 @@ _TIE_TOL = 1e-9          # lengths this close tie
 @dataclass(frozen=True)
 class ConnectOptions:
     """Search settings of a cold connect.  ``windings`` are the whole turns
-    searched, counted from the copy of B nearest A; a path's reported
-    ``winding`` is relative to B as given."""
+    searched, counted from the copy of B nearest A, and include 0; a
+    path's reported ``winding`` is relative to B as given."""
 
     n_starts: int = 16
     windings: tuple = (-1, 0, 1)
@@ -84,8 +107,9 @@ class ConnectOptions:
     def __post_init__(self):
         if self.n_starts < 4:
             raise ValueError("n_starts must be at least 4")
-        if not self.windings:
-            raise ValueError("windings must be nonempty")
+        if 0 not in self.windings:
+            raise ValueError("windings must include 0, the copy of B nearest "
+                             "A, which the chord seed always searches")
         if not self.max_len > 0.0:
             raise ValueError("max_len must be positive")
         if not self.resid_tol > 0.0:
@@ -206,19 +230,42 @@ def _check_pair(surface, A, B, opts):
 def _check_cold(surface, A, B, opts):
     """``_check_pair`` for a pair that goes to the cold search, which also
     bounds its reach by the meridian arc: every curve from A to B is at
-    least ``|int sqrt(E) du|`` long over [A.u, B.u]."""
+    least ``|int sqrt(E) du|`` long over [A.u, B.u].  The target gains a
+    lower bound ``arc_lo`` on that arc, ``(B*, k, s_e, s_g, chord,
+    arc_lo)``."""
     target = _check_pair(surface, A, B, opts)
-    if target is not None:
-        # full_output keeps quad quiet and appends a message when it
-        # fails; a failed quad bounds nothing
-        out = quad(lambda u: math.sqrt(surface.metric_terms(u)[0]), A.u,
-                   B.u, full_output=1)
-        arc = abs(out[0])
-        if len(out) == 3 and arc - out[1] > opts.max_len:
-            raise SolveError(
-                f"unreachable within search budget: meridian arc {arc:.6g} "
-                f"exceeds max_len {opts.max_len:.6g}")
-    return target
+    if target is None:
+        return None
+    # full_output keeps quad quiet and appends a message when it fails; a
+    # failed quad bounds nothing
+    out = quad(lambda u: math.sqrt(surface.metric_terms(u)[0]), A.u, B.u,
+               full_output=1)
+    arc = abs(out[0])
+    arc_lo = max(0.0, arc - out[1]) if len(out) == 3 else 0.0
+    if arc_lo > opts.max_len:
+        raise SolveError(
+            f"unreachable within search budget: meridian arc {arc:.6g} "
+            f"exceeds max_len {opts.max_len:.6g}")
+    return (*target, arc_lo)
+
+
+def _winding_bound(surface, A, target, k):
+    """A lower bound on the length of every curve from A to the copy
+    ``B*.v + 2 pi k`` of B: ``hypot(arc_lo, phi_floor |dv|)``."""
+    near, arc_lo = target[0], target[5]
+    return math.hypot(arc_lo,
+                      surface.phi_floor * abs(near.v + TWO_PI * k - A.v))
+
+
+def _settled(surface, A, target, length, opts):
+    """The requested windings from B* that the chord seed's geodesic, of
+    this length, settles: no other candidate of them can be shorter, tie
+    with it or make the answer ambiguous (step 2 of the module
+    docstring)."""
+    return {k for k in opts.windings
+            if (k == 0 and surface.nonpositive_curvature)
+            or _winding_bound(surface, A, target, k)
+            > length + 2.0 * _AMBIGUITY_TOL}
 
 
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
@@ -252,12 +299,13 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     Each pair is checked, screened and polished as a lone cold connect
     would be, and gets the same answer.  All pairs are checked before any
     Newton or fan runs, and the first failing check raises.  Then each
-    pair's chord seed is polished, which sets how many fan steps the pair
-    reads: ``ceil(1.1 L* / h) + 2`` of its ``n`` full steps of size h when
-    the seed converged to length L*, all ``n`` otherwise.  The fans of all
-    pairs run as one ``shoot_fan`` call, for the largest step count of the
-    batch, in which the lanes of a pair with fewer steps run on past them
-    and are read only up to them.
+    pair's chord seed is polished, which settles windings and sets how
+    many fan steps the pair reads: ``ceil(1.1 L* / h) + 2`` of its ``n``
+    full steps of size h when the seed converged to length L*, all ``n``
+    otherwise, and none when all its windings are settled.  The fans of
+    all other pairs run as one ``shoot_fan`` call, for the largest step count of
+    the batch, in which the lanes of a pair with fewer steps run on past
+    them and are read only up to them.
     """
     opts = opts or _DEFAULT
     pairs = list(pairs)
@@ -266,16 +314,21 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     lanes = []          # (start, heading, step) of every fan lane
     grids = {}          # pair index -> (first lane, thetas, s_grid)
     seeded = {}         # pair index -> the chord seed's (Newton result, shots)
+    settled = {}        # pair index -> its settled windings from B*
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
         thetas = [-math.pi + TWO_PI * (j + 0.5) / opts.n_starts
                   for j in range(opts.n_starts)]
-        near, _, s_e, s_g, chord = target
+        near, _, s_e, s_g, chord, _ = target
         thetas.append(_chord_heading(surface, A, near))
         got, shots = _newton(surface, A, near.u, near.v, s_e, s_g,
                              thetas[-1], chord, opts)
         seeded[n] = (got, shots)
+        settled[n] = (set() if got is None
+                      else _settled(surface, A, target, got.length, opts))
+        if settled[n].issuperset(opts.windings):
+            continue        # the chord seed's geodesic is the answer
         L_fan = min(opts.max_len, 3.2 * chord + 0.1)
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
         h = L_fan / n_steps
@@ -295,16 +348,25 @@ def connect_geodesics(surface: ProfileSurface, pairs,
                                              :len(s_grid)] for arr in out))
 
     return [shoot(surface, A, 0.0, 0.0) if target is None
-            else _polish(surface, A, target, fans[n], seeded[n], opts)
+            else _polish(surface, A, target, fans.get(n), seeded[n],
+                         settled[n], opts)
             for n, ((A, B), target) in enumerate(zip(pairs, targets))]
 
 
-def _polish(surface, A, target, fan, seeded, opts):
+def _polish(surface, A, target, fan, seeded, settled, opts):
     """Newton-polish the best screened fan starts of one pair toward the
     copy B* of its target nearest A, and return the shortest converged
     geodesic with its winding counted from B as given.  ``seeded`` is the
-    chord seed's ``(Newton result, shots)``, which is not polished again."""
-    near, turns, s_e, s_g, chord = target
+    chord seed's ``(Newton result, shots)``, which is not polished again.
+    Seeds of every requested winding are screened and ranked, but picks
+    of a ``settled`` winding are not polished; ``fan`` is None when every
+    requested winding is settled, and the chord seed's geodesic is then
+    the answer."""
+    near, turns, s_e, s_g, chord, _ = target
+    if fan is None:
+        path = seeded[0].path
+        path.winding = turns
+        return path
     fan_thetas, s_grid, us, vs, alive = fan
     seeds: list[_Candidate] = [_Candidate(fan_thetas[-1], chord, 0, 0.0)]
     for k in opts.windings:
@@ -357,9 +419,10 @@ def _polish(surface, A, target, fan, seeded, opts):
 
     _absorb(picks[0], *seeded)
     for cand in picks[1:]:
-        _absorb(cand, *_newton(surface, A, near.u,
-                               near.v + TWO_PI * cand.winding, s_e, s_g,
-                               cand.theta, cand.length, opts))
+        if cand.winding not in settled:
+            _absorb(cand, *_newton(surface, A, near.u,
+                                   near.v + TWO_PI * cand.winding, s_e, s_g,
+                                   cand.theta, cand.length, opts))
 
     if not converged:
         # the chord seed is among the failed starts, so the fan ran in full

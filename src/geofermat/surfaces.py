@@ -264,7 +264,7 @@ class ProfileSurface:
     """
 
     def __init__(self, kind, metric, meridian, curvature, u_min, u_max,
-                 axis_guard):
+                 axis_guard, bounds):
         self.kind = kind
         self.u_min = float(u_min)
         self.u_max = float(u_max)
@@ -272,6 +272,8 @@ class ProfileSurface:
         self._metric = metric        # (xp, u) -> (E, G, E_u, G_u, phi)
         self._meridian = meridian    # (xp, u) -> (psi, psi')
         self._curvature = curvature  # (xp, u) -> K
+        # (phi_floor, K <= 0 everywhere), see _KINDS
+        self._phi_floor, self._nonpositive_curvature = bounds
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
         if not self.axis_guard >= _MIN_GUARD:
@@ -298,6 +300,16 @@ class ProfileSurface:
         # |dphi/ds| = sqrt(1 - (dpsi/ds)^2) on a regular profile
         slope = math.sqrt(max(0.0, 1.0 - dpsi * dpsi / E))
         return abs(slope - 1.0) <= _CLOSURE_SLOPE_TOL
+
+    @property
+    def phi_floor(self) -> float:
+        """A lower bound on phi(u) for every u, 0 when none is known."""
+        return self._phi_floor
+
+    @property
+    def nonpositive_curvature(self) -> bool:
+        """Whether K(u) <= 0 for every u; False when not known."""
+        return self._nonpositive_curvature
 
     def scale(self) -> float:
         """Characteristic radius, used to normalise tolerances."""
@@ -360,21 +372,31 @@ class ProfileSurface:
         return e_par, e_mer
 
 
-# kind -> (parameter names, profile functions, chart defaults).  Both
-# take the parameters in the listed order; the profile functions are
-# ``(metric, meridian, curvature)`` and the chart defaults
-# ``(u_min, u_max, axis_guard)``.
+# kind -> (parameter names, profile functions, chart defaults, bounds).
+# All three take the parameters in the listed order; the profile functions
+# are ``(metric, meridian, curvature)``, the chart defaults
+# ``(u_min, u_max, axis_guard)`` and the bounds ``(phi_floor, K <= 0)``:
+# phi(u) >= phi_floor and, when the flag is set, K(u) <= 0 for every u, on
+# the chart or off it, so that no chart override breaks them.  The custom
+# spline claims neither.
 _KINDS = {
-    "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R)),
-    "cylinder": (("radius",), _cylinder_fns, lambda R: (-20.0, 20.0, 1e-6 * R)),
-    "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6)),
-    "paraboloid": (("a",), _paraboloid_fns, lambda a: (0.0, 10.0, 1e-6)),
-    "catenoid": (("a",), _catenoid_fns, lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a)),
+    "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R),
+               lambda R: (0.0, False)),
+    "cylinder": (("radius",), _cylinder_fns,
+                 lambda R: (-20.0, 20.0, 1e-6 * R), lambda R: (R, True)),
+    "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6),
+             lambda slope: (0.0, True)),
+    "paraboloid": (("a",), _paraboloid_fns, lambda a: (0.0, 10.0, 1e-6),
+                   lambda a: (0.0, False)),
+    "catenoid": (("a",), _catenoid_fns,
+                 lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a), lambda a: (a, True)),
     "torus": (("R", "r"), _torus_fns,
-              lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R)),
-    "plane": ((), _plane_fns, lambda: (0.0, 50.0, 1e-6)),
+              lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R),
+              lambda R, r: (R - r, False)),
+    "plane": ((), _plane_fns, lambda: (0.0, 50.0, 1e-6), lambda: (0.0, True)),
     "custom": (("samples",), _custom_fns,
-               lambda rows: (rows[0, 0], rows[-1, 0], 1e-6)),
+               lambda rows: (rows[0, 0], rows[-1, 0], 1e-6),
+               lambda rows: (0.0, False)),
 }
 CATALOGUE = tuple(_KINDS)
 
@@ -423,7 +445,7 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     if kind not in CATALOGUE:
         raise ProfileError(f"unknown surface kind {kind!r}; "
                            f"expected one of {CATALOGUE}")
-    names, fns, defaults = _KINDS[kind]
+    names, fns, defaults, bounds = _KINDS[kind]
     if set(params) != set(names):
         raise ProfileError(f"{kind} takes exactly the parameters "
                            f"{list(names)}, got {sorted(params)}")
@@ -437,4 +459,5 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
         kind, *profile,
         u_min=d_min if u_min is None else u_min,
         u_max=d_max if u_max is None else u_max,
-        axis_guard=d_guard if axis_guard is None else axis_guard)
+        axis_guard=d_guard if axis_guard is None else axis_guard,
+        bounds=bounds(*values))

@@ -160,6 +160,22 @@ class TestScenarioLoading:
         assert err.value.field == "options"
         assert next(iter(options)) in str(err.value)
 
+    @pytest.mark.parametrize("windings", [[1], [-1, 1], [2]])
+    def test_windings_without_0_exit_1(self, windings, tmp_path, capsys):
+        """A search always includes winding 0, so a scenario that leaves it
+        out is a configuration error, not a winding-0 answer."""
+        scn_path, out = tmp_path / "s.json", tmp_path / "r.json"
+        scn_path.write_text(json.dumps(json.loads(
+            (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
+            | {"options": {"windings": windings}}))
+        code = cli.main(["connect", "--scenario", str(scn_path),
+                         "--out", str(out)])
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert code == 1
+        assert report["error"]["field"] == "options"
+        assert "windings must include 0" in report["error"]["message"]
+        assert json.loads(capsys.readouterr().err) == report
+
     def test_options_feed_both_solvers(self):
         scn = scenario_from_dict(minimal_scenario(
             options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "n_starts": 8}))
