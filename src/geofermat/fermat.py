@@ -21,6 +21,15 @@ with ``m1``, ``m2`` the Jacobi scalars at the end of branch i (``1 / L_i``
 on a flat surface, ``cot L_i`` on the unit sphere), or, when that fails
 to lower ``|R|``, the Weiszfeld step ``R / sum(b_i / L_i)`` halved until
 f drops.
+
+After a step d from P to Q, each branch is re-connected warm, from the
+first-order prediction of its new start rather than its old one.  With
+U_i the branch's unit departure tangent at P and N_i that tangent turned
+by +pi/2, the length changes by ``-<U_i, d>`` and the heading by
+``-(m2_i / m1_i) <N_i, d>``, plus the turn of the chart frame along the
+step shot, its ``theta_end - theta_start``.  The Jacobi scalars of each
+branch are computed once per accepted point and shared by its Newton
+step and by the prediction of every trial from it.
 """
 
 import math
@@ -282,19 +291,44 @@ def _initial_point(surface, pts, weights):
 
 def _branch_data(surface, p, pts, warm, opts):
     """Connect p to each terminal and return the paths: cold in one batch,
-    or warm from the previous branches ``warm[i]``, aimed at the copy of
-    the terminal they reached (a start that fails to converge falls back to
-    a cold connect)."""
+    or warm, one connect per branch.  ``warm[i]`` is ``(winding, theta,
+    length)``: the winding of branch i before the step d, whose copy of the
+    terminal the connect aims at, and the start ``_predicted_start`` puts
+    it at, not the old one: the old length less ``<U_i, d>``, and the old
+    heading turned by ``-(m2_i / m1_i) <N_i, d>`` and by the chart frame's
+    turn along the step shot.  A start that fails to converge falls back
+    to a cold connect."""
     if warm is None:
         return connect_geodesics(surface, [(p, t) for t in pts], opts.connect)
     paths = []
-    for t, prev in zip(pts, warm):
+    for t, (winding, theta, length) in zip(pts, warm):
         path = connect_geodesic(
-            surface, p, SurfacePoint(t.u, t.v + TWO_PI * prev.winding),
-            opts.connect, initial=(prev.theta_start, prev.length))
-        path.winding += prev.winding
+            surface, p, SurfacePoint(t.u, t.v + TWO_PI * winding),
+            opts.connect, initial=(theta, length))
+        path.winding += winding
         paths.append(path)
     return paths
+
+
+def _predicted_start(path, jac, d_par, d_mer, turn):
+    """First-order start ``(theta, length)`` of the branch ``path`` from P
+    once P moves by ``d = (d_par, d_mer)``, in the unit frame at P, along a
+    step shot whose chart frame turns by ``turn``.
+
+    The length drops by ``<U, d>``, the first variation of the distance to
+    the terminal.  The Jacobi field that vanishes at the terminal and
+    equals ``<N, d>`` at P has slope ``-(m2 / m1) <N, d>`` there (``jac``
+    is ``path.jacobi()``), so the heading turns by that much against a
+    parallel frame; ``turn`` carries it into the chart frame at the moved
+    point.  A branch at or past its conjugate point (``m1 <= 0``) keeps
+    its old heading."""
+    t_par, t_mer = path.start_unit_tangent()
+    length = path.length - (t_par * d_par + t_mer * d_mer)
+    m1, _, m2, _ = jac
+    if not m1 > 0.0:
+        return path.theta_start, length
+    normal = t_par * d_mer - t_mer * d_par
+    return path.theta_start - m2 / m1 * normal + turn, length
 
 
 def _residual(paths, b):
@@ -304,16 +338,16 @@ def _residual(paths, b):
     return r_par, r_mer
 
 
-def _newton_step(paths, b, r_par, r_mer):
+def _newton_step(paths, jac, b, r_par, r_mer):
     """Solve ``H d = R`` for the Hessian of f at P,
     ``H = sum b_i (m2_i / m1_i)(I - U_i U_i^T)`` in the unit frame, where
     ``m2_i / m1_i`` is the curvature of the distance circle about A_i
-    through P (``GeodesicPath.jacobi`` of the branch from P).  None when H
-    is not positive definite (all branches leave along one geodesic, or
-    a branch nears or passes its conjugate point) or the step overflows."""
+    through P (``jac[i]``, the ``GeodesicPath.jacobi`` of the branch from
+    P).  None when H is not positive definite (all branches leave along
+    one geodesic, or a branch nears or passes its conjugate point) or the
+    step overflows."""
     h11 = h12 = h22 = 0.0
-    for bi, path in zip(b, paths):
-        m1, _, m2, _ = path.jacobi()
+    for bi, path, (m1, _, m2, _) in zip(b, paths, jac):
         if not m1 > 0.0:
             return None
         k = bi * m2 / m1
@@ -329,15 +363,28 @@ def _newton_step(paths, b, r_par, r_mer):
 
 
 def _trial(surface, p, theta, length, pts, warm, b, opts):
-    """Shoot from p and connect the end point to the terminals.  Returns
-    ``(point, paths, f)``, or None when the end point leaves the chart,
-    lands on a terminal or fails to connect."""
+    """Shoot from p and connect the end point to the terminals: cold when
+    ``warm`` is None, else warm from ``warm = (paths, jac)``, the branches
+    at p and their Jacobi scalars, each started where
+    ``_predicted_start`` puts it.  Returns ``(point, paths, f)``, or None
+    when the end point leaves the chart, lands on a terminal or fails to
+    connect."""
     try:
-        q = shoot(surface, p, theta, length, opts.connect.shoot_tol).end()
+        step = shoot(surface, p, theta, length, opts.connect.shoot_tol)
+        q = step.end()
         surface.check_point(q)
         if any(q.coincides(t) for t in pts):
             return None
-        paths = _branch_data(surface, q, pts, warm, opts)
+        starts = None
+        if warm is not None:
+            d_par, d_mer = length * math.cos(theta), length * math.sin(theta)
+            # both headings lie in [-pi, pi]; wrapped, their difference is
+            # the small turn, not the turn plus or minus 2 pi
+            turn = math.remainder(step.theta_end - step.theta_start, TWO_PI)
+            starts = [(path.winding,
+                       *_predicted_start(path, jac, d_par, d_mer, turn))
+                      for path, jac in zip(*warm)]
+        paths = _branch_data(surface, q, pts, starts, opts)
     except (SolveError, ChartExitError, OffChartError):
         return None
     return q, paths, sum(bi * path.length for bi, path in zip(b, paths))
@@ -434,15 +481,18 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         r_norm = math.hypot(r_par, r_mer)
         if r_norm <= grad_tol:
             break
-        d = _newton_step(paths, b, r_par, r_mer)
+        # each branch's Jacobi scalars, once per point: the Newton step and
+        # the predicted starts of every trial from p share them
+        warm = paths, [path.jacobi() for path in paths]
+        d = _newton_step(*warm, b, r_par, r_mer)
         step = None if d is None else _trial(
-            surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, paths, b,
+            surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, warm, b,
             opts)
         if (step is None or step[2] > f_cur + f_noise
                 or math.hypot(*_residual(step[1], b)) >= r_norm):
             lam = r_norm / sum(bi / path.length for bi, path in zip(b, paths))
             step = _descend(surface, p, math.atan2(r_mer, r_par), lam, f_cur,
-                            pts, paths, b, opts)
+                            pts, warm, b, opts)
         p, paths, f_cur = step
         history.append(f_cur)
     else:

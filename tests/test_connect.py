@@ -719,3 +719,33 @@ def test_benchmark_vase_pair_finds_the_shorter_winding():
                             SurfacePoint(7.192224875137635, -2.6154007939265567),
                             SurfacePoint(2.706319274019626, 1.379655701486345))
     assert path.length <= 5.7239 + 1e-6
+
+
+_TORUS_MISS = (SurfacePoint(0.2042645290357763, -1.0152909252698796),
+               SurfacePoint(-2.423463767362918, 2.379163010530358))
+
+
+def test_torus_miss_pair_has_a_geodesic():
+    """The pair below is reachable: a warm start near a 720-lane fan's
+    closest pass converges to a winding-0 geodesic of length 5.4119 to
+    the copy of B nearest A, B.v - 2 pi."""
+    torus = make_surface("torus", R=2.0, r=0.7)
+    A, B = _TORUS_MISS
+    near = SurfacePoint(B.u, B.v - 2.0 * math.pi)
+    path = connect_geodesic(torus, A, near, initial=(-2.090, 5.41))
+    assert path.winding == 0
+    assert path.length == pytest.approx(5.411914, abs=1e-6)
+    end = path.end()
+    assert abs(end.u - near.u) <= 1e-9 and abs(end.v - near.v) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=SolveError,
+                   reason="the 17-lane screening fan misses the heading band "
+                   "of the geodesic and the chord seed does not converge "
+                   "(needs a global-minimality audit or a finer screen)")
+def test_torus_pair_is_reachable():
+    """The cold connect raises 'unreachable within search budget' though
+    a winding-0 geodesic of length 5.4119 exists."""
+    torus = make_surface("torus", R=2.0, r=0.7)
+    path = connect_geodesic(torus, *_TORUS_MISS)
+    assert path.length <= 5.411914 + 1e-6

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 import geofermat.connect as connect_mod
 from geofermat import (DegenerateTreeError, FermatOptions, SolveError,
                        SurfacePoint, WeightDomainError, WeightTriple,
-                       connect_geodesic, floating_test, make_surface,
-                       measure_sector_angles,
+                       connect_geodesic, floating_test, load_scenario,
+                       make_surface, measure_sector_angles,
                        sector_angles_from_weights, sector_partition, shoot,
                        solve_fermat, weights_from_sector_angles)
 import geofermat.fermat as fermat_mod
@@ -460,3 +461,159 @@ class TestMeasureSectorAngles:
             measure_sector_angles(plane, c,
                                   [c, SurfacePoint(2, 0.3),
                                    SurfacePoint(2, -0.3)])
+
+
+class TestPredictedStart:
+    """``fermat._predicted_start`` moves a branch's start to first order:
+    its error against the true start from the moved point is quadratic
+    in the step, so it falls about 4 times when the step halves."""
+
+    @staticmethod
+    def sphere_start(sphere, P, A):
+        """Heading and length of the great-circle arc from P to A."""
+        p, a = sphere.embed(P), sphere.embed(A)
+        toward = a - (p @ a) * p
+        e_par, e_mer = sphere.embedding_frame(P)
+        return (math.atan2(toward @ e_mer, toward @ e_par),
+                math.acos(float(np.clip(p @ a, -1.0, 1.0))))
+
+    @staticmethod
+    def prediction_error(surface, branch, rel, eps, truth):
+        """Heading and length errors of the start predicted for ``branch``
+        after a step of length eps at angle rel from its tangent."""
+        theta = branch.theta_start + rel
+        step = shoot(surface, branch.start(), theta, eps)
+        got = fermat_mod._predicted_start(
+            branch, branch.jacobi(), eps * math.cos(theta),
+            eps * math.sin(theta), step.theta_end - step.theta_start)
+        want = truth(step.end())
+        return (abs(math.remainder(got[0] - want[0], TWO_PI)),
+                abs(got[1] - want[1]))
+
+    CASES = {
+        "sphere": (lambda: make_surface("sphere", radius=1.0),
+                   SurfacePoint(1.2, 0.3), SurfacePoint(0.7, 1.1)),
+        "torus": (lambda: make_surface("torus", R=2.0, r=0.7),
+                  SurfacePoint(0.4, 0.3), SurfacePoint(1.2, 1.4)),
+    }
+
+    def truth(self, name, surface, A):
+        if name == "sphere":
+            return lambda Q: self.sphere_start(surface, Q, A)
+
+        def cold(Q):
+            path = connect_geodesic(surface, Q, A)
+            return path.theta_start, path.length
+        return cold
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("rel", [0.3, math.pi / 2, math.pi - 0.3],
+                             ids=["along", "across", "back"])
+    def test_error_is_second_order(self, name, rel):
+        build, P, A = self.CASES[name]
+        surface = build()
+        branch = connect_geodesic(surface, P, A)
+        truth = self.truth(name, surface, A)
+        big = self.prediction_error(surface, branch, rel, 0.02, truth)
+        small = self.prediction_error(surface, branch, rel, 0.01, truth)
+        for e_big, e_small in zip(big, small):
+            assert e_small * 3.0 <= e_big
+        assert max(big) <= 1e-3
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("rel", [0.0, math.pi], ids=["toward", "away"])
+    def test_exact_on_the_branch(self, name, rel):
+        """A step along the branch stays on its geodesic: the predicted
+        start is the true one."""
+        build, P, A = self.CASES[name]
+        surface = build()
+        branch = connect_geodesic(surface, P, A)
+        err = self.prediction_error(surface, branch, rel, 0.02,
+                                    self.truth(name, surface, A))
+        assert max(err) <= 1e-9
+
+    def test_heading_kept_at_or_past_conjugate_point(self, sphere):
+        """m1 <= 0: the old heading is kept, the length still moves."""
+        P = SurfacePoint(1.2, 0.3)
+        past = shoot(sphere, P, 0.4, 3.5)      # beyond the antipode, pi
+        jac = past.jacobi()
+        assert jac[0] < 0.0
+        d_par, d_mer = 0.01, 0.02
+        theta, length = fermat_mod._predicted_start(past, jac, d_par, d_mer,
+                                                    0.05)
+        assert theta == past.theta_start
+        assert length == pytest.approx(
+            3.5 - 0.01 * math.cos(0.4) - 0.02 * math.sin(0.4), abs=1e-15)
+        flat = (0.0,) + jac[1:]
+        assert fermat_mod._predicted_start(past, flat, d_par, d_mer,
+                                           0.05) == (theta, length)
+        # with m1 > 0 the heading turns
+        short = shoot(sphere, P, 0.4, 1.0)
+        assert fermat_mod._predicted_start(short, short.jacobi(), d_par,
+                                           d_mer, 0.05)[0] != short.theta_start
+
+
+class TestWarmConnectWork:
+    """Predicted starts cut the Newton shots of each warm connect and
+    leave the answer where the old starts put it."""
+
+    SCENARIO = (Path(__file__).parent.parent / "scenarios"
+                / "sphere_triangle.json")
+
+    @staticmethod
+    def counted_solve(monkeypatch, surface, pts, b, old_start):
+        """Solve, counting warm connects and the ``connect.shoot`` calls
+        made inside them."""
+        count = {"warm": 0, "shots": 0, "inside": False}
+        real_shoot = connect_mod.shoot
+        real_connect = fermat_mod.connect_geodesic
+
+        def shoot_counted(*args, **kwargs):
+            count["shots"] += count["inside"]
+            return real_shoot(*args, **kwargs)
+
+        def connect_counted(*args, initial=None, **kwargs):
+            if initial is None:
+                return real_connect(*args, **kwargs)
+            count["warm"] += 1
+            count["inside"] = True
+            try:
+                return real_connect(*args, initial=initial, **kwargs)
+            finally:
+                count["inside"] = False
+
+        with monkeypatch.context() as m:
+            m.setattr(connect_mod, "shoot", shoot_counted)
+            m.setattr(fermat_mod, "connect_geodesic", connect_counted)
+            if old_start:
+                m.setattr(fermat_mod, "_predicted_start",
+                          lambda path, *args: (path.theta_start, path.length))
+            res = solve_fermat(surface, pts, b)
+        return res, count
+
+    def trees(self):
+        scn = load_scenario(self.SCENARIO)
+        yield (scn.surface, [scn.points[n] for n in scn.fermat_point_names],
+               scn.weights)
+        torus = make_surface("torus", R=2.0, r=0.7)
+        b = (1.0, 1.2, 1.4)
+        phi = sector_angles_from_weights(b)
+        headings = (0.4, 0.4 + phi[0], 0.4 + phi[0] + phi[1])
+        yield (torus, planted_triangle(torus, SurfacePoint(0.5, 0.2),
+                                       headings, (0.5, 0.6, 0.45)), b)
+
+    def test_at_most_three_shots_per_warm_connect(self, monkeypatch):
+        for surface, pts, b in self.trees():
+            res, count = self.counted_solve(monkeypatch, surface, pts, b,
+                                            old_start=False)
+            old, old_count = self.counted_solve(monkeypatch, surface, pts, b,
+                                                old_start=True)
+            assert res.mode == old.mode == "interior"
+            assert count["warm"] > 0
+            assert count["shots"] <= 3.0 * count["warm"]
+            assert count["shots"] < old_count["shots"]
+            assert res.iterations == old.iterations
+            assert res.point.u == pytest.approx(old.point.u, abs=1e-9)
+            assert res.point.v == pytest.approx(old.point.v, abs=1e-9)
+            assert res.sector_angles == pytest.approx(old.sector_angles,
+                                                      abs=1e-9)
