@@ -27,7 +27,7 @@ from .errors import (DegenerateTreeError, SolveError, UndefinedRatioError,
                      WeightDomainError)
 from .fermat import (as_weights, measure_sector_angles, sector_angles_from_weights,
                      sector_partition, weights_from_sector_angles)
-from .geodesics import shoot
+from .geodesics import DEFAULT_TOL, shoot
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
 __all__ = [
@@ -374,7 +374,8 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
                            weights, lengths, theta0: float, delta_list,
                            connect_opts=None) -> RotationExperiment:
     """Shoot the weight-determined tree at a sequence of rotations and
-    recover the weights from each rotated copy.
+    recover the weights from each rotated copy.  The branches are shot at
+    ``connect_opts.shoot_tol``.
 
     Raises SolveError if any recovered weight triple deviates from the
     normalised input by more than 1e-6 or a rotated tree's measured
@@ -387,13 +388,14 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
         raise ValueError("three positive branch lengths are required")
     phi_12, phi_23, _ = sector_angles_from_weights(w)
     fractions = w.normalized()
+    tol = DEFAULT_TOL if connect_opts is None else connect_opts.shoot_tol
 
     steps = []
     for delta in delta_list:
         headings = (theta0 + delta,
                     theta0 + delta + phi_12,
                     theta0 + delta + phi_12 + phi_23)
-        paths = [shoot(surface, center, th, L)
+        paths = [shoot(surface, center, th, L, tol)
                  for th, L in zip(headings, lengths)]
         endpoints = tuple(path.end() for path in paths)
         try:

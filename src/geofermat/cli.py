@@ -5,8 +5,14 @@
 Commands: shoot, connect, fermat-solve, fermat-inverse, clairaut-report,
 rotate-experiment, verify.  Reports are JSON on stdout (or --out); branch
 polylines go to CSV files under --paths.  Exit codes: 0 success, 1
-configuration error, 2 numerical failure (also for results holding NaN or
-infinity: reports are strict JSON), 3 verification-suite failure.
+configuration error (also for an --out or --paths that cannot be written,
+and for a --suite list naming no suite), 2 numerical failure (also for
+results holding NaN or infinity: reports are strict JSON), 3
+verification-suite failure.
+
+Each command handler takes (scenario, warnings list) and only computes: it
+returns (results, named paths), and ``run`` checks ``weights`` and writes
+the CSVs for all.
 
 Reports are deterministic for a given scenario and package version except
 for the ``wall_time_ms`` field.
@@ -17,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +35,7 @@ from .fermat import (measure_sector_angles, solve_fermat,
                      weights_from_sector_angles)
 from .geodesics import shoot, write_path_csv
 from .scenario import (SCHEMA, Scenario, load_scenario, parse_angle,
-                       parse_number)
+                       parse_list, parse_number)
 from .verify import run_suites
 
 CONVENTIONS = {
@@ -71,18 +78,19 @@ def _write_paths(paths_dir, named_paths):
             write_path_csv(path, fh)
 
 
-def _cmd_shoot(scn: Scenario, paths_dir, warnings):
+_BRANCHES = ("branch_1", "branch_2", "branch_3")
+
+
+def _cmd_shoot(scn: Scenario, warnings):
     spec = scn.section("shoot")
     p = scn.point(spec.get("from"), "shoot.from")
     theta = parse_angle(spec.get("heading"), "shoot.heading")
     length = parse_number(spec.get("length"), "shoot.length", positive=True)
     path = shoot(scn.surface, p, theta, length, scn.connect_opts.shoot_tol)
-    if paths_dir:
-        _write_paths(paths_dir, [("shoot", path)])
-    return {"path": _path_dict(path)}
+    return {"path": _path_dict(path)}, [("shoot", path)]
 
 
-def _cmd_connect(scn: Scenario, paths_dir, warnings):
+def _cmd_connect(scn: Scenario, warnings):
     spec = scn.section("connect")
     A = scn.point(spec.get("from"), "connect.from")
     B = scn.point(spec.get("to"), "connect.to")
@@ -91,9 +99,7 @@ def _cmd_connect(scn: Scenario, paths_dir, warnings):
         warnings.append({"kind": "ambiguous",
                          "message": "two geodesics tie in length within "
                                     "1e-6; cut-locus regime"})
-    if paths_dir:
-        _write_paths(paths_dir, [("connect", path)])
-    return {"path": _path_dict(path)}
+    return {"path": _path_dict(path)}, [("connect", path)]
 
 
 def _fermat_result_dict(res):
@@ -110,10 +116,7 @@ def _fermat_result_dict(res):
     }
 
 
-def _cmd_fermat_solve(scn: Scenario, paths_dir, warnings):
-    if scn.weights is None:
-        raise ScenarioError("command 'fermat-solve' needs 'weights'",
-                            "weights")
+def _cmd_fermat_solve(scn: Scenario, warnings):
     res = solve_fermat(scn.surface, scn.terminals(), scn.weights,
                        scn.fermat_opts)
     if res.mode == "vertex":
@@ -121,11 +124,7 @@ def _cmd_fermat_solve(scn: Scenario, paths_dir, warnings):
                          "message": f"minimiser is terminal "
                                     f"{res.vertex_index + 1}; no interior "
                                     "branching point"})
-    if paths_dir:
-        _write_paths(paths_dir,
-                     [(f"branch_{i + 1}", p)
-                      for i, p in enumerate(res.branches)])
-    return {"fermat": _fermat_result_dict(res)}
+    return {"fermat": _fermat_result_dict(res)}, zip(_BRANCHES, res.branches)
 
 
 def _center_and_terminals(scn: Scenario, section: str):
@@ -141,17 +140,13 @@ def _center_and_terminals(scn: Scenario, section: str):
     return center, terminals
 
 
-def _cmd_fermat_inverse(scn: Scenario, paths_dir, warnings):
+def _cmd_fermat_inverse(scn: Scenario, warnings):
     spec = scn.section("inverse")
     total = parse_number(spec.get("total", 1.0), "inverse.total",
                          positive=True)
     if "angles" in spec:
-        raw = spec["angles"]
-        if not isinstance(raw, list) or len(raw) != 3:
-            raise ScenarioError("inverse.angles must be three angles",
-                                "inverse.angles")
-        angles = tuple(parse_angle(a, f"inverse.angles[{i}]")
-                       for i, a in enumerate(raw))
+        angles = tuple(parse_list(spec["angles"], "inverse.angles",
+                                  parse_angle, 3))
     elif "center" in spec:
         center, terminals = _center_and_terminals(scn, "inverse")
         try:
@@ -169,7 +164,7 @@ def _cmd_fermat_inverse(scn: Scenario, paths_dir, warnings):
         raise SolveError(f"measured sector angles {list(angles)}: {exc}") from exc
     return {"inverse": {"angles": list(angles), "total": total,
                         "weights": list(w.astuple()),
-                        "normalized": list(w.normalized())}}
+                        "normalized": list(w.normalized())}}, []
 
 
 def _report_dict(rep):
@@ -216,10 +211,7 @@ def _report_dict(rep):
     }
 
 
-def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
-    if scn.weights is None:
-        raise ScenarioError("command 'clairaut-report' needs 'weights'",
-                            "weights")
+def _cmd_clairaut_report(scn: Scenario, warnings):
     raw = scn.section("clairaut", optional=True)
     if "center" in raw:
         center, terminals = _center_and_terminals(scn, "clairaut")
@@ -242,34 +234,21 @@ def _cmd_clairaut_report(scn: Scenario, paths_dir, warnings):
     if rep.predicted is None and rep.predicted_note:
         warnings.append({"kind": "prediction-window",
                          "message": rep.predicted_note})
-    if paths_dir:
-        _write_paths(paths_dir,
-                     [(f"branch_{i + 1}", p) for i, p in enumerate(branches)])
     out = {"clairaut": _report_dict(rep), "center": _point_dict(center)}
     if solve is not None:
         out["fermat"] = _fermat_result_dict(solve)
-    return out
+    return out, zip(_BRANCHES, branches)
 
 
-def _cmd_rotate_experiment(scn: Scenario, paths_dir, warnings):
+def _cmd_rotate_experiment(scn: Scenario, warnings):
     spec = scn.section("experiment")
-    if scn.weights is None:
-        raise ScenarioError("command 'rotate-experiment' needs 'weights'",
-                            "weights")
     center = scn.point(spec.get("center"), "experiment.center")
     theta0 = parse_angle(spec.get("theta0", 0.0), "experiment.theta0")
-    lengths = spec.get("lengths")
-    if not isinstance(lengths, list) or len(lengths) != 3:
-        raise ScenarioError("experiment.lengths must be three numbers",
-                            "experiment.lengths")
-    lengths = [parse_number(x, f"experiment.lengths[{i}]", positive=True)
-               for i, x in enumerate(lengths)]
-    deltas_raw = spec.get("deltas")
-    if not isinstance(deltas_raw, list) or not deltas_raw:
-        raise ScenarioError("experiment.deltas must be a nonempty list",
-                            "experiment.deltas")
-    deltas = [parse_angle(d, f"experiment.deltas[{i}]")
-              for i, d in enumerate(deltas_raw)]
+    lengths = parse_list(spec.get("lengths"), "experiment.lengths",
+                         partial(parse_number, positive=True), 3)
+    deltas = parse_list(spec.get("deltas"), "experiment.deltas", parse_angle)
+    if not deltas:
+        raise ScenarioError("expected a nonempty list", "experiment.deltas")
     exp = rotate_tree_experiment(scn.surface, center, scn.weights, lengths,
                                  theta0, deltas, scn.connect_opts)
     return {"experiment": {
@@ -289,7 +268,7 @@ def _cmd_rotate_experiment(scn: Scenario, paths_dir, warnings):
              "clairaut": list(st.clairaut)}
             for st in exp.steps
         ],
-    }}
+    }}, []
 
 
 _HANDLERS = {
@@ -301,6 +280,7 @@ _HANDLERS = {
     "rotate-experiment": _cmd_rotate_experiment,
 }
 COMMANDS = (*_HANDLERS, "verify")
+_NEEDS_WEIGHTS = {"fermat-solve", "clairaut-report", "rotate-experiment"}
 
 
 def _digest(raw: dict) -> str:
@@ -327,9 +307,9 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
             results = run_suites(suites, report=lambda line:
                                  print(line, file=sys.stderr))
             report["results"]["verify"] = [
-                {"name": r.name, "criterion": int(r.criterion),
-                 "passed": bool(r.passed), "detail": r.detail,
-                 "elapsed_s": round(float(r.elapsed_s), 3),
+                {"name": r.name, "criterion": r.criterion,
+                 "passed": r.passed, "detail": r.detail,
+                 "elapsed_s": round(r.elapsed_s, 3),
                  # numpy scalars unwrapped to Python bools, ints and floats
                  "stats": {key: val.item() if hasattr(val, "item") else val
                            for key, val in r.stats.items()}}
@@ -340,11 +320,17 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
         elif command in _HANDLERS:
             if scenario is None:
                 raise ScenarioError("this command requires --scenario")
-            report["results"] = _HANDLERS[command](scenario, paths_dir,
-                                                   report["warnings"])
+            if command in _NEEDS_WEIGHTS and scenario.weights is None:
+                raise ScenarioError(f"command {command!r} needs 'weights'",
+                                    "weights")
+            results, named_paths = _HANDLERS[command](scenario,
+                                                      report["warnings"])
+            if paths_dir and named_paths:
+                _write_paths(paths_dir, named_paths)
+            report["results"] = results
         else:
             raise ScenarioError(f"unknown command {command!r}")
-    except (ValueError, KeyError) as exc:   # ScenarioError among them
+    except (ValueError, KeyError, OSError) as exc:  # ScenarioError, --paths
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         exit_code = 1
     except (SolveError, ChartExitError, UndefinedRatioError) as exc:
@@ -352,6 +338,19 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
         exit_code = 2
     report["wall_time_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
     return exit_code, report
+
+
+def _save(payload: str, out) -> bool:
+    """Write the report to ``out``; a file that cannot be written leaves an
+    error report on stderr instead, and returns False."""
+    try:
+        Path(out).write_text(payload + "\n", encoding="utf-8")
+        return True
+    except OSError as exc:
+        print(json.dumps({"error": {"kind": type(exc).__name__,
+                                    "message": f"cannot write --out: {exc}"}},
+                         indent=2), file=sys.stderr)
+        return False
 
 
 def main(argv=None) -> int:
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
                                             "field": exc.field}}, indent=2)
             print(payload, file=sys.stderr)
             if args.out:
-                Path(args.out).write_text(payload + "\n", encoding="utf-8")
+                _save(payload, args.out)
             return 1
 
     suites = None
@@ -400,10 +399,10 @@ def main(argv=None) -> int:
                            "message": "the results hold NaN or infinity, "
                                       "which strict JSON cannot carry"}
         payload = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
+    if not args.out:
         print(payload)
+    elif not _save(payload, args.out):
+        return 1
     return code
 
 

@@ -76,7 +76,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ChartExitError, SolveError
-from .geodesics import shoot, shoot_fan, GeodesicPath
+from .geodesics import DEFAULT_TOL, shoot, shoot_fan, GeodesicPath
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
 __all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics",
@@ -102,7 +102,7 @@ class ConnectOptions:
     windings: tuple = (-1, 0, 1)
     max_len: float = 20.0
     resid_tol: float = 1e-10
-    shoot_tol: float = 1e-10
+    shoot_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.n_starts < 4:

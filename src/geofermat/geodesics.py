@@ -340,7 +340,7 @@ def _meridian_shoot(surface, p, sigma, length):
         bound = surface.u_max if direction > 0 else surface.u_min
         closes = surface.closes_at_max if direction > 0 else surface.closes_at_min
         grid = np.linspace(ua, bound, 513)
-        g = np.asarray(surface.phi(grid), dtype=float) - surface.axis_guard
+        g = surface.metric_terms_batch(grid)[4] - surface.axis_guard
         started = g[0] > 0.0
         for i in range(1, len(grid)):
             if not started:
@@ -350,7 +350,8 @@ def _meridian_shoot(surface, p, sigma, length):
                 if closes and np.all(g[i:] <= 0.0):
                     return bound, True
                 lo, hi = sorted((grid[i - 1], grid[i]))
-                f = lambda x: float(surface.phi(x)) - surface.axis_guard
+                f = lambda x: (float(surface.metric_terms_batch(x)[4])
+                               - surface.axis_guard)
                 return brentq(f, lo, hi, xtol=1e-14), False
         return bound, False
 

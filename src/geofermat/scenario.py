@@ -9,6 +9,7 @@ Every number must be finite: JSON parsers accept ``NaN`` and ``Infinity``.
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .connect import ConnectOptions
 from .errors import OffChartError, ScenarioError
@@ -16,7 +17,7 @@ from .fermat import FermatOptions, WeightTriple
 from .surfaces import ProfileSurface, SurfacePoint, make_surface
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict",
-           "parse_angle", "parse_number"]
+           "parse_angle", "parse_list", "parse_number"]
 
 SCHEMA = "geofermat/1"
 
@@ -43,6 +44,15 @@ def parse_number(value, where: str, positive: bool = False) -> float:
     if positive and val <= 0.0:
         raise ScenarioError(f"must be positive, got {val!r}", where)
     return val
+
+
+def parse_list(value, where: str, item, length=None) -> list:
+    """A list of ``length`` values (any number when None), each parsed by
+    ``item(value, f"{where}[i]")``."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ScenarioError("expected a list" if length is None
+                            else f"expected a list of {length} values", where)
+    return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
 @dataclass
@@ -108,16 +118,6 @@ def _parse_surface(obj):
         raise ScenarioError(str(exc), "surface") from exc
 
 
-def _parse_weights(values):
-    if not isinstance(values, (list, tuple)) or len(values) != 3:
-        raise ScenarioError("weights must be a list of three numbers",
-                            "weights")
-    out = []
-    for i, w in enumerate(values):
-        out.append(parse_number(w, f"weights[{i}]", positive=True))
-    return WeightTriple(*out)
-
-
 _CONNECT_FIELDS = {"n_starts", "windings", "max_len", "resid_tol",
                    "shoot_tol"}
 _OPTION_FIELDS = _CONNECT_FIELDS | {"grad_tol", "angle_tol", "max_iter"}
@@ -146,10 +146,7 @@ def _parse_options(obj):
         if key in ("n_starts", "max_iter"):
             val = _parse_int(value, where)
         elif key == "windings":
-            if not isinstance(value, list):
-                raise ScenarioError("windings must be a list", where)
-            val = tuple(_parse_int(k, f"{where}[{i}]")
-                        for i, k in enumerate(value))
+            val = tuple(parse_list(value, where, _parse_int))
         else:
             val = parse_number(value, where)
         (con_kw if key in _CONNECT_FIELDS else fer_kw)[key] = val
@@ -183,21 +180,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     for name, obj in pts_obj.items():
         points[name] = _parse_point(surface, obj, f"points.{name}")
 
-    weights = None
-    if "weights" in data:
-        weights = _parse_weights(data["weights"])
+    weights = None if "weights" not in data else WeightTriple(*parse_list(
+        data["weights"], "weights", partial(parse_number, positive=True), 3))
 
     connect_opts, fermat_opts = _parse_options(data.get("options"))
 
     scn = Scenario(raw=data, surface=surface, points=points, weights=weights,
                    connect_opts=connect_opts, fermat_opts=fermat_opts)
     if "fermat_points" in data:
-        names = data["fermat_points"]
-        if (not isinstance(names, list) or len(names) != 3
-                or not all(isinstance(n, str) for n in names)):
-            raise ScenarioError("fermat_points must be three point names",
-                                "fermat_points")
-        scn.fermat_point_names = tuple(names)
+        names = tuple(parse_list(data["fermat_points"], "fermat_points",
+                                 lambda name, _: name, 3))
+        if not all(isinstance(name, str) for name in names):
+            raise ScenarioError("expected point names", "fermat_points")
+        scn.fermat_point_names = names
     return scn
 
 

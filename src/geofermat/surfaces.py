@@ -330,9 +330,6 @@ class ProfileSurface:
 
     # -- metric and embedding ---------------------------------------------
 
-    def phi(self, u):
-        return self._metric(np, np.array(u, dtype=float))[4]
-
     def metric_terms(self, u: float):
         """Unchecked scalar metric terms ``(E, G, E_u, G_u, phi)``."""
         return self._metric(math, u)

@@ -1,7 +1,8 @@
 """Built-in verification suites.
 
 Each suite checks one oracle- or property-based claim at a fixed seed and
-a fixed tolerance, and reports pass/fail with a one-line detail.  The
+a fixed tolerance, and returns ``(passed, one-line detail, stats)``;
+``run_suites`` times it and names it by its key in ``SUITES``.  The
 oracles are independent of the code paths they check: closed forms on the
 sphere, cylinder and plane, an independent flat-space Weiszfeld
 iteration, planted-tree constructions, and direct evaluation of the
@@ -23,25 +24,19 @@ from .errors import UndefinedRatioError
 from .fermat import (sector_angles_from_weights, solve_fermat,
                      weights_from_sector_angles)
 from .geodesics import shoot
-from .surfaces import SurfacePoint, make_surface
+from .surfaces import TWO_PI, SurfacePoint, make_surface
 
 __all__ = ["SuiteResult", "SUITES", "run_suites"]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
 class SuiteResult:
     name: str
-    criterion: int
+    criterion: int       # the suite's position in SUITES, from 1
     passed: bool
     detail: str
     elapsed_s: float
     stats: dict
-
-    def __post_init__(self):
-        self.passed = bool(self.passed)
-        self.elapsed_s = float(self.elapsed_s)
 
 
 def _sample_sphere_point(rng):
@@ -83,18 +78,15 @@ def suite_sphere_distance(n=200, seed=101):
         length = distance(sphere, A, B)
         worst = max(worst, abs(length - sep) / sep)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-7 and elapsed <= 30.0
-    return SuiteResult(
-        "sphere-distance", 1, ok,
-        f"{n} pairs, max relative error {worst:.3e} (tol 1e-7), "
-        f"{elapsed:.1f}s (budget 30s)", elapsed,
-        {"pairs": n, "max_rel_err": worst})
+    return (worst <= 1e-7 and elapsed <= 30.0,
+            f"{n} pairs, max relative error {worst:.3e} (tol 1e-7), "
+            f"{elapsed:.1f}s (budget 30s)",
+            {"pairs": n, "max_rel_err": worst})
 
 
 def suite_cylinder_unroll(n=100, seed=202):
     """Criterion 2: connect vs the unrolled-strip closed form with
     windings in {-1, 0, 1}."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cyl = make_surface("cylinder", radius=1.0)
     worst = 0.0
@@ -109,17 +101,13 @@ def suite_cylinder_unroll(n=100, seed=202):
         length = distance(cyl, SurfacePoint(ua, va),
                           SurfacePoint(ub, va + dv))
         worst = max(worst, abs(length - expected) / expected)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-7
-    return SuiteResult(
-        "cylinder-unroll", 2, ok,
-        f"{n} pairs, max relative error {worst:.3e} (tol 1e-7)", elapsed,
-        {"pairs": n, "max_rel_err": worst})
+    return (worst <= 1e-7,
+            f"{n} pairs, max relative error {worst:.3e} (tol 1e-7)",
+            {"pairs": n, "max_rel_err": worst})
 
 
 def suite_clairaut_drift(n_each=50, seed=303):
     """Criterion 3: first-integral drift on random shots of length <= 3."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cases = [
         ("sphere", make_surface("sphere", radius=1.0),
@@ -136,7 +124,7 @@ def suite_clairaut_drift(n_each=50, seed=303):
             u0 = draw_u()
             v0 = rng.uniform(-math.pi, math.pi)
             length = rng.uniform(0.5, 3.0)
-            phi0 = float(surface.phi(u0))
+            phi0 = float(surface.metric_terms_batch(u0)[4])
             while True:
                 theta = rng.uniform(-math.pi, math.pi)
                 if abs(phi0 * math.cos(theta)) >= c_floor:
@@ -145,13 +133,10 @@ def suite_clairaut_drift(n_each=50, seed=303):
             bound = 1e-8 * max(1.0, path.rho_max())
             worst = max(worst, path.c_drift / bound * 1e-8)
             worst_unit = max(worst_unit, path.unit_defect / bound * 1e-8)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and worst_unit <= 1e-8
-    return SuiteResult(
-        "clairaut-drift", 3, ok,
-        f"{3 * n_each} shots, max drift {worst:.3e} and unit-speed defect "
-        f"{worst_unit:.3e} (tol 1e-8 * max(1, rho))", elapsed,
-        {"shots": 3 * n_each, "max_drift": worst, "max_unit": worst_unit})
+    return (worst <= 1e-8 and worst_unit <= 1e-8,
+            f"{3 * n_each} shots, max drift {worst:.3e} and unit-speed "
+            f"defect {worst_unit:.3e} (tol 1e-8 * max(1, rho))",
+            {"shots": 3 * n_each, "max_drift": worst, "max_unit": worst_unit})
 
 
 def _weiszfeld(points_xy, b, tol=1e-14, max_iter=200_000):
@@ -182,7 +167,6 @@ def _valid_weights(rng, lo=0.6, hi=1.8, margin=0.0):
 def suite_plane_weiszfeld(n=50, seed=404):
     """Criterion 4: the surface solver on the flat chart against an
     independent Weiszfeld iteration in the embedding plane."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     plane = make_surface("plane")
     worst_pos = 0.0
@@ -211,13 +195,10 @@ def suite_plane_weiszfeld(n=50, seed=404):
         worst_ang = max(worst_ang, max(
             abs(a - e) for a, e in zip(res.sector_angles, expected)))
         done += 1
-    elapsed = time.perf_counter() - t0
-    ok = worst_pos <= 1e-6 and worst_ang <= 1e-6
-    return SuiteResult(
-        "plane-weiszfeld", 4, ok,
-        f"{n} triangles, max position gap {worst_pos:.3e} (tol 1e-6), "
-        f"max angle gap {worst_ang:.3e} rad (tol 1e-6)", elapsed,
-        {"triangles": n, "max_pos": worst_pos, "max_ang": worst_ang})
+    return (worst_pos <= 1e-6 and worst_ang <= 1e-6,
+            f"{n} triangles, max position gap {worst_pos:.3e} (tol 1e-6), "
+            f"max angle gap {worst_ang:.3e} rad (tol 1e-6)",
+            {"triangles": n, "max_pos": worst_pos, "max_ang": worst_ang})
 
 
 def _planted_case(surface, rng, u_lo, u_hi):
@@ -235,7 +216,6 @@ def _planted_case(surface, rng, u_lo, u_hi):
 
 def suite_planted_recovery(n_each=20, seed=505):
     """Criterion 5: recover a planted branching point on three surfaces."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cases = [
         (make_surface("sphere", radius=1.0), 1.0, 2.1),
@@ -254,18 +234,14 @@ def suite_planted_recovery(n_each=20, seed=505):
             worst_pos = max(worst_pos, gap)
             worst_ang = max(worst_ang, max(
                 abs(a - e) for a, e in zip(res.sector_angles, phi)))
-    elapsed = time.perf_counter() - t0
-    ok = worst_pos <= 1e-5 and worst_ang <= 1e-5
-    return SuiteResult(
-        "planted-recovery", 5, ok,
-        f"{3 * n_each} trees, max position gap {worst_pos:.3e} (tol 1e-5), "
-        f"max angle gap {worst_ang:.3e} rad (tol 1e-5)", elapsed,
-        {"trees": 3 * n_each, "max_pos": worst_pos, "max_ang": worst_ang})
+    return (worst_pos <= 1e-5 and worst_ang <= 1e-5,
+            f"{3 * n_each} trees, max position gap {worst_pos:.3e} "
+            f"(tol 1e-5), max angle gap {worst_ang:.3e} rad (tol 1e-5)",
+            {"trees": 3 * n_each, "max_pos": worst_pos, "max_ang": worst_ang})
 
 
 def suite_inverse_round_trip(n=1000, seed=606):
     """Criterion 6: weights -> angles -> weights is the identity."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_sum = 0.0
@@ -275,13 +251,10 @@ def suite_inverse_round_trip(n=1000, seed=606):
         worst_sum = max(worst_sum, abs(sum(angles) - TWO_PI))
         back = weights_from_sector_angles(angles, total=sum(b)).astuple()
         worst = max(worst, max(abs(x - y) for x, y in zip(b, back)))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and worst_sum <= 1e-12
-    return SuiteResult(
-        "inverse-round-trip", 6, ok,
-        f"{n} triples, max weight error {worst:.3e} (tol 1e-10), "
-        f"max angle-sum error {worst_sum:.3e} (tol 1e-12)", elapsed,
-        {"triples": n, "max_err": worst, "max_sum_err": worst_sum})
+    return (worst <= 1e-10 and worst_sum <= 1e-12,
+            f"{n} triples, max weight error {worst:.3e} (tol 1e-10), "
+            f"max angle-sum error {worst_sum:.3e} (tol 1e-12)",
+            {"triples": n, "max_err": worst, "max_sum_err": worst_sum})
 
 
 def _acute_weights(rng):
@@ -301,7 +274,6 @@ def suite_root_consistency(n=500, seed=707):
     """Criterion 7: exactly one quadratic root per ratio reproduces the
     angular relations; the published sign of the first ratio is wrong at
     the documented configuration."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = 0
     worst_sum = 0.0
@@ -328,21 +300,18 @@ def suite_root_consistency(n=500, seed=707):
                     and printed.printed_sign_ok_c3
                     and printed.c2_match_err <= 1e-12
                     and printed.c3_match_err <= 1e-12)
-    elapsed = time.perf_counter() - t0
-    ok = failures == 0 and worst_sum <= 1e-12 and sign_flagged
-    return SuiteResult(
-        "root-consistency", 7, ok,
-        f"{n} samples, {failures} root-selection failures, angle-sum error "
-        f"{worst_sum:.3e} (tol 1e-12); published first-ratio sign mismatch "
-        f"at equal weights / 100 deg {'reproduced' if sign_flagged else 'MISSING'}",
-        elapsed, {"samples": n, "failures": failures,
-                  "printed_sign_flagged": sign_flagged})
+    return (failures == 0 and worst_sum <= 1e-12 and sign_flagged,
+            f"{n} samples, {failures} root-selection failures, angle-sum "
+            f"error {worst_sum:.3e} (tol 1e-12); published first-ratio sign "
+            f"mismatch at equal weights / 100 deg "
+            f"{'reproduced' if sign_flagged else 'MISSING'}",
+            {"samples": n, "failures": failures,
+             "printed_sign_flagged": sign_flagged})
 
 
 def suite_sine_rule(n=1000, seed=808):
     """Criterion 8: weight / sin(opposite sector) is branch-independent
     and equals the corrected circumdiameter; the published form differs."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -356,20 +325,17 @@ def suite_sine_rule(n=1000, seed=808):
     printed_differs = (abs(equal.d_printed - 2.0) <= 1e-12
                        and abs(equal.d_corrected - 2.0 / math.sqrt(3.0))
                        <= 1e-12 and not equal.printed_matches)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and printed_differs
-    return SuiteResult(
-        "sine-rule-diameter", 8, ok,
-        f"{n} triples, max law-of-sines deviation {worst:.3e} (tol 1e-12); "
-        f"published equal-weight value 2 vs corrected 2/sqrt(3) "
-        f"{'documented' if printed_differs else 'MISSING'}", elapsed,
-        {"triples": n, "max_dev": worst, "printed_differs": printed_differs})
+    return (worst <= 1e-12 and printed_differs,
+            f"{n} triples, max law-of-sines deviation {worst:.3e} "
+            f"(tol 1e-12); published equal-weight value 2 vs corrected "
+            f"2/sqrt(3) {'documented' if printed_differs else 'MISSING'}",
+            {"triples": n, "max_dev": worst,
+             "printed_differs": printed_differs})
 
 
 def suite_rotation_invariance(seed=909):
     """Criterion 9: recovered weights are rotation-invariant while the
     branch constants change."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     deltas = [math.radians(d) for d in range(0, 51, 10)]
     cases = [
@@ -382,25 +348,21 @@ def suite_rotation_invariance(seed=909):
         for b in [(2.0, 3.0, 4.0), _valid_weights(rng, margin=0.05)]:
             exp = rotate_tree_experiment(surface, center, b, (0.3, 0.4, 0.5),
                                          theta0, deltas)
-            rho0 = float(surface.phi(center.u))
+            rho0 = float(surface.metric_terms_batch(center.u)[4])
             worst_w = max(worst_w, exp.weight_spread)
             min_spread = min(min_spread,
                              min(s / (1e-3 * rho0) for s in exp.clairaut_spread))
-    elapsed = time.perf_counter() - t0
-    ok = worst_w <= 1e-6 and min_spread > 1.0
-    return SuiteResult(
-        "rotation-invariance", 9, ok,
-        f"4 trees x {len(deltas)} rotations: recovered-weight spread "
-        f"{worst_w:.3e} (tol 1e-6); smallest constant spread "
-        f"{min_spread:.3g}x the 1e-3*rho floor", elapsed,
-        {"weight_spread": worst_w, "min_spread_ratio": min_spread})
+    return (worst_w <= 1e-6 and min_spread > 1.0,
+            f"4 trees x {len(deltas)} rotations: recovered-weight spread "
+            f"{worst_w:.3e} (tol 1e-6); smallest constant spread "
+            f"{min_spread:.3g}x the 1e-3*rho floor",
+            {"weight_spread": worst_w, "min_spread_ratio": min_spread})
 
 
 def suite_sphere_probe(seed=1010):
     """Criterion 10: the sphere sine-ratio probe reports deterministic
     deviations, is exact for the proportional construction, and flags
     positivity violations instead of asserting the claim."""
-    t0 = time.perf_counter()
     sphere = make_surface("sphere", radius=1.0)
     center = SurfacePoint(1.2, 0.3)
     checks = {}
@@ -443,19 +405,18 @@ def suite_sphere_probe(seed=1010):
     except UndefinedRatioError:
         checks["meridian_error"] = True
 
-    elapsed = time.perf_counter() - t0
     ok = (checks["proportional_dev"] <= 1e-6
           and checks["proportional_positive"]
           and checks["violation_flagged"]
           and checks["deterministic"]
           and checks["meridian_error"])
-    return SuiteResult(
-        "sphere-ratio-probe", 10, ok,
-        f"proportional deviation {checks['proportional_dev']:.3e} (tol 1e-6); "
-        f"positivity violation flagged: {checks['violation_flagged']}; "
-        f"deterministic report: {checks['deterministic']}; "
-        f"meridian case undefined: {checks['meridian_error']}", elapsed,
-        checks)
+    return (ok,
+            f"proportional deviation {checks['proportional_dev']:.3e} "
+            f"(tol 1e-6); positivity violation flagged: "
+            f"{checks['violation_flagged']}; deterministic report: "
+            f"{checks['deterministic']}; meridian case undefined: "
+            f"{checks['meridian_error']}",
+            checks)
 
 
 SUITES = {
@@ -474,13 +435,20 @@ SUITES = {
 
 def run_suites(names=None, report=print):
     """Run the named suites (all by default); returns the SuiteResult list."""
-    selected = list(SUITES) if names is None else list(names)
-    results = []
+    order = list(SUITES)
+    selected = order if names is None else list(names)
+    if not selected:
+        raise ValueError("no suite selected")
     for name in selected:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; "
                            f"choose from {sorted(SUITES)}")
-        result = SUITES[name]()
+    results = []
+    for name in selected:
+        t0 = time.perf_counter()
+        passed, detail, stats = SUITES[name]()
+        result = SuiteResult(name, order.index(name) + 1, bool(passed),
+                             detail, time.perf_counter() - t0, stats)
         results.append(result)
         if report is not None:
             status = "PASS" if result.passed else "FAIL"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geofermat import (ChartExitError, SolveError, SurfacePoint,
+from geofermat import (ChartExitError, ConnectOptions, SolveError, SurfacePoint,
                        UndefinedRatioError, WeightDomainError, branch_report,
                        law_of_sines_diameter, make_surface,
                        predict_clairaut_constants, rotate_tree_experiment,
@@ -208,7 +208,7 @@ class TestRotationExperiment:
         exp = rotate_tree_experiment(paraboloid, center, (2, 3, 4),
                                      (0.3, 0.4, 0.5), 1.9, deltas)
         assert exp.weight_spread <= 1e-6
-        rho0 = float(paraboloid.phi(center.u))
+        rho0 = float(paraboloid.metric_terms_batch(center.u)[4])
         assert all(s > 1e-3 * rho0 for s in exp.clairaut_spread)
         # the zero rotation reproduces the base planted tree exactly
         base = [shoot(paraboloid, center, th, L).end()
@@ -218,6 +218,19 @@ class TestRotationExperiment:
         for got, want in zip(exp.steps[0].endpoints, base):
             assert got.u == pytest.approx(want.u, abs=1e-14)
             assert got.v == pytest.approx(want.v, abs=1e-14)
+
+    def test_shots_use_the_options_tolerance(self, paraboloid):
+        """The rotated branches used to be shot at the default tolerance,
+        whatever ``shoot_tol`` the connect options gave."""
+        center = SurfacePoint(1.0, 0.2)
+        exp = rotate_tree_experiment(paraboloid, center, (2, 3, 4),
+                                     (0.3, 0.4, 0.5), 1.9, [0.0],
+                                     ConnectOptions(shoot_tol=1e-5))
+        step = exp.steps[0]
+        for th, L, got in zip(step.headings, (0.3, 0.4, 0.5),
+                              step.endpoints):
+            assert got == shoot(paraboloid, center, th, L, 1e-5).end()
+            assert got != shoot(paraboloid, center, th, L).end()
 
     def test_sphere_protocol(self, sphere):
         center = SurfacePoint(1.2, 0.5)

@@ -15,7 +15,6 @@ import geofermat.verify as verify_mod
 from geofermat import (DegenerateTreeError, ScenarioError, SurfacePoint,
                        load_scenario, shoot)
 from geofermat.scenario import Scenario, scenario_from_dict
-from geofermat.verify import SuiteResult
 
 
 def minimal_scenario(**extra):
@@ -30,6 +29,18 @@ def minimal_scenario(**extra):
         "weights": [2.0, 3.0, 4.0],
     }
     data.update(extra)
+    return data
+
+
+def all_sections_scenario():
+    """The minimal scenario with a section for each of the six commands."""
+    data = minimal_scenario(
+        shoot={"from": "A1", "heading": 0.3, "length": 0.5},
+        connect={"from": "A1", "to": "A2"},
+        inverse={"angles": [{"deg": 120.0}] * 3},
+        experiment={"center": "C", "theta0": 0.7, "lengths": [0.3, 0.4, 0.5],
+                    "deltas": [0.0]})
+    data["points"]["C"] = {"u": 1.2, "v": 0.5}
     return data
 
 
@@ -277,6 +288,66 @@ class TestRun:
             csv = (tmp_path / "p" / f"branch_{i}.csv").read_text()
             assert csv.splitlines()[0] == \
                 "s,u,v,du,dv,x,y,z,clairaut_c"
+
+    @pytest.mark.parametrize("command,files", [
+        ("shoot", ["shoot.csv"]),
+        ("connect", ["connect.csv"]),
+        ("fermat-solve", ["branch_1.csv", "branch_2.csv", "branch_3.csv"]),
+        ("clairaut-report", ["branch_1.csv", "branch_2.csv", "branch_3.csv"]),
+        ("fermat-inverse", []),
+        ("rotate-experiment", []),
+    ])
+    def test_paths_written_for_each_command(self, tmp_path, command, files):
+        scn = scenario_from_dict(all_sections_scenario())
+        code, _ = cli.run(command, scn, paths_dir=tmp_path / "p")
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "p").glob("*")) == files
+        for name in files:
+            header = (tmp_path / "p" / name).read_text().splitlines()[0]
+            assert header == "s,u,v,du,dv,x,y,z,clairaut_c"
+
+    @pytest.mark.parametrize("command", ["fermat-solve", "clairaut-report",
+                                         "rotate-experiment"])
+    def test_missing_weights_is_config_error(self, command):
+        data = all_sections_scenario()
+        del data["weights"]
+        code, report = cli.run(command, scenario_from_dict(data))
+        assert code == 1
+        assert report["error"]["kind"] == "ScenarioError"
+        assert report["error"]["message"].startswith("weights: ")
+
+    @pytest.mark.parametrize("path,command,wrong_length,length_field", [
+        (("weights",), "fermat-solve", [1.0, 2.0], "weights"),
+        (("fermat_points",), "fermat-solve", ["A1", "A2"], "fermat_points"),
+        # an empty list reaches the range check of ConnectOptions
+        (("options", "windings"), "connect", [], "options"),
+        (("inverse", "angles"), "fermat-inverse", [0.1, 0.2],
+         "inverse.angles"),
+        (("experiment", "lengths"), "rotate-experiment", [0.3, 0.4],
+         "experiment.lengths"),
+        (("experiment", "deltas"), "rotate-experiment", [],
+         "experiment.deltas"),
+    ], ids=["weights", "fermat_points", "windings", "inverse.angles",
+            "experiment.lengths", "experiment.deltas"])
+    def test_list_field_errors_name_the_field(self, path, command,
+                                              wrong_length, length_field):
+        def error_field(value):
+            data = all_sections_scenario()
+            data.setdefault("options", {})
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            try:
+                scn = scenario_from_dict(data)
+            except ScenarioError as exc:
+                return exc.field
+            code, report = cli.run(command, scn)
+            assert code == 1
+            return report["error"]["message"].split(": ")[0]
+
+        assert error_field(5) == ".".join(path)
+        assert error_field(wrong_length) == length_field
 
     def test_fermat_inverse_angles(self):
         scn = scenario_from_dict(minimal_scenario(
@@ -547,16 +618,33 @@ class TestVerifyCommand:
 
     def test_failing_suite_maps_to_exit_3(self, monkeypatch):
         def broken():
-            return SuiteResult("broken", 99, False, "synthetic failure",
-                               0.0, {})
+            return False, "synthetic failure", {}
         monkeypatch.setitem(verify_mod.SUITES, "broken", broken)
         code, report = cli.run("verify", None, suites=["broken"])
         assert code == 3
-        assert not report["results"]["verify"][0]["passed"]
+        row = report["results"]["verify"][0]
+        assert not row["passed"]
+        # named by its key and numbered by its place in SUITES
+        assert (row["name"], row["criterion"]) == ("broken",
+                                                   len(verify_mod.SUITES))
 
     def test_unknown_suite_is_config_error(self):
         code, report = cli.run("verify", None, suites=["no-such-suite"])
         assert code == 1
+
+    def test_empty_suite_selection_is_config_error(self, capsys):
+        """``--suite ,`` used to run no suite and pass."""
+        assert cli.main(["verify", "--suite", ","]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["kind"] == "ValueError"
+        assert report["results"] == {}
+
+    def test_empty_suite_option_means_all(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify_mod, "SUITES",
+                            {"only": lambda: (True, "fine", {"n": 1})})
+        assert cli.main(["verify", "--suite", ""]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["verify"]
+        assert [(r["name"], r["criterion"]) for r in rows] == [("only", 1)]
 
 
 class TestBundledScenarios:
@@ -602,8 +690,8 @@ class TestMain:
     def test_non_finite_report_is_numerical_failure(self, tmp_path, capsys,
                                                     monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "shoot",
-                            lambda scn, paths_dir, warnings:
-                            {"path": {"length": float("nan")}})
+                            lambda scn, warnings:
+                            ({"path": {"length": float("nan")}}, []))
         scn_path = tmp_path / "s.json"
         scn_path.write_text(json.dumps(minimal_scenario(
             shoot={"from": "A1", "heading": 0.3, "length": 0.5})))
@@ -613,6 +701,30 @@ class TestMain:
         assert "Traceback" not in out.out + out.err
         report = json.loads(out.out, parse_constant=_reject_constant)
         assert report["error"]["kind"] == "NonFiniteResult"
+        assert report["results"] == {}
+
+    def test_out_into_missing_directory_exits_1(self, tmp_path, capsys):
+        """An --out that cannot be written used to end in a traceback."""
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(all_sections_scenario()))
+        code = cli.main(["shoot", "--scenario", str(scn_path),
+                         "--out", str(tmp_path / "missing" / "r.json")])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        err = json.loads(out.err, parse_constant=_reject_constant)["error"]
+        assert err["kind"] == "FileNotFoundError"
+
+    def test_paths_naming_a_file_exits_1(self, tmp_path, capsys):
+        """A --paths that names a regular file used to end in a traceback."""
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(all_sections_scenario()))
+        code = cli.main(["shoot", "--scenario", str(scn_path),
+                         "--paths", str(scn_path)])
+        out = capsys.readouterr()
+        assert code == 1
+        report = json.loads(out.out, parse_constant=_reject_constant)
+        assert report["error"]["kind"] == "FileExistsError"
         assert report["results"] == {}
 
     def test_missing_scenario_file(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ def _catenoid_table(n):
 class TestCatalogue:
     def test_sphere_chart(self, sphere):
         assert sphere.u_min == 0.0 and sphere.u_max == math.pi
-        assert np.isclose(sphere.phi(math.pi / 2), 1.0)
+        assert np.isclose(sphere.metric_terms_batch(math.pi / 2)[4], 1.0)
         assert sphere.axis_guard == pytest.approx(1e-6)
 
     def test_cylinder_zero_radius_rejected(self):
