@@ -283,6 +283,15 @@ COMMANDS = (*_HANDLERS, "verify")
 _NEEDS_WEIGHTS = {"fermat-solve", "clairaut-report", "rotate-experiment"}
 
 
+def _error(exc) -> dict:
+    """A report's ``error``: the exception's kind and message, and the
+    field a ScenarioError names ("" for none)."""
+    error = {"kind": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ScenarioError):
+        error["field"] = exc.field
+    return error
+
+
 def _digest(raw: dict) -> str:
     blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -331,11 +340,9 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
         else:
             raise ScenarioError(f"unknown command {command!r}")
     except (ValueError, KeyError, OSError) as exc:  # ScenarioError, --paths
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        exit_code = 1
+        report["error"], exit_code = _error(exc), 1
     except (SolveError, ChartExitError, UndefinedRatioError) as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        exit_code = 2
+        report["error"], exit_code = _error(exc), 2
     report["wall_time_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
     return exit_code, report
 
@@ -377,9 +384,7 @@ def main(argv=None) -> int:
         try:
             scenario = load_scenario(args.scenario)
         except ScenarioError as exc:
-            payload = json.dumps({"error": {"kind": "ScenarioError",
-                                            "message": str(exc),
-                                            "field": exc.field}}, indent=2)
+            payload = json.dumps({"error": _error(exc)}, indent=2)
             print(payload, file=sys.stderr)
             if args.out:
                 _save(payload, args.out)

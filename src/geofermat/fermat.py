@@ -14,7 +14,10 @@ and conversely the normalised weights are recovered from measured sector
 angles through the law of sines (each weight is proportional to the sine
 of the sector opposite its branch).
 
-The solver iterates on the residual ``R = sum b_i U_i``, the negative
+The solve starts at the heaviest terminal A_i, where the floating test's
+arcs map the terminals into the tangent plane, to ``{0, L_ij U_ij,
+L_ik U_ik}``; the first step aims at their planar weighted Fermat point.
+It then iterates on the residual ``R = sum b_i U_i``, the negative
 gradient of f wherever the minimal geodesics are unique.  Each step is
 the Newton step of the exact Hessian ``sum b_i (m2_i / m1_i)(I - U_i U_i^T)``,
 with ``m1``, ``m2`` the Jacobi scalars at the end of branch i (``1 / L_i``
@@ -32,6 +35,7 @@ branch are computed once per accepted point and shared by its Newton
 step and by the prediction of every trial from it.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +59,7 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60     # halvings of a Weiszfeld step
+_WEISZFELD_ITER = 100    # planar Weiszfeld iterations of the start
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,6 @@ class FermatOptions:
     grad_tol: float | None = None      # default 1e-8 * (b1 + b2 + b3)
     angle_tol: float = 1e-5
     max_iter: int = 500
-    initial: SurfacePoint | None = None
     connect: ConnectOptions = field(
         default_factory=lambda: ConnectOptions(resid_tol=1e-12))
 
@@ -273,33 +277,15 @@ class FermatResult:
     f_history: tuple
 
 
-def _initial_point(surface, pts, weights):
-    b = weights.astuple()
-    total = sum(b)
-    # the copy of each terminal nearest the first one
-    vs = [pts[0].v + math.remainder(p.v - pts[0].v, TWO_PI) for p in pts]
-    u = sum(bi * p.u for bi, p in zip(b, pts)) / total
-    v = sum(bi * vv for bi, vv in zip(b, vs)) / total
-    u = min(max(u, surface.u_min), surface.u_max)
-    try:
-        return surface.check_point(SurfacePoint(u, v))
-    except OffChartError as exc:
-        raise SolveError(
-            "default initial point falls outside the chart; "
-            "pass FermatOptions(initial=...)") from exc
-
-
 def _branch_data(surface, p, pts, warm, opts):
-    """Connect p to each terminal and return the paths: cold in one batch,
-    or warm, one connect per branch.  ``warm[i]`` is ``(winding, theta,
-    length)``: the winding of branch i before the step d, whose copy of the
-    terminal the connect aims at, and the start ``_predicted_start`` puts
-    it at, not the old one: the old length less ``<U_i, d>``, and the old
-    heading turned by ``-(m2_i / m1_i) <N_i, d>`` and by the chart frame's
-    turn along the step shot.  A start that fails to converge falls back
-    to a cold connect."""
-    if warm is None:
-        return connect_geodesics(surface, [(p, t) for t in pts], opts.connect)
+    """Connect p to each terminal, warm, one connect per branch, and return
+    the paths.  ``warm[i]`` is ``(winding, theta, length)``: the winding of
+    branch i before the step d, whose copy of the terminal the connect aims
+    at, and the start ``_predicted_start`` puts it at, not the old one: the
+    old length less ``<U_i, d>``, and the old heading turned by
+    ``-(m2_i / m1_i) <N_i, d>`` and by the chart frame's turn along the
+    step shot.  A start that fails to converge falls back to a cold
+    connect."""
     paths = []
     for t, (winding, theta, length) in zip(pts, warm):
         path = connect_geodesic(
@@ -321,7 +307,11 @@ def _predicted_start(path, jac, d_par, d_mer, turn):
     is ``path.jacobi()``), so the heading turns by that much against a
     parallel frame; ``turn`` carries it into the chart frame at the moved
     point.  A branch at or past its conjugate point (``m1 <= 0``) keeps
-    its old heading."""
+    its old heading.  A branch of length 0, to the point the step leaves,
+    is the step reversed."""
+    if not path.length > 0.0:
+        return (math.remainder(math.atan2(d_mer, d_par) + turn + math.pi,
+                               TWO_PI), math.hypot(d_par, d_mer))
     t_par, t_mer = path.start_unit_tangent()
     length = path.length - (t_par * d_par + t_mer * d_mer)
     m1, _, m2, _ = jac
@@ -363,27 +353,24 @@ def _newton_step(paths, jac, b, r_par, r_mer):
 
 
 def _trial(surface, p, theta, length, pts, warm, b, opts):
-    """Shoot from p and connect the end point to the terminals: cold when
-    ``warm`` is None, else warm from ``warm = (paths, jac)``, the branches
-    at p and their Jacobi scalars, each started where
-    ``_predicted_start`` puts it.  Returns ``(point, paths, f)``, or None
-    when the end point leaves the chart, lands on a terminal or fails to
-    connect."""
+    """Shoot from p and connect the end point to the terminals, warm from
+    ``warm = (paths, jac)``, the branches at p and their Jacobi scalars,
+    each started where ``_predicted_start`` puts it.  Returns
+    ``(point, paths, f)``, or None when the end point leaves the chart,
+    lands on a terminal or fails to connect."""
     try:
         step = shoot(surface, p, theta, length, opts.connect.shoot_tol)
         q = step.end()
         surface.check_point(q)
         if any(q.coincides(t) for t in pts):
             return None
-        starts = None
-        if warm is not None:
-            d_par, d_mer = length * math.cos(theta), length * math.sin(theta)
-            # both headings lie in [-pi, pi]; wrapped, their difference is
-            # the small turn, not the turn plus or minus 2 pi
-            turn = math.remainder(step.theta_end - step.theta_start, TWO_PI)
-            starts = [(path.winding,
-                       *_predicted_start(path, jac, d_par, d_mer, turn))
-                      for path, jac in zip(*warm)]
+        d_par, d_mer = length * math.cos(theta), length * math.sin(theta)
+        # both headings lie in [-pi, pi]; wrapped, their difference is the
+        # small turn, not the turn plus or minus 2 pi
+        turn = math.remainder(step.theta_end - step.theta_start, TWO_PI)
+        starts = [(path.winding,
+                   *_predicted_start(path, jac, d_par, d_mer, turn))
+                  for path, jac in zip(*warm)]
         paths = _branch_data(surface, q, pts, starts, opts)
     except (SolveError, ChartExitError, OffChartError):
         return None
@@ -403,21 +390,24 @@ def _descend(surface, p, theta, lam, f_cur, pts, warm, b, opts):
         f"in none of {_MAX_BACKTRACKS} halvings")
 
 
-def _leave_terminal(surface, pts, b, regime, i, opts):
-    """Step off terminal i along the pull ``b_j U_j + b_k U_k`` of the
-    other two branches, by their Weiszfeld length shortened by i's margin
-    (positive in interior mode, so f drops).  Returns the new point, its
-    paths and f before and after the step."""
-    others = [j for j in range(3) if j != i]
-    arms = [_vertex_branch(surface, pts, regime.arcs, i, j, opts.connect)
-            for j in others]
-    b_arms = [b[j] for j in others]
-    pull_par, pull_mer = _residual(arms, b_arms)
-    lam = regime.margins[i] / sum(bj / a.length for bj, a in zip(b_arms, arms))
-    f_start = sum(bj * a.length for bj, a in zip(b_arms, arms))
-    q, paths, f = _descend(surface, pts[i], math.atan2(pull_mer, pull_par),
-                           lam, f_start, pts, None, b, opts)
-    return q, paths, [f_start, f]
+def _leave_terminal(surface, pts, b, i, arms, f_i, opts):
+    """The first step, off terminal i toward the planar Fermat point of its
+    ``arms``, by Weiszfeld's iteration from their weighted centroid, halved
+    until f drops below its value ``f_i`` at A_i.  Its branches to A_j and
+    A_k start where ``_predicted_start`` moves the arms, the one back to
+    A_i at the step reversed."""
+    # the tangent plane's unit frame as the complex plane, par + i mer
+    zs = [arm.length * cmath.exp(1j * arm.theta_start) for arm in arms]
+    y = sum(bj * z for bj, z in zip(b, zs)) / sum(b)
+    for _ in range(_WEISZFELD_ITER):
+        if y in zs:
+            break
+        w = [bj / abs(y - z) for bj, z in zip(b, zs)]
+        y, y_old = sum(wj * z for wj, z in zip(w, zs)) / sum(w), y
+        if abs(y - y_old) <= 1e-12 * abs(y):
+            break
+    return _descend(surface, pts[i], cmath.phase(y), abs(y), f_i, pts,
+                    (arms, [arm.jacobi() for arm in arms]), b, opts)
 
 
 def _vertex_branch(surface, pts, arcs, i, j, opts):
@@ -446,8 +436,9 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     Each iteration keeps the Newton step of the exact Hessian (from the
     branches' Jacobi scalars) when it lowers the residual without raising
     ``f = sum b_i d(P, A_i)`` beyond the length noise, and otherwise takes
-    the Weiszfeld step, halved until f strictly drops.  A start on a terminal first steps off it along the pull of
-    the other two branches.
+    the Weiszfeld step, halved until f strictly drops.  The first step
+    leaves the heaviest terminal toward the planar Fermat point of the
+    floating test's arcs from it, mapped into its tangent plane.
     """
     opts = opts or FermatOptions()
     w = as_weights(weights)
@@ -458,23 +449,19 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     f_noise = w.total * opts.connect.resid_tol
 
     regime = floating_test(surface, pts, w, opts.connect)
+    # the vertex, or the heaviest terminal, where the interior solve starts;
+    # the floating test already connected it to the others
+    i = (regime.vertex_index if regime.mode == "vertex"
+         else max(range(3), key=b.__getitem__))
+    arms = [_vertex_branch(surface, pts, regime.arcs, i, j, opts.connect)
+            for j in range(3)]
+    f_i = sum(bj * arm.length for bj, arm in zip(b, arms))
     if regime.mode == "vertex":
-        i = regime.vertex_index
-        # the floating test already connected the winner to the others
-        branches = [_vertex_branch(surface, pts, regime.arcs, i, j,
-                                   opts.connect) for j in range(3)]
-        f_val = sum(b[j] * branches[j].length for j in range(3) if j != i)
-        return FermatResult(pts[i], tuple(branches), f_val,
-                            -regime.margins[i], None, "vertex", i, 0, (f_val,))
+        return FermatResult(pts[i], tuple(arms), f_i, -regime.margins[i],
+                            None, "vertex", i, 0, (f_i,))
 
-    p = opts.initial or _initial_point(surface, pts, w)
-    i = next((i for i, t in enumerate(pts) if p.coincides(t)), None)
-    if i is not None:
-        p, paths, history = _leave_terminal(surface, pts, b, regime, i, opts)
-    else:
-        paths = _branch_data(surface, p, pts, None, opts)
-        history = [sum(bi * path.length for bi, path in zip(b, paths))]
-    f_cur = history[-1]
+    p, paths, f_cur = _leave_terminal(surface, pts, b, i, arms, f_i, opts)
+    history = [f_i, f_cur]
 
     for _ in range(opts.max_iter):
         r_par, r_mer = _residual(paths, b)

@@ -344,7 +344,7 @@ class TestRun:
                 return exc.field
             code, report = cli.run(command, scn)
             assert code == 1
-            return report["error"]["message"].split(": ")[0]
+            return report["error"]["field"]
 
         assert error_field(5) == ".".join(path)
         assert error_field(wrong_length) == length_field
@@ -393,6 +393,16 @@ class TestRun:
         code, report = cli.run("shoot", scn)
         assert code == 1
         assert report["error"]["kind"] == "ScenarioError"
+        assert report["error"]["field"] == "shoot"
+
+    def test_scenario_error_without_field_reports_empty_field(self):
+        """A ScenarioError raised while a command runs carries ``field``
+        like one raised while the scenario loads; it used to be missing."""
+        code, report = cli.run("shoot", None)
+        assert code == 1
+        assert report["error"] == {"kind": "ScenarioError", "field": "",
+                                   "message": "this command requires "
+                                              "--scenario"}
 
     @pytest.mark.parametrize("command,section,value", [
         ("shoot", "shoot", []),

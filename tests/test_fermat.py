@@ -284,6 +284,12 @@ class TestSolveFermat:
         assert res.mode == "interior"
         f = res.f_history
         assert len(f) >= 3 and res.iterations == len(f) - 1
+        # f starts at the heaviest terminal, A2, from the floating test's
+        # arcs, and the step off it lowers f
+        arcs = floating_test(paraboloid, pts, b).arcs
+        assert f[0] == pytest.approx(
+            b[0] * arcs[0, 1].length + b[2] * arcs[1, 2].length, abs=1e-12)
+        assert f[1] < f[0]
         assert f[-1] < f[0]
         # a Newton step may raise f by the geodesic-length noise at most
         noise = sum(b) * FermatOptions().connect.resid_tol
@@ -336,11 +342,17 @@ class TestSolveFermat:
             raise AssertionError("vertex mode made a single connect")
 
         monkeypatch.setattr(fermat_mod, "connect_geodesics", counted)
+        pairs = [(pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])]
+        # an interior solve steps off a terminal along these arcs, so its
+        # only batch is the floating test's too; its branches are warm
+        interior = solve_fermat(sphere, pts, (1.0, 1.0, 1.0))
+        assert interior.mode == "interior"
+        assert batches == [pairs]
+        batches.clear()
         monkeypatch.setattr(fermat_mod, "connect_geodesic", no_single)
         res = solve_fermat(sphere, pts, b)
         # the floating test's three pairs, in one batch, and nothing else
-        assert batches == [[(pts[0], pts[1]), (pts[0], pts[2]),
-                            (pts[1], pts[2])]]
+        assert batches == [pairs]
         assert res.mode == "vertex" and res.vertex_index == 2
         assert res.point == pts[2]
         # both branches from the vertex were stored the other way round
@@ -392,14 +404,6 @@ class TestSolveFermat:
                     {"angle_tol": math.nan}):
             with pytest.raises(ValueError):
                 FermatOptions(**bad)
-
-    def test_explicit_initial_point(self, paraboloid):
-        pts = self.interior_points(paraboloid)
-        res = solve_fermat(paraboloid, pts, (1, 1, 1),
-                           FermatOptions(initial=SurfacePoint(1.2, 0.1)))
-        base = solve_fermat(paraboloid, pts, (1, 1, 1))
-        assert res.point.u == pytest.approx(base.point.u, abs=1e-7)
-        assert res.point.v == pytest.approx(base.point.v, abs=1e-7)
 
 
 class TestVertexRegimeBruteForce:
@@ -552,6 +556,19 @@ class TestPredictedStart:
         assert fermat_mod._predicted_start(short, short.jacobi(), d_par,
                                            d_mer, 0.05)[0] != short.theta_start
 
+    def test_zero_length_branch_is_the_step_reversed(self, paraboloid):
+        """The branch to the point a step leaves starts at the step's
+        reversed end heading, with the step's length."""
+        P = SurfacePoint(1.1, 0.2)
+        here = shoot(paraboloid, P, 0.0, 0.0)
+        step = shoot(paraboloid, P, 2.5, 0.3)
+        theta, length = fermat_mod._predicted_start(
+            here, here.jacobi(), 0.3 * math.cos(2.5), 0.3 * math.sin(2.5),
+            step.theta_end - step.theta_start)
+        assert abs(math.remainder(theta - step.reversed_heading(),
+                                  TWO_PI)) <= 1e-12
+        assert length == pytest.approx(0.3, abs=1e-15)
+
 
 class TestWarmConnectWork:
     """Predicted starts cut the Newton shots of each warm connect and
@@ -567,6 +584,14 @@ class TestWarmConnectWork:
         count = {"warm": 0, "shots": 0, "inside": False}
         real_shoot = connect_mod.shoot
         real_connect = fermat_mod.connect_geodesic
+        real_start = fermat_mod._predicted_start
+
+        def old_start_fn(path, *args):
+            # the first step, off a terminal, keeps its predicted starts;
+            # the loop's trials start each branch where it was
+            if any(path.start().coincides(t) for t in pts):
+                return real_start(path, *args)
+            return path.theta_start, path.length
 
         def shoot_counted(*args, **kwargs):
             count["shots"] += count["inside"]
@@ -586,8 +611,7 @@ class TestWarmConnectWork:
             m.setattr(connect_mod, "shoot", shoot_counted)
             m.setattr(fermat_mod, "connect_geodesic", connect_counted)
             if old_start:
-                m.setattr(fermat_mod, "_predicted_start",
-                          lambda path, *args: (path.theta_start, path.length))
+                m.setattr(fermat_mod, "_predicted_start", old_start_fn)
             res = solve_fermat(surface, pts, b)
         return res, count
 
