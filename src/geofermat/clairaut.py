@@ -115,6 +115,14 @@ def alpha1_window(weights) -> tuple:
     return lo, hi
 
 
+def _layout_constants(alpha1, phi_12, phi_31, rho0):
+    """The three branch angles of the clockwise layout,
+    ``(alpha1, pi + alpha1 - phi_12, alpha1 - pi + phi_31)``, and their
+    constants ``c_i = rho0 cos(alpha_i)``."""
+    alphas = (alpha1, math.pi + alpha1 - phi_12, alpha1 - math.pi + phi_31)
+    return alphas, tuple(rho0 * math.cos(a) for a in alphas)
+
+
 def predict_clairaut_constants(weights, alpha1: float,
                                rho0: float) -> PredictedConstants:
     """Branch constants from the weights and the first branch angle.
@@ -130,12 +138,9 @@ def predict_clairaut_constants(weights, alpha1: float,
     if not 0.5 * math.pi < alpha1 < math.pi:
         raise ValueError(
             f"alpha1 = {alpha1!r} outside the admissible window (pi/2, pi)")
-    phi_12, phi_23, phi_31 = sector_angles_from_weights(w)
-    alpha2 = math.pi + alpha1 - phi_12
-    alpha3 = alpha1 - math.pi + phi_31
-    c1 = rho0 * math.cos(alpha1)
-    c2 = rho0 * math.cos(alpha2)
-    c3 = rho0 * math.cos(alpha3)
+    phi_12, _, phi_31 = sector_angles_from_weights(w)
+    alphas, constants = _layout_constants(alpha1, phi_12, phi_31, rho0)
+    _, alpha2, alpha3 = alphas
 
     tan1 = abs(math.tan(alpha1))
     w21 = triangle_cosine(b1, b2, b3)
@@ -152,9 +157,8 @@ def predict_clairaut_constants(weights, alpha1: float,
     c2_root = "minus" if e2[0] <= e2[1] else "plus"
     c3_root = "minus" if e3[0] <= e3[1] else "plus"
 
-    return PredictedConstants(alpha1, alpha2, alpha3, c1, c2, c3,
-                              c2_roots, c3_roots, c2_root, c3_root,
-                              min(e2), min(e3))
+    return PredictedConstants(*alphas, *constants, c2_roots, c3_roots,
+                              c2_root, c3_root, min(e2), min(e3))
 
 
 @dataclass(frozen=True)
@@ -318,10 +322,8 @@ def branch_report(surface: ProfileSurface, center: SurfacePoint, branches,
         except WeightDomainError as exc:
             note = f"prediction unavailable: {exc}"
         else:
-            a2 = math.pi + alpha1_eff - sectors[0]
-            a3 = alpha1_eff - math.pi + sectors[2]
-            measured_pf = (rho0 * math.cos(alpha1_eff), rho0 * math.cos(a2),
-                           rho0 * math.cos(a3))
+            _, measured_pf = _layout_constants(alpha1_eff, sectors[0],
+                                               sectors[2], rho0)
             deviation = tuple(abs(m - c) for m, c in zip(
                 measured_pf, (predicted.c1, predicted.c2, predicted.c3)))
 
@@ -370,6 +372,11 @@ class RotationExperiment:
     clairaut_spread: tuple
 
 
+def _spread(rows):
+    """Max minus min of each column of ``rows``."""
+    return tuple(max(col) - min(col) for col in zip(*rows))
+
+
 def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
                            weights, lengths, theta0: float, delta_list,
                            connect_opts=None) -> RotationExperiment:
@@ -377,21 +384,25 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
     recover the weights from each rotated copy.  The branches are shot at
     ``connect_opts.shoot_tol``.
 
-    Raises SolveError if any recovered weight triple deviates from the
-    normalised input by more than 1e-6 or a rotated tree's measured
-    headings are degenerate; raises ChartExitError if a rotated branch
-    leaves the chart.
+    Raises ValueError unless there are three positive lengths and at least
+    one rotation; raises SolveError if any recovered weight triple deviates
+    from the normalised input by more than 1e-6 or a rotated tree's
+    measured headings are degenerate; raises ChartExitError if a rotated
+    branch leaves the chart.
     """
     w = as_weights(weights)
     lengths = tuple(float(x) for x in lengths)
     if len(lengths) != 3 or min(lengths) <= 0.0:
         raise ValueError("three positive branch lengths are required")
+    deltas = tuple(float(d) for d in delta_list)
+    if not deltas:
+        raise ValueError("at least one rotation is required")
     phi_12, phi_23, _ = sector_angles_from_weights(w)
     fractions = w.normalized()
     tol = DEFAULT_TOL if connect_opts is None else connect_opts.shoot_tol
 
     steps = []
-    for delta in delta_list:
+    for delta in deltas:
         headings = (theta0 + delta,
                     theta0 + delta + phi_12,
                     theta0 + delta + phi_12 + phi_23)
@@ -409,18 +420,11 @@ def rotate_tree_experiment(surface: ProfileSurface, center: SurfacePoint,
             raise SolveError(
                 f"recovered weights deviate by {err:.3e} at rotation "
                 f"{delta!r} (tolerance {_WEIGHT_TOL})")
-        steps.append(RotationStep(float(delta), headings, endpoints,
+        steps.append(RotationStep(delta, headings, endpoints,
                                   recovered, err,
                                   tuple(path.c_nominal for path in paths)))
 
-    spread = tuple(
-        max(st.clairaut[i] for st in steps) - min(st.clairaut[i]
-                                                  for st in steps)
-        for i in range(3))
-    weight_spread = max(
-        (max(st.recovered_weights[i] for st in steps)
-         - min(st.recovered_weights[i] for st in steps))
-        for i in range(3)) if steps else 0.0
-    return RotationExperiment(center, fractions, theta0, lengths,
-                              tuple(float(d) for d in delta_list),
-                              tuple(steps), weight_spread, spread)
+    return RotationExperiment(
+        center, fractions, theta0, lengths, deltas, tuple(steps),
+        max(_spread(st.recovered_weights for st in steps)),
+        _spread(st.clairaut for st in steps))

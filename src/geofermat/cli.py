@@ -168,15 +168,8 @@ def _cmd_fermat_inverse(scn: Scenario, warnings):
 
 
 def _report_dict(rep):
-    probe = None
-    if rep.sphere_probe is not None:
-        probe = {
-            "ratios": list(rep.sphere_probe.ratios),
-            "weight_fractions": list(rep.sphere_probe.weight_fractions),
-            "deviations": list(rep.sphere_probe.deviations),
-            "all_positive": rep.sphere_probe.all_positive,
-            "sine_sum": rep.sphere_probe.sine_sum,
-        }
+    # the keys of "branches" and "sphere_probe" are the fields of
+    # BranchConstants and SineRatioProbe; renaming one changes the report
     predicted = None
     if rep.predicted is not None:
         predicted = {
@@ -199,14 +192,11 @@ def _report_dict(rep):
         "rho0": rep.rho0,
         "orientation": rep.orientation,
         "sector_angles": list(rep.sector_angles),
-        "branches": [
-            {"theta": br.theta, "alpha": br.alpha, "beta": br.beta,
-             "c_cos": br.c_cos, "c_sin": br.c_sin}
-            for br in rep.branches
-        ],
+        "branches": [dict(vars(br)) for br in rep.branches],
         "prediction": predicted,
         "prediction_note": rep.predicted_note,
-        "sphere_probe": probe,
+        "sphere_probe": (None if rep.sphere_probe is None
+                         else dict(vars(rep.sphere_probe))),
         "sphere_note": rep.sphere_note,
     }
 
@@ -259,15 +249,9 @@ def _cmd_rotate_experiment(scn: Scenario, warnings):
         "deltas": list(exp.deltas),
         "weight_spread": exp.weight_spread,
         "clairaut_spread": list(exp.clairaut_spread),
-        "steps": [
-            {"delta": st.delta,
-             "headings": list(st.headings),
-             "endpoints": [_point_dict(p) for p in st.endpoints],
-             "recovered_weights": list(st.recovered_weights),
-             "recovery_error": st.recovery_error,
-             "clairaut": list(st.clairaut)}
-            for st in exp.steps
-        ],
+        "steps": [dict(vars(st), endpoints=[_point_dict(p)
+                                            for p in st.endpoints])
+                  for st in exp.steps],
     }}, []
 
 

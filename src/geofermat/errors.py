@@ -33,18 +33,7 @@ class DegenerateTreeError(ValueError):
 
 
 class WeightDomainError(ValueError):
-    """Weights admit no interior branching point.
-
-    Attributes
-    ----------
-    dominant : int or None
-        Zero-based index of the weight that violates the triangle
-        inequality, when that is the cause.
-    """
-
-    def __init__(self, message: str, dominant=None):
-        super().__init__(message)
-        self.dominant = dominant
+    """Weights admit no interior branching point."""
 
 
 class UndefinedRatioError(RuntimeError):

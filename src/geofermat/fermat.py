@@ -108,8 +108,7 @@ def sector_angles_from_weights(weights):
         if not -1.0 < arg < 1.0:
             dom = 1 + max(range(3), key=lambda i: (b1, b2, b3)[i])
             raise WeightDomainError(
-                f"vertex regime: weight b{dom} dominates, no interior tree",
-                dominant=dom - 1)
+                f"vertex regime: weight b{dom} dominates, no interior tree")
         return math.acos(arg)
 
     return ang(b1, b2, b3), ang(b2, b3, b1), ang(b3, b1, b2)
@@ -210,19 +209,14 @@ def floating_test(surface: ProfileSurface, points, weights,
         back = arc.reversed_heading()
         tangents[j, i] = (math.cos(back), math.sin(back))
 
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        tj, tk = tangents[i, j], tangents[i, k]
-        cross = tj[0] * tk[1] - tj[1] * tk[0]
-        if abs(cross) <= 1e-9:
-            raise DegenerateTreeError(
-                "terminals lie on one geodesic (departure tangents are "
-                f"parallel at terminal {i + 1})")
-
     margins = []
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
         tj, tk = tangents[i, j], tangents[i, k]
+        if abs(tj[0] * tk[1] - tj[1] * tk[0]) <= 1e-9:
+            raise DegenerateTreeError(
+                "terminals lie on one geodesic (departure tangents are "
+                f"parallel at terminal {i + 1})")
         pull = math.hypot(b[j] * tj[0] + b[k] * tk[0],
                           b[j] * tj[1] + b[k] * tk[1])
         margins.append(pull - b[i])

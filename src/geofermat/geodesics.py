@@ -404,6 +404,8 @@ def shoot(surface: ProfileSurface, p: SurfacePoint, theta: float, length: float,
         raise ValueError(f"length must be finite and nonnegative, got {length!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"heading must be finite, got {theta!r}")
     E0, G0, _, _, phi0 = launch = surface.metric_terms(p.u)
     a_par, a_mer = math.cos(theta), math.sin(theta)
     c0 = phi0 * a_par

@@ -184,18 +184,6 @@ def _torus_fns(R, r):
     return metric, meridian, curvature
 
 
-def _plane_fns():
-    def metric(xp, u):
-        zero = 0.0 * u
-        return 1.0 + zero, u * u, zero, 2.0 * u, u
-
-    def meridian(xp, u):
-        zero = 0.0 * u
-        return zero, zero
-
-    return metric, meridian, _flat
-
-
 class _Spline:
     """C2 not-a-knot splines through the (u, phi, psi) samples, evaluated by
     Horner's rule on the stored coefficients of the interval holding u."""
@@ -326,6 +314,8 @@ class ProfileSurface:
         if self._metric(math, p.u)[4] <= self.axis_guard:
             raise OffChartError(
                 f"phi(u) <= axis guard {self.axis_guard} at u={p.u!r}")
+        if not math.isfinite(p.v):
+            raise OffChartError(f"v={p.v!r} is not finite")
         return p
 
     # -- metric and embedding ---------------------------------------------
@@ -390,7 +380,8 @@ _KINDS = {
     "torus": (("R", "r"), _torus_fns,
               lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R),
               lambda R, r: (R - r, False)),
-    "plane": ((), _plane_fns, lambda: (0.0, 50.0, 1e-6), lambda: (0.0, True)),
+    "plane": ((), lambda: _cone_fns(0.0), lambda: (0.0, 50.0, 1e-6),
+              lambda: (0.0, True)),
     "custom": (("samples",), _custom_fns,
                lambda rows: (rows[0, 0], rows[-1, 0], 1e-6),
                lambda rows: (0.0, False)),
@@ -434,6 +425,7 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     custom     samples: rows of (u,phi,psi) C2 not-a-knot spline
     ========== ============================ ==========================
 
+    The plane is the cone of slope 0 on its own chart, u in [0, 50].
     Every listed parameter is required and no other is accepted.  Numbers
     must be finite and, but for the cone's slope, positive.  A custom chart
     defaults to the span of its sample ``u``.  ``u_min``/``u_max``/

@@ -252,3 +252,10 @@ class TestRotationExperiment:
         with pytest.raises(ValueError):
             rotate_tree_experiment(paraboloid, SurfacePoint(1.0, 0.0),
                                    (2, 3, 4), (0.3, -0.1, 0.5), 0.0, [0.0])
+
+    def test_no_rotations_rejected(self, paraboloid):
+        """An empty rotation list used to fail in the spread with
+        ``max() arg is an empty sequence``."""
+        with pytest.raises(ValueError, match="at least one rotation"):
+            rotate_tree_experiment(paraboloid, SurfacePoint(1.0, 0.0),
+                                   (2, 3, 4), (0.3, 0.4, 0.5), 0.0, [])

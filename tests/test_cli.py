@@ -676,12 +676,49 @@ class TestBundledScenarios:
         ("cylinder_pair.json", "connect"),
         ("rotate_paraboloid.json", "rotate-experiment"),
         ("shoot_sphere.json", "shoot"),
+        ("sphere_planted.json", "fermat-inverse"),
+        ("sphere_planted.json", "clairaut-report"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
         code, report = cli.run(command, scn)
         assert code == 0
         json.dumps(report, allow_nan=False)
+
+    def test_planted_tree_report_schema(self):
+        """The planted sphere tree (branch 1 at 100 degrees, clockwise) is
+        in the layout window, so its report carries the prediction and
+        the sphere probe; the keys of ``branches``, ``sphere_probe`` and
+        ``steps`` are the fields of their result types, pinned here."""
+        scn = load_scenario(self.SCENARIOS / "sphere_planted.json")
+        code, report = cli.run("clairaut-report", scn)
+        assert code == 0
+        rep = report["results"]["clairaut"]
+        assert rep["orientation"] == "clockwise"
+        assert rep["prediction_note"] == ""
+        assert max(rep["prediction"]["deviation"]) <= 1e-9
+        for branch in rep["branches"]:
+            assert set(branch) == {"theta", "alpha", "beta", "c_cos",
+                                   "c_sin"}
+        assert set(rep["sphere_probe"]) == {
+            "ratios", "weight_fractions", "deviations", "all_positive",
+            "sine_sum"}
+
+        code, report = cli.run("fermat-inverse", scn)
+        assert code == 0
+        assert report["results"]["inverse"]["normalized"] == pytest.approx(
+            scn.weights.normalized(), abs=1e-6)
+
+        code, report = cli.run(
+            "rotate-experiment",
+            load_scenario(self.SCENARIOS / "rotate_paraboloid.json"))
+        assert code == 0
+        for step in report["results"]["experiment"]["steps"]:
+            assert set(step) == {"delta", "headings", "endpoints",
+                                 "recovered_weights", "recovery_error",
+                                 "clairaut"}
+            for point in step["endpoints"]:
+                assert set(point) == {"u", "v", "v_mod_2pi"}
 
 
 class TestMain:

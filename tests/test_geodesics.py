@@ -126,16 +126,22 @@ class TestShoot:
         assert path.samples.shape[0] == 1
         assert path.end() == SurfacePoint(1.0, 2.0)
 
-    @pytest.mark.parametrize("length,tol", [
-        (-1.0, 1e-10), (math.inf, 1e-10), (math.nan, 1e-10),
-        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+    @pytest.mark.parametrize("v,theta,length,tol", [
+        (0.0, 0.7, -1.0, 1e-10), (0.0, 0.7, math.inf, 1e-10),
+        (0.0, 0.7, math.nan, 1e-10), (0.0, 0.7, 1.0, math.nan),
+        (0.0, 0.7, 1.0, math.inf), (0.0, 0.7, 1.0, 0.0),
+        (0.0, math.nan, 1.0, 1e-10), (0.0, math.inf, 1.0, 1e-10),
+        (math.nan, 0.7, 1.0, 1e-10),
     ], ids=["negative-length", "inf-length", "nan-length", "nan-tol",
-            "inf-tol", "zero-tol"])
-    def test_rejects_input_it_cannot_integrate(self, sphere, length, tol):
+            "inf-tol", "zero-tol", "nan-heading", "inf-heading", "nan-v"])
+    def test_rejects_input_it_cannot_integrate(self, sphere, v, theta,
+                                               length, tol):
         """A NaN tol used to accept every step (c_drift 3.7e-4) and an
-        infinite length to return a path ending at its start."""
+        infinite length to return a path ending at its start.  A NaN v or
+        heading used to make about 200 rejected steps and end in a
+        SolveError, and an infinite heading in a math domain error."""
         with pytest.raises(ValueError):
-            shoot(sphere, SurfacePoint(1.0, 0.0), 0.7, length, tol)
+            shoot(sphere, SurfacePoint(1.0, v), theta, length, tol)
 
     def test_one_metric_call_at_launch_and_per_stage(self, monkeypatch):
         """The launch terms serve the first stage and the FSAL terms of the

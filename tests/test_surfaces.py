@@ -89,6 +89,9 @@ class TestPoints:
         for u in (4.0, 1e-9, math.nan):    # outside, in the axis guard, NaN
             with pytest.raises(OffChartError):
                 sphere.check_point(SurfacePoint(u, 0.0))
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OffChartError):
+                sphere.check_point(SurfacePoint(1.0, v))
 
     def test_points_whole_turns_apart_coincide(self):
         p = SurfacePoint(2.0, 1.0)
