@@ -28,7 +28,7 @@ from .errors import (DegenerateTreeError, SolveError, UndefinedRatioError,
 from .fermat import (as_weights, measure_sector_angles, sector_angles_from_weights,
                      sector_partition, weights_from_sector_angles)
 from .geodesics import DEFAULT_TOL, shoot
-from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
+from .surfaces import ProfileSurface, SurfacePoint, TWO_PI, mod_two_pi
 
 __all__ = [
     "triangle_cosine",
@@ -307,7 +307,7 @@ def branch_report(surface: ProfileSurface, center: SurfacePoint, branches,
     orientation = "counterclockwise" if ccw else "clockwise"
     # map to the clockwise layout; reflection negates headings and keeps
     # the sector angles
-    alpha1_eff = (-thetas[0] if ccw else thetas[0]) % TWO_PI
+    alpha1_eff = mod_two_pi(-thetas[0] if ccw else thetas[0])
 
     predicted = None
     note = ""

@@ -27,7 +27,13 @@ steps:
      >= E du^2 + phi_floor^2 dv^2``, Minkowski's inequality makes every
      curve to that copy of B at least that long; ``arc_lo`` is a lower
      bound on the meridian arc ``|int sqrt(E) du|`` from A.u to B.u, and
-     ``phi_floor`` one on phi (``ProfileSurface.phi_floor``).
+     ``phi_floor`` one on phi (``ProfileSurface.phi_floor``);
+   - every winding, when ``L* + 2 _AMBIGUITY_TOL`` is below the
+     injectivity radius bound ``ProfileSurface.inj_floor`` (the sphere and
+     the torus).  Two geodesics from A to one surface point, both shorter
+     than the injectivity radius, would be two vectors of the ball that
+     ``exp_A`` maps injectively.  So every other geodesic from A to any
+     copy of B, in v or in u, is at least ``inj_floor`` long.
 
    A pair whose requested windings are all settled runs no fan: its
    answer is the chord seed's geodesic.
@@ -262,10 +268,12 @@ def _settled(surface, A, target, length, opts):
     this length, settles: no other candidate of them can be shorter, tie
     with it or make the answer ambiguous (step 2 of the module
     docstring)."""
+    bar = length + 2.0 * _AMBIGUITY_TOL
+    if bar < surface.inj_floor:
+        return set(opts.windings)
     return {k for k in opts.windings
             if (k == 0 and surface.nonpositive_curvature)
-            or _winding_bound(surface, A, target, k)
-            > length + 2.0 * _AMBIGUITY_TOL}
+            or _winding_bound(surface, A, target, k) > bar}
 
 
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,

@@ -42,12 +42,22 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _SAME_V_TOL = 1e-12     # relative rounding of v in SurfacePoint.coincides
+# an angle at most this far below a whole turn is the turn, rounded: it
+# reduces to 0, not to a value that displays as 2 pi
+_WHOLE_TURN_TOL = 1e-9
 
 # How close |dphi/ds| must be to 1 at a phi -> 0 chart end for the profile
 # to count as closing smoothly on the axis (sphere-like cap).
 _CLOSURE_SLOPE_TOL = 1e-6
 _CLOSURE_PHI_TOL = 1e-9
 _MIN_GUARD = 1e-150      # phi above it keeps G = phi**2 from underflowing
+
+
+def mod_two_pi(angle: float) -> float:
+    """An angle reduced to [0, 2*pi), for display; a value within
+    ``_WHOLE_TURN_TOL`` below a whole turn reads 0.0."""
+    angle %= TWO_PI
+    return 0.0 if angle >= TWO_PI - _WHOLE_TURN_TOL else angle
 
 
 @dataclass(frozen=True)
@@ -58,8 +68,9 @@ class SurfacePoint:
     v: float
 
     def wrapped_v(self) -> float:
-        """Rotation angle reduced to [0, 2*pi), for display only."""
-        return self.v % TWO_PI
+        """Rotation angle reduced to [0, 2*pi), for display only
+        (``mod_two_pi``)."""
+        return mod_two_pi(self.v)
 
     def coincides(self, other: "SurfacePoint") -> bool:
         """Whether both name one surface point: equal ``u``, and ``v`` equal
@@ -260,8 +271,9 @@ class ProfileSurface:
         self._metric = metric        # (xp, u) -> (E, G, E_u, G_u, phi)
         self._meridian = meridian    # (xp, u) -> (psi, psi')
         self._curvature = curvature  # (xp, u) -> K
-        # (phi_floor, K <= 0 everywhere), see _KINDS
-        self._phi_floor, self._nonpositive_curvature = bounds
+        # (phi_floor, K <= 0 everywhere, inj_floor), see _KINDS
+        (self._phi_floor, self._nonpositive_curvature,
+         self._inj_floor) = bounds
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
         if not self.axis_guard >= _MIN_GUARD:
@@ -298,6 +310,14 @@ class ProfileSurface:
     def nonpositive_curvature(self) -> bool:
         """Whether K(u) <= 0 for every u; False when not known."""
         return self._nonpositive_curvature
+
+    @property
+    def inj_floor(self) -> float:
+        """A lower bound on the injectivity radius of the whole surface, 0
+        when none is known: a geodesic from a point shorter than it is the
+        one shortest curve to its end, and every other geodesic between
+        the two is at least this long."""
+        return self._inj_floor
 
     def scale(self) -> float:
         """Characteristic radius, used to normalise tolerances."""
@@ -362,29 +382,39 @@ class ProfileSurface:
 # kind -> (parameter names, profile functions, chart defaults, bounds).
 # All three take the parameters in the listed order; the profile functions
 # are ``(metric, meridian, curvature)``, the chart defaults
-# ``(u_min, u_max, axis_guard)`` and the bounds ``(phi_floor, K <= 0)``:
-# phi(u) >= phi_floor and, when the flag is set, K(u) <= 0 for every u, on
-# the chart or off it, so that no chart override breaks them.  The custom
-# spline claims neither.
+# ``(u_min, u_max, axis_guard)`` and the bounds ``(phi_floor, K <= 0,
+# inj_floor)``: phi(u) >= phi_floor and, when the flag is set, K(u) <= 0
+# for every u, on the chart or off it, so that no chart override breaks
+# them; inj_floor is a lower bound on the injectivity radius of the whole
+# surface, which a chart only cuts down to a part of.  By Klingenberg's
+# lemma a compact surface with K <= K_max > 0 has injectivity radius at
+# least ``min(pi / sqrt(K_max), l / 2)``, l its shortest closed geodesic
+# (do Carmo, Riemannian Geometry, ch. 13).  The sphere's is pi R.  On the
+# torus K_max = 1 / (r (R + r)) on the outer equator, a closed meridian is
+# 2 pi r long, and by Clairaut every other closed geodesic winds in v, so
+# it is at least 2 pi (R - r) long.  The other kinds are not compact and
+# claim 0, as the custom spline claims no bound at all.
 _KINDS = {
     "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R),
-               lambda R: (0.0, False)),
+               lambda R: (0.0, False, math.pi * R)),
     "cylinder": (("radius",), _cylinder_fns,
-                 lambda R: (-20.0, 20.0, 1e-6 * R), lambda R: (R, True)),
+                 lambda R: (-20.0, 20.0, 1e-6 * R), lambda R: (R, True, 0.0)),
     "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6),
-             lambda slope: (0.0, True)),
+             lambda slope: (0.0, True, 0.0)),
     "paraboloid": (("a",), _paraboloid_fns, lambda a: (0.0, 10.0, 1e-6),
-                   lambda a: (0.0, False)),
+                   lambda a: (0.0, False, 0.0)),
     "catenoid": (("a",), _catenoid_fns,
-                 lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a), lambda a: (a, True)),
+                 lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a),
+                 lambda a: (a, True, 0.0)),
     "torus": (("R", "r"), _torus_fns,
               lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R),
-              lambda R, r: (R - r, False)),
+              lambda R, r: (R - r, False,
+                            math.pi * min(math.sqrt(r * (R + r)), r, R - r))),
     "plane": ((), lambda: _cone_fns(0.0), lambda: (0.0, 50.0, 1e-6),
-              lambda: (0.0, True)),
+              lambda: (0.0, True, 0.0)),
     "custom": (("samples",), _custom_fns,
                lambda rows: (rows[0, 0], rows[-1, 0], 1e-6),
-               lambda rows: (0.0, False)),
+               lambda rows: (0.0, False, 0.0)),
 }
 CATALOGUE = tuple(_KINDS)
 

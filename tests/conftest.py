@@ -26,3 +26,8 @@ def paraboloid():
 @pytest.fixture(scope="session")
 def catenoid():
     return make_surface("catenoid", a=1.0)
+
+
+@pytest.fixture(scope="session")
+def torus():
+    return make_surface("torus", R=2.0, r=0.7)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import geofermat.cli as cli
 import geofermat.fermat as fermat_mod
+import geofermat.geodesics as geodesics_mod
 import geofermat.verify as verify_mod
 from geofermat import (DegenerateTreeError, ScenarioError, SurfacePoint,
                        load_scenario, shoot)
@@ -678,12 +679,50 @@ class TestBundledScenarios:
         ("shoot_sphere.json", "shoot"),
         ("sphere_planted.json", "fermat-inverse"),
         ("sphere_planted.json", "clairaut-report"),
+        ("sphere_near_axis.json", "fermat-solve"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
         code, report = cli.run(command, scn)
         assert code == 0
         json.dumps(report, allow_nan=False)
+
+    def test_seam_answer_reads_zero(self):
+        """The plane's equilateral answer sits on the v = 0 seam, some
+        1e-11 below it: its rotation angles and branch-1 heading read 0,
+        not 2 pi."""
+        scn = load_scenario(self.SCENARIOS / "plane_equilateral.json")
+        code, report = cli.run("clairaut-report", scn)
+        assert code == 0
+        res = report["results"]
+        assert res["center"]["v_mod_2pi"] == pytest.approx(0.0, abs=1e-9)
+        assert res["fermat"]["point"]["v_mod_2pi"] == pytest.approx(
+            0.0, abs=1e-9)
+        for branch in res["fermat"]["branches"]:
+            assert branch["start"]["v_mod_2pi"] == pytest.approx(0.0,
+                                                                 abs=1e-9)
+        assert res["clairaut"]["prediction_note"].startswith(
+            "branch-1 angle 0.000000 outside")
+
+    def test_near_axis_solve_takes_few_shots(self, monkeypatch):
+        """A3 sits 8.6e-5 from the pole.  Every arc of the tree is shorter
+        than pi, the sphere's injectivity radius, so each cold connect is
+        its chord seed's geodesic, with no fan or further Newton start:
+        the solve makes at most 370 adaptive shots (121 when this was
+        written, 1221 before the injectivity-radius settle)."""
+        calls = []
+        real = geodesics_mod._integrate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geodesics_mod, "_integrate", counted)
+        scn = load_scenario(self.SCENARIOS / "sphere_near_axis.json")
+        code, report = cli.run("fermat-solve", scn)
+        assert code == 0
+        assert report["results"]["fermat"]["mode"] == "interior"
+        assert len(calls) <= 370
 
     def test_planted_tree_report_schema(self):
         """The planted sphere tree (branch 1 at 100 degrees, clockwise) is

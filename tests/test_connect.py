@@ -280,16 +280,22 @@ class TestChartCopy:
 
 class TestBatch:
     # per surface: pairs from several starts with fans of 80 and more
-    # steps, a coincident pair and (on the cylinder) an ambiguous tie
+    # steps, a coincident pair and (on the cylinder) an ambiguous tie.
+    # Every sphere pair is shorter than pi, the sphere's injectivity
+    # radius, so its batch runs no fan
     PAIRS = {
         "sphere": [((1.2, 0.3), (1.5, 1.0)), ((1.2, 0.3), (0.9, -0.4)),
                    ((0.8, 0.0), (2.3, 2.0)), ((1.0, 0.3), (1.0, 0.3)),
                    ((2.0, -1.0), (1.4, -0.2))],
+        "paraboloid": [((1.2, 0.3), (1.5, 1.0)), ((1.2, 0.3), (0.9, -0.4)),
+                       ((0.8, 0.0), (2.3, 2.0)), ((1.0, 0.3), (1.0, 0.3)),
+                       ((2.0, -1.0), (1.4, -0.2))],
         "cylinder": [((0.0, 0.0), (1.0, 0.5 * math.pi)),
                      ((0.0, 0.0), (3.0, 1.0)), ((-1.0, 0.5), (-1.0, 0.5)),
                      ((0.0, 0.0), (0.7, math.pi)),
                      ((1.0, 2.0), (-2.5, 0.0))],
     }
+    FANS = {"sphere": 0, "paraboloid": 1, "cylinder": 1}
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_batch_equals_single_pairs(self, name, request, monkeypatch):
@@ -306,7 +312,7 @@ class TestBatch:
 
         monkeypatch.setattr(connect_mod, "shoot_fan", counted)
         batch = connect_geodesics(surface, pairs)
-        assert len(steps) == 1      # one fan per batch
+        assert len(steps) == self.FANS[name]    # at most one fan per batch
         assert len(batch) == len(pairs)
         for got, want in zip(batch, alone):
             assert ((got.theta_start, got.length, got.winding, got.ambiguous)
@@ -456,11 +462,12 @@ class TestChordSeedFirst:
     # the answer, and a fan seed finds it too
     TORUS_PAIR = (SurfacePoint(0.3, -0.5), SurfacePoint(-1.0, 0.6))
 
-    def test_fan_runs_to_the_chord_seed_length(self, sphere, monkeypatch):
+    def test_fan_runs_to_the_chord_seed_length(self, paraboloid,
+                                               monkeypatch):
         A, B = SurfacePoint(1.2, 0.3), SurfacePoint(1.5, 1.0)
         steps = self._fan_steps(monkeypatch)
-        path = connect_geodesic(sphere, A, B)
-        L_fan, n_full = _full_fan(sphere, A, B)
+        path = connect_geodesic(paraboloid, A, B)
+        L_fan, n_full = _full_fan(paraboloid, A, B)
         h = L_fan / n_full
         # the chord seed's geodesic is the answer here
         assert steps == [(h, min(n_full,
@@ -561,9 +568,13 @@ class TestSettle:
         monkeypatch.setattr(connect_mod, "shoot_fan", counted_fan)
         return starts, fans
 
+    # the sphere and torus pairs are shorter than the injectivity radius,
+    # pi on the sphere and 2.199 on the torus
     @pytest.mark.parametrize("name, a, b", [
         ("cylinder", (0.0, 0.0), (1.0, 0.5 * math.pi)),
         ("catenoid", (-1.0, 0.3), (0.8, -1.1)),
+        ("sphere", (1.2, 0.3), (1.5, 1.0)),
+        ("torus", (0.5, 0.2), (1.2, 0.8)),
     ])
     def test_settled_pair_makes_one_start_and_no_fan(self, name, a, b,
                                                      request, monkeypatch):
@@ -624,28 +635,79 @@ class TestSettle:
 
     def test_surface_bounds(self):
         """phi_floor bounds phi on and off the default chart, and the
-        custom spline claims no bound."""
-        for kind, params, floor, flat_or_saddle in [
-                ("cylinder", dict(radius=2.0), 2.0, True),
-                ("catenoid", dict(a=0.5), 0.5, True),
-                ("torus", dict(R=2.0, r=0.7), 1.3, False),
-                ("cone", dict(slope=0.8), 0.0, True),
-                ("plane", {}, 0.0, True),
-                ("sphere", dict(radius=1.0), 0.0, False),
-                ("paraboloid", dict(a=1.0), 0.0, False)]:
+        custom spline claims no bound.  inj_floor is pi R on the sphere,
+        ``pi min(sqrt(r (R + r)), r, R - r)`` on the torus and 0 on the
+        other kinds."""
+        for kind, params, floor, flat_or_saddle, inj in [
+                ("cylinder", dict(radius=2.0), 2.0, True, 0.0),
+                ("catenoid", dict(a=0.5), 0.5, True, 0.0),
+                ("torus", dict(R=2.0, r=0.7), 1.3, False, 0.7 * math.pi),
+                # a fat torus: the inner equator, 2 pi (R - r) long
+                ("torus", dict(R=1.0, r=0.8), 1.0 - 0.8, False,
+                 0.2 * math.pi),
+                ("cone", dict(slope=0.8), 0.0, True, 0.0),
+                ("plane", {}, 0.0, True, 0.0),
+                ("sphere", dict(radius=2.0), 0.0, False, 2.0 * math.pi),
+                ("paraboloid", dict(a=1.0), 0.0, False, 0.0)]:
             surface = make_surface(kind, **params)
             assert surface.phi_floor == floor
             assert surface.nonpositive_curvature == flat_or_saddle
+            assert surface.inj_floor == pytest.approx(inj, rel=1e-15)
             u = np.linspace(surface.u_min - 5.0, surface.u_max + 5.0, 401)
             phi = surface.metric_terms_batch(u)[4]
             if floor > 0.0:
                 assert np.all(phi >= floor * (1.0 - 1e-15))
             if flat_or_saddle:
                 assert np.all(surface.curvature(u[phi > 0.0]) <= 0.0)
-        assert (_vase().phi_floor, _vase().nonpositive_curvature) == (0.0,
-                                                                       False)
+        assert (_vase().phi_floor, _vase().nonpositive_curvature,
+                _vase().inj_floor) == (0.0, False, 0.0)
         with pytest.raises(AttributeError):
             make_surface("cylinder", radius=1.0).phi_floor = 5.0
+        with pytest.raises(AttributeError):
+            make_surface("sphere", radius=1.0).inj_floor = 5.0
+
+    def test_inj_floor_against_closed_forms(self):
+        """Every non-antipodal sphere pair has its shortest arc below
+        ``inj_floor = pi R``, and the only other geodesics, the rest of
+        the great circle and arcs that wind more, are at least that long.
+        Two points on one torus meridian are joined by its two arcs: when
+        one is below ``inj_floor``, the other is not."""
+        rng = np.random.default_rng(71)
+        for radius in (0.5, 1.0, 3.0):
+            sphere = make_surface("sphere", radius=radius)
+            for _ in range(200):
+                A, B, sep = _sphere_pair(rng, sep_lo=1e-3, sep_hi=math.pi
+                                         - 1e-6)
+                d = radius * sep
+                assert d < sphere.inj_floor
+                assert 2.0 * math.pi * radius - d >= sphere.inj_floor
+        for R, r in [(2.0, 0.7), (1.0, 0.8), (3.0, 0.5)]:
+            torus = make_surface("torus", R=R, r=r)
+            for d in np.linspace(1e-3, math.pi, 200):
+                short, other = r * d, r * (2.0 * math.pi - d)
+                if short < torus.inj_floor:
+                    assert other >= torus.inj_floor
+
+    def test_settle_changes_no_path(self, sphere, torus, monkeypatch):
+        """Random sphere and torus pairs get the same path with no winding
+        ever settled, in a search that polishes every pick."""
+        _, fans = self._count(monkeypatch)
+        settled = {}
+        for name, surface in (("sphere", sphere), ("torus", torus)):
+            draw = TestInvariants.SAMPLERS[name][1]
+            rng = np.random.default_rng(73)
+            pairs = [draw(rng) for _ in range(40)]
+            fans.clear()
+            got = [connect_geodesic(surface, A, B) for A, B in pairs]
+            settled[name] = len(pairs) - len(fans)
+            with monkeypatch.context() as patch:
+                patch.setattr(connect_mod, "_settled", lambda *args: set())
+                want = [connect_geodesic(surface, A, B) for A, B in pairs]
+            for g, w in zip(got, want):
+                assert np.array_equal(g.samples, w.samples)
+                assert (g.winding, g.ambiguous) == (w.winding, w.ambiguous)
+        assert settled["sphere"] == 40
+        assert settled["torus"] > 0
 
 
 class TestWindingBound:
@@ -682,22 +744,34 @@ class TestWindingBound:
         def recorded(surface_, A, u_t, v_t, *rest):
             got, shots = real(surface_, A, u_t, v_t, *rest)
             if got is not None:
-                found.append((v_t, got.length))
+                found.append((v_t, got.length, got.theta))
             return got, shots
 
         monkeypatch.setattr(connect_mod, "_newton", recorded)
         windings = set()
+        below_inj = 0
         for A, B in self._pairs(np.random.default_rng(67), lo, hi, n):
             found.clear()
-            _full_fan_path(surface, A, B)
+            best = _full_fan_path(surface, A, B)
             target = connect_mod._check_cold(surface, A, B,
                                              connect_mod._DEFAULT)
-            for v_t, length in found:
+            for v_t, length, _ in found:
                 k = round((v_t - target[0].v) / (2 * math.pi))
                 windings.add(k)
                 bound = connect_mod._winding_bound(surface, A, target, k)
                 assert bound <= length + 1e-9
+            if best.length < surface.inj_floor:
+                # below the injectivity radius, every other geodesic to
+                # any copy of B is at least inj_floor long
+                below_inj += 1
+                for v_t, length, theta in found:
+                    same = (abs(v_t - best.end().v) <= 1e-8
+                            and abs(length - best.length) <= 1e-8
+                            and abs(connect_mod._wrap_pi(
+                                theta - best.theta_start)) <= 1e-8)
+                    assert same or length >= surface.inj_floor
         assert windings >= {-1, 0, 1}
+        assert (below_inj > 0) == (surface.inj_floor > 0.0)
 
 
 # the benchmark's wavy vase: 17 knots on u in [0, 8]

@@ -207,9 +207,8 @@ class TestFloatingTestArcs:
         assert res.mode == ("interior" if want[worst] > 0.0 else "vertex")
         assert sorted(res.arcs) == [(0, 1), (0, 2), (1, 2)]
 
-    def test_one_fan_per_floating_test(self, sphere, monkeypatch):
-        pts = planted_triangle(sphere, SurfacePoint(1.2, 0.5),
-                               (0.2, 2.3, 4.4), (0.4, 0.35, 0.45))
+    @staticmethod
+    def _fan_lanes(monkeypatch):
         lanes = []
         real = connect_mod.shoot_fan
 
@@ -218,10 +217,27 @@ class TestFloatingTestArcs:
             return real(surface, starts, thetas, lengths, n_steps)
 
         monkeypatch.setattr(connect_mod, "shoot_fan", counted)
-        floating_test(sphere, pts, (1, 1, 1))
+        return lanes
+
+    def test_one_fan_per_floating_test(self, paraboloid, monkeypatch):
+        pts = planted_triangle(paraboloid, SurfacePoint(1.2, 0.5),
+                               (0.2, 2.3, 4.4), (0.4, 0.35, 0.45))
+        lanes = self._fan_lanes(monkeypatch)
+        floating_test(paraboloid, pts, (1, 1, 1))
         assert lanes == [3 * 17]    # three pairs of 16 fan headings + chord
-        floating_test(sphere, pts, (1, 1, 2.5))
+        floating_test(paraboloid, pts, (1, 1, 2.5))
         assert lanes == [3 * 17] * 2
+
+    def test_no_fan_below_the_injectivity_radius(self, sphere, monkeypatch):
+        """Every arc of a small sphere triangle is shorter than pi, the
+        sphere's injectivity radius, so each is its chord seed's geodesic
+        and the floating test runs no fan."""
+        pts = planted_triangle(sphere, SurfacePoint(1.2, 0.5),
+                               (0.2, 2.3, 4.4), (0.4, 0.35, 0.45))
+        lanes = self._fan_lanes(monkeypatch)
+        res = floating_test(sphere, pts, (1, 1, 1))
+        assert lanes == []
+        assert max(path.length for path in res.arcs.values()) < math.pi
 
 
 class TestSolveFermat:
