@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from geofermat import ConnectOptions, SurfacePoint, connect_geodesic, \
-    distance, make_surface
+    make_surface
 
 
 def main():
@@ -38,7 +38,8 @@ def main():
           f"{path.ambiguous}")
 
     plane = make_surface("plane")
-    d = distance(plane, SurfacePoint(1.0, 0.0), SurfacePoint(2.0, math.pi / 3))
+    d = connect_geodesic(plane, SurfacePoint(1.0, 0.0),
+                         SurfacePoint(2.0, math.pi / 3)).length
     print(f"\nplane law of cosines: {d:.12f} vs sqrt(3) = "
           f"{math.sqrt(3.0):.12f}")
 
@@ -47,8 +48,8 @@ def main():
     for _ in range(3):
         A = SurfacePoint(rng.uniform(0.9, 2.0), rng.uniform(-1.0, 1.0))
         B = SurfacePoint(rng.uniform(0.9, 2.0), rng.uniform(-1.0, 1.0))
-        fwd = distance(sphere, A, B)
-        bwd = distance(sphere, B, A)
+        fwd = connect_geodesic(sphere, A, B).length
+        bwd = connect_geodesic(sphere, B, A).length
         chord = float(np.linalg.norm(sphere.embed(A) - sphere.embed(B)))
         print(f"  d = {fwd:.9f}, |d - d_reversed| = {abs(fwd - bwd):.2e}, "
               f"chord = {chord:.9f}")

@@ -8,12 +8,11 @@ from .clairaut import (BranchConstants, ClairautReport, DiameterCheck,
                        branch_report, law_of_sines_diameter,
                        predict_clairaut_constants, rotate_tree_experiment,
                        sphere_sine_ratio_probe, triangle_cosine)
-from .connect import (ConnectOptions, connect_geodesic, connect_geodesics,
-                      distance)
+from .connect import ConnectOptions, connect_geodesic, connect_geodesics
 from .errors import (ChartExitError, DegenerateTreeError, OffChartError,
                      ProfileError, ScenarioError, SolveError,
                      UndefinedRatioError, WeightDomainError)
-from .fermat import (FermatOptions, FermatResult, FloatingTest, WeightTriple,
+from .fermat import (FermatResult, FloatingTest, WeightTriple,
                      floating_test, measure_sector_angles,
                      sector_angles_from_weights, sector_partition,
                      solve_fermat, weights_from_sector_angles)
@@ -28,10 +27,10 @@ __all__ = [
     "PredictedConstants", "RotationExperiment", "SineRatioProbe",
     "branch_report", "law_of_sines_diameter", "predict_clairaut_constants",
     "rotate_tree_experiment", "sphere_sine_ratio_probe", "triangle_cosine",
-    "ConnectOptions", "connect_geodesic", "connect_geodesics", "distance",
+    "ConnectOptions", "connect_geodesic", "connect_geodesics",
     "ChartExitError", "DegenerateTreeError", "OffChartError", "ProfileError",
     "ScenarioError", "SolveError", "UndefinedRatioError", "WeightDomainError",
-    "FermatOptions", "FermatResult", "FloatingTest", "WeightTriple",
+    "FermatResult", "FloatingTest", "WeightTriple",
     "floating_test", "measure_sector_angles", "sector_angles_from_weights",
     "sector_partition", "solve_fermat", "weights_from_sector_angles",
     "GeodesicPath", "clairaut_constant", "shoot", "write_path_csv",

@@ -36,6 +36,7 @@ from .fermat import (measure_sector_angles, solve_fermat,
 from .geodesics import shoot, write_path_csv
 from .scenario import (SCHEMA, Scenario, load_scenario, parse_angle,
                        parse_list, parse_number)
+from .surfaces import mod_two_pi
 from .verify import run_suites
 
 CONVENTIONS = {
@@ -51,7 +52,7 @@ CONVENTIONS = {
 
 
 def _point_dict(p):
-    return {"u": p.u, "v": p.v, "v_mod_2pi": p.wrapped_v()}
+    return {"u": p.u, "v": p.v, "v_mod_2pi": mod_two_pi(p.v)}
 
 
 def _path_dict(path):
@@ -118,7 +119,7 @@ def _fermat_result_dict(res):
 
 def _cmd_fermat_solve(scn: Scenario, warnings):
     res = solve_fermat(scn.surface, scn.terminals(), scn.weights,
-                       scn.fermat_opts)
+                       scn.connect_opts)
     if res.mode == "vertex":
         warnings.append({"kind": "vertex-regime",
                          "message": f"minimiser is terminal "
@@ -210,7 +211,7 @@ def _cmd_clairaut_report(scn: Scenario, warnings):
         solve = None
     else:
         solve = solve_fermat(scn.surface, scn.terminals(), scn.weights,
-                             scn.fermat_opts)
+                             scn.connect_opts)
         if solve.mode == "vertex":
             raise SolveError("vertex-regime minimiser has no three-branch "
                              "report; supply clairaut.center to force one")

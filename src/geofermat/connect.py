@@ -85,17 +85,22 @@ from .errors import ChartExitError, SolveError
 from .geodesics import DEFAULT_TOL, shoot, shoot_fan, GeodesicPath
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 
-__all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics",
-           "distance"]
+__all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics"]
 
 _NEWTON_MAX_ITER = 30    # damped Newton iterations per start
 # fewest fixed RK4 steps in the full screening fan: a short fan samples each
 # lane every 0.08 chord, 5 times finer than the gap of 16 lanes at the
 # target.  A pair whose chord seed converged runs a prefix of its full fan
 _FAN_STEPS = 40
+# the screening fan's headings, evenly spaced; each pair adds its chord heading
+_FAN_HEADINGS = tuple(-math.pi + TWO_PI * (j + 0.5) / 16 for j in range(16))
 _REFINE_TOP = 4          # screened starts polished by Newton
 _AMBIGUITY_TOL = 1e-6    # a second geodesic this close in length: ambiguous
 _TIE_TOL = 1e-9          # lengths this close tie
+# largest |winding| searched: 2 pi times a winding past the float range, or
+# its square in the screen, would overflow, and no geodesic of a useful
+# max_len winds this often
+_MAX_WINDING = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -104,18 +109,17 @@ class ConnectOptions:
     searched, counted from the copy of B nearest A, and include 0; a
     path's reported ``winding`` is relative to B as given."""
 
-    n_starts: int = 16
     windings: tuple = (-1, 0, 1)
     max_len: float = 20.0
     resid_tol: float = 1e-10
     shoot_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.n_starts < 4:
-            raise ValueError("n_starts must be at least 4")
         if 0 not in self.windings:
             raise ValueError("windings must include 0, the copy of B nearest "
                              "A, which the chord seed always searches")
+        if any(abs(k) > _MAX_WINDING for k in self.windings):
+            raise ValueError(f"windings must lie within +-{_MAX_WINDING}")
         if not self.max_len > 0.0:
             raise ValueError("max_len must be positive")
         if not self.resid_tol > 0.0:
@@ -200,13 +204,6 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     if r_norm <= opts.resid_tol:
         return _Candidate(theta, L, 0, r_norm, cur[4]), shots
     return None, shots
-
-
-def _wrap_pi(theta):
-    theta = math.remainder(theta, TWO_PI)
-    if theta <= -math.pi:
-        theta += TWO_PI
-    return theta
 
 
 def _check_pair(surface, A, B, opts):
@@ -326,10 +323,8 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
-        thetas = [-math.pi + TWO_PI * (j + 0.5) / opts.n_starts
-                  for j in range(opts.n_starts)]
         near, _, s_e, s_g, chord, _ = target
-        thetas.append(_chord_heading(surface, A, near))
+        thetas = [*_FAN_HEADINGS, _chord_heading(surface, A, near)]
         got, shots = _newton(surface, A, near.u, near.v, s_e, s_g,
                              thetas[-1], chord, opts)
         seeded[n] = (got, shots)
@@ -404,7 +399,8 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
         if cand.resid > cutoff:
             break
         dup = any(c.winding == cand.winding
-                  and abs(_wrap_pi(c.theta - cand.theta)) < math.pi / opts.n_starts
+                  and abs(math.remainder(c.theta - cand.theta, TWO_PI))
+                  < math.pi / len(_FAN_HEADINGS)
                   for c in picks)
         if not dup:
             picks.append(cand)
@@ -420,7 +416,7 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
         got.winding = cand.winding
         dup = any(abs(c.length - got.length) <= 1e-8 * max(1.0, got.length)
                   and c.winding == got.winding
-                  and abs(_wrap_pi(c.theta - got.theta)) <= 1e-8
+                  and abs(math.remainder(c.theta - got.theta, TWO_PI)) <= 1e-8
                   for c in converged)
         if not dup:
             converged.append(got)
@@ -447,7 +443,7 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
     best = min(pool, key=lambda c: (abs(c.winding), c.theta))
     ambiguous = any(
         c is not best and c.length <= best.length + _AMBIGUITY_TOL
-        and (abs(_wrap_pi(c.theta - best.theta)) > 1e-6
+        and (abs(math.remainder(c.theta - best.theta, TWO_PI)) > 1e-6
              or c.winding != best.winding)
         for c in converged)
 
@@ -455,9 +451,3 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
     path.winding = best.winding + turns
     path.ambiguous = ambiguous
     return path
-
-
-def distance(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
-             opts: ConnectOptions | None = None) -> float:
-    """Length of the shortest found geodesic from A to B."""
-    return connect_geodesic(surface, A, B, opts).length

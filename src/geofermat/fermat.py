@@ -37,7 +37,7 @@ step and by the prediction of every trial from it.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .connect import ConnectOptions, connect_geodesic, connect_geodesics
 from .errors import (ChartExitError, DegenerateTreeError, OffChartError,
@@ -48,7 +48,6 @@ from .surfaces import ProfileSurface, SurfacePoint, TWO_PI
 __all__ = [
     "WeightTriple",
     "FloatingTest",
-    "FermatOptions",
     "FermatResult",
     "sector_angles_from_weights",
     "weights_from_sector_angles",
@@ -60,6 +59,9 @@ __all__ = [
 
 _MAX_BACKTRACKS = 60     # halvings of a Weiszfeld step
 _WEISZFELD_ITER = 100    # planar Weiszfeld iterations of the start
+_MAX_ITER = 500          # accepted steps of the interior solve
+_ANGLE_TOL = 1e-5        # converged sector angles against the weights' (rad)
+_RESID_TOL = 1e-12       # loosest connect residual of a solve's branches
 
 
 @dataclass(frozen=True)
@@ -227,23 +229,6 @@ def floating_test(surface: ProfileSurface, points, weights,
     return FloatingTest("vertex", worst, tuple(margins), arcs)
 
 
-@dataclass(frozen=True)
-class FermatOptions:
-    grad_tol: float | None = None      # default 1e-8 * (b1 + b2 + b3)
-    angle_tol: float = 1e-5
-    max_iter: int = 500
-    connect: ConnectOptions = field(
-        default_factory=lambda: ConnectOptions(resid_tol=1e-12))
-
-    def __post_init__(self):
-        if self.grad_tol is not None and not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
-        if not self.angle_tol > 0.0:
-            raise ValueError("angle_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
 @dataclass
 class FermatResult:
     """Solution of the weighted three-terminal problem.
@@ -257,7 +242,7 @@ class FermatResult:
     ``f_history`` holds f at the start and after each accepted step, and
     ``iterations`` counts those steps.  Each step lowers ``|R|`` (Newton
     step) or strictly lowers f (Weiszfeld step); f never rises by more
-    than the length noise ``(b1 + b2 + b3) * connect.resid_tol``.
+    than the length noise ``(b1 + b2 + b3) * resid_tol``.
     """
 
     point: SurfacePoint
@@ -284,7 +269,7 @@ def _branch_data(surface, p, pts, warm, opts):
     for t, (winding, theta, length) in zip(pts, warm):
         path = connect_geodesic(
             surface, p, SurfacePoint(t.u, t.v + TWO_PI * winding),
-            opts.connect, initial=(theta, length))
+            opts, initial=(theta, length))
         path.winding += winding
         paths.append(path)
     return paths
@@ -353,7 +338,7 @@ def _trial(surface, p, theta, length, pts, warm, b, opts):
     ``(point, paths, f)``, or None when the end point leaves the chart,
     lands on a terminal or fails to connect."""
     try:
-        step = shoot(surface, p, theta, length, opts.connect.shoot_tol)
+        step = shoot(surface, p, theta, length, opts.shoot_tol)
         q = step.end()
         surface.check_point(q)
         if any(q.coincides(t) for t in pts):
@@ -421,12 +406,15 @@ def _vertex_branch(surface, pts, arcs, i, j, opts):
 
 
 def solve_fermat(surface: ProfileSurface, points, weights,
-                 opts: FermatOptions | None = None) -> FermatResult:
+                 opts: ConnectOptions | None = None) -> FermatResult:
     """Locate the weighted Fermat-Torricelli point of three terminals.
 
-    Runs the interior-versus-vertex test first; in the vertex regime the
-    winning terminal is returned directly.  Otherwise one iteration runs
-    until the balance residual ``|sum b_i U_i|`` drops below ``grad_tol``.
+    Every connect of the solve uses ``opts`` with ``resid_tol`` tightened
+    to at most 1e-12: the branch lengths make f and their headings the
+    residual.  Runs the interior-versus-vertex test first; in the vertex
+    regime the winning terminal is returned directly.  Otherwise one
+    iteration runs until the balance residual ``|sum b_i U_i|`` drops
+    below ``1e-8 * (b1 + b2 + b3)``, for at most 500 steps.
     Each iteration keeps the Newton step of the exact Hessian (from the
     branches' Jacobi scalars) when it lowers the residual without raising
     ``f = sum b_i d(P, A_i)`` beyond the length noise, and otherwise takes
@@ -434,20 +422,21 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     leaves the heaviest terminal toward the planar Fermat point of the
     floating test's arcs from it, mapped into its tangent plane.
     """
-    opts = opts or FermatOptions()
+    opts = opts or ConnectOptions()
+    opts = replace(opts, resid_tol=min(opts.resid_tol, _RESID_TOL))
     w = as_weights(weights)
     b = w.astuple()
     pts = [surface.check_point(p) for p in points]
-    grad_tol = opts.grad_tol if opts.grad_tol is not None else 1e-8 * w.total
+    grad_tol = 1e-8 * w.total
     # geodesic lengths are accurate to resid_tol, so f only to this much
-    f_noise = w.total * opts.connect.resid_tol
+    f_noise = w.total * opts.resid_tol
 
-    regime = floating_test(surface, pts, w, opts.connect)
+    regime = floating_test(surface, pts, w, opts)
     # the vertex, or the heaviest terminal, where the interior solve starts;
     # the floating test already connected it to the others
     i = (regime.vertex_index if regime.mode == "vertex"
          else max(range(3), key=b.__getitem__))
-    arms = [_vertex_branch(surface, pts, regime.arcs, i, j, opts.connect)
+    arms = [_vertex_branch(surface, pts, regime.arcs, i, j, opts)
             for j in range(3)]
     f_i = sum(bj * arm.length for bj, arm in zip(b, arms))
     if regime.mode == "vertex":
@@ -457,7 +446,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     p, paths, f_cur = _leave_terminal(surface, pts, b, i, arms, f_i, opts)
     history = [f_i, f_cur]
 
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         r_par, r_mer = _residual(paths, b)
         r_norm = math.hypot(r_par, r_mer)
         if r_norm <= grad_tol:
@@ -478,7 +467,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         history.append(f_cur)
     else:
         raise SolveError(
-            f"no convergence in {opts.max_iter} iterations "
+            f"no convergence in {_MAX_ITER} iterations "
             f"(residual {r_norm:.3e}, tolerance {grad_tol:.3e})")
 
     try:
@@ -487,10 +476,10 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         raise SolveError(f"converged branches are degenerate: {exc}") from exc
     expected = sector_angles_from_weights(w)
     worst = max(abs(a - e) for a, e in zip(sectors, expected))
-    if worst > opts.angle_tol:
+    if worst > _ANGLE_TOL:
         raise SolveError(
             f"balance converged but sector angles deviate by {worst:.3e} rad "
-            f"from the weight-determined values (tolerance {opts.angle_tol})")
+            f"from the weight-determined values (tolerance {_ANGLE_TOL})")
 
     return FermatResult(p, tuple(paths), f_cur, r_norm, sectors, "interior",
                         None, len(history) - 1, tuple(history))

@@ -8,12 +8,12 @@ Every number must be finite: JSON parsers accept ``NaN`` and ``Infinity``.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 from .connect import ConnectOptions
 from .errors import OffChartError, ScenarioError
-from .fermat import FermatOptions, WeightTriple
+from .fermat import WeightTriple
 from .surfaces import ProfileSurface, SurfacePoint, make_surface
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict",
@@ -62,7 +62,6 @@ class Scenario:
     points: dict
     weights: WeightTriple | None
     connect_opts: ConnectOptions
-    fermat_opts: FermatOptions
     fermat_point_names: tuple = ("A1", "A2", "A3")
 
     def section(self, name: str, optional: bool = False) -> dict:
@@ -118,9 +117,7 @@ def _parse_surface(obj):
         raise ScenarioError(str(exc), "surface") from exc
 
 
-_CONNECT_FIELDS = {"n_starts", "windings", "max_len", "resid_tol",
-                   "shoot_tol"}
-_OPTION_FIELDS = _CONNECT_FIELDS | {"grad_tol", "angle_tol", "max_iter"}
+_OPTION_FIELDS = {f.name for f in fields(ConnectOptions)}
 
 
 def _parse_int(value, where):
@@ -130,8 +127,10 @@ def _parse_int(value, where):
 
 
 def _parse_options(obj):
-    """Solver options from JSON.  Only JSON types and finiteness are
-    checked here; ConnectOptions and FermatOptions check the ranges."""
+    """The ``ConnectOptions`` of the scenario's ``options`` section, which
+    every command uses (``solve_fermat`` tightens its ``resid_tol``).
+    Only JSON types and finiteness are checked here; ConnectOptions checks
+    the ranges."""
     if obj is None:
         obj = {}
     if not isinstance(obj, dict):
@@ -140,25 +139,17 @@ def _parse_options(obj):
     if extra:
         raise ScenarioError(f"unknown options {sorted(extra)}", "options")
 
-    con_kw, fer_kw = {}, {}
+    kwargs = {}
     for key, value in obj.items():
         where = f"options.{key}"
-        if key in ("n_starts", "max_iter"):
-            val = _parse_int(value, where)
-        elif key == "windings":
-            val = tuple(parse_list(value, where, _parse_int))
+        if key == "windings":
+            kwargs[key] = tuple(parse_list(value, where, _parse_int))
         else:
-            val = parse_number(value, where)
-        (con_kw if key in _CONNECT_FIELDS else fer_kw)[key] = val
+            kwargs[key] = parse_number(value, where)
     try:
-        connect_opts = ConnectOptions(**con_kw)
-        fermat_opts = FermatOptions(
-            connect=replace(connect_opts,
-                            resid_tol=min(connect_opts.resid_tol, 1e-12)),
-            **fer_kw)
+        return ConnectOptions(**kwargs)
     except ValueError as exc:
         raise ScenarioError(str(exc), "options") from exc
-    return connect_opts, fermat_opts
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -183,10 +174,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     weights = None if "weights" not in data else WeightTriple(*parse_list(
         data["weights"], "weights", partial(parse_number, positive=True), 3))
 
-    connect_opts, fermat_opts = _parse_options(data.get("options"))
-
     scn = Scenario(raw=data, surface=surface, points=points, weights=weights,
-                   connect_opts=connect_opts, fermat_opts=fermat_opts)
+                   connect_opts=_parse_options(data.get("options")))
     if "fermat_points" in data:
         names = tuple(parse_list(data["fermat_points"], "fermat_points",
                                  lambda name, _: name, 3))

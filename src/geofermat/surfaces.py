@@ -67,11 +67,6 @@ class SurfacePoint:
     u: float
     v: float
 
-    def wrapped_v(self) -> float:
-        """Rotation angle reduced to [0, 2*pi), for display only
-        (``mod_two_pi``)."""
-        return mod_two_pi(self.v)
-
     def coincides(self, other: "SurfacePoint") -> bool:
         """Whether both name one surface point: equal ``u``, and ``v`` equal
         up to whole turns and rounding (never when ``v`` differ by more than

@@ -19,7 +19,7 @@ from .clairaut import (BranchConstants, alpha1_window, branch_report,
                        law_of_sines_diameter, predict_clairaut_constants,
                        rotate_tree_experiment, sphere_sine_ratio_probe,
                        triangle_cosine)
-from .connect import distance
+from .connect import connect_geodesic
 from .errors import UndefinedRatioError
 from .fermat import (sector_angles_from_weights, solve_fermat,
                      weights_from_sector_angles)
@@ -75,7 +75,7 @@ def suite_sphere_distance(n=200, seed=101):
     worst = 0.0
     for _ in range(n):
         A, B, sep = _sphere_pair(rng)
-        length = distance(sphere, A, B)
+        length = connect_geodesic(sphere, A, B).length
         worst = max(worst, abs(length - sep) / sep)
     elapsed = time.perf_counter() - t0
     return (worst <= 1e-7 and elapsed <= 30.0,
@@ -98,8 +98,8 @@ def suite_cylinder_unroll(n=100, seed=202):
                        for k in (-1, 0, 1))
         if expected < 1e-3:
             continue
-        length = distance(cyl, SurfacePoint(ua, va),
-                          SurfacePoint(ub, va + dv))
+        length = connect_geodesic(cyl, SurfacePoint(ua, va),
+                                  SurfacePoint(ub, va + dv)).length
         worst = max(worst, abs(length - expected) / expected)
     return (worst <= 1e-7,
             f"{n} pairs, max relative error {worst:.3e} (tol 1e-7)",

@@ -13,8 +13,8 @@ import geofermat.cli as cli
 import geofermat.fermat as fermat_mod
 import geofermat.geodesics as geodesics_mod
 import geofermat.verify as verify_mod
-from geofermat import (DegenerateTreeError, ScenarioError, SurfacePoint,
-                       load_scenario, shoot)
+from geofermat import (ConnectOptions, DegenerateTreeError, ScenarioError,
+                       SurfacePoint, load_scenario, shoot)
 from geofermat.scenario import Scenario, scenario_from_dict
 
 
@@ -56,8 +56,7 @@ class TestScenarioLoading:
         scn = load_scenario(path)
         assert scn.surface.kind == "sphere"
         assert scn.weights.astuple() == (2.0, 3.0, 4.0)
-        assert scn.connect_opts.n_starts == 16
-        assert scn.fermat_opts.angle_tol == 1e-5
+        assert scn.connect_opts == ConnectOptions()
 
     def test_negative_weight_names_field(self):
         with pytest.raises(ScenarioError) as err:
@@ -93,10 +92,13 @@ class TestScenarioLoading:
             load_scenario(path)
 
     def test_invalid_fermat_options_named(self):
-        with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(minimal_scenario(options={"max_iter": 0}))
-        assert err.value.field == "options"
-        assert "max_iter" in str(err.value)
+        """The retired solver settings are unknown options, named in the
+        error."""
+        for key in ("n_starts", "grad_tol", "angle_tol", "max_iter"):
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(minimal_scenario(options={key: 1}))
+            assert err.value.field == "options"
+            assert f"unknown options ['{key}']" in str(err.value)
 
     @pytest.mark.parametrize("field,value", [
         ("shoot.length", math.inf),
@@ -153,49 +155,90 @@ class TestScenarioLoading:
         assert err["field"].startswith("surface")
 
     @pytest.mark.parametrize("options,field", [
-        ({"max_iter": True}, "options.max_iter"),
-        ({"n_starts": True}, "options.n_starts"),
         ({"windings": [0, True]}, "options.windings[1]"),
-    ], ids=["max_iter", "n_starts", "windings"])
+    ], ids=["windings"])
     def test_bool_is_not_an_integer_option(self, options, field):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(minimal_scenario(options=options))
         assert err.value.field == field
 
     @pytest.mark.parametrize("options", [
-        {"n_starts": 3}, {"shoot_tol": 0.0}, {"windings": []},
-        {"resid_tol": -1.0}, {"grad_tol": 0.0},
-    ], ids=["n_starts", "shoot_tol", "windings", "resid_tol", "grad_tol"])
+        {"shoot_tol": 0.0}, {"windings": []}, {"resid_tol": -1.0},
+        {"max_len": 0.0}, {"windings": [0, 2 ** 31 + 1]},
+    ], ids=["shoot_tol", "windings", "resid_tol", "max_len",
+            "windings-bound"])
     def test_option_range_checked_by_options_class(self, options):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(minimal_scenario(options=options))
         assert err.value.field == "options"
         assert next(iter(options)) in str(err.value)
 
-    @pytest.mark.parametrize("windings", [[1], [-1, 1], [2]])
-    def test_windings_without_0_exit_1(self, windings, tmp_path, capsys):
-        """A search always includes winding 0, so a scenario that leaves it
-        out is a configuration error, not a winding-0 answer."""
+    @staticmethod
+    def _connect_error(data, tmp_path, capsys):
+        """``connect`` on ``data`` through ``cli.main --out``: exit 1 with
+        the same strict-JSON error report in --out and on stderr, which is
+        returned."""
         scn_path, out = tmp_path / "s.json", tmp_path / "r.json"
-        scn_path.write_text(json.dumps(json.loads(
-            (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
-            | {"options": {"windings": windings}}))
+        scn_path.write_text(json.dumps(data))
         code = cli.main(["connect", "--scenario", str(scn_path),
                          "--out", str(out)])
         report = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert code == 1
-        assert report["error"]["field"] == "options"
-        assert "windings must include 0" in report["error"]["message"]
         assert json.loads(capsys.readouterr().err) == report
+        return report["error"]
 
-    def test_options_feed_both_solvers(self):
+    @pytest.mark.parametrize("windings", [[1], [-1, 1], [2]])
+    def test_windings_without_0_exit_1(self, windings, tmp_path, capsys):
+        """A search always includes winding 0, so a scenario that leaves it
+        out is a configuration error, not a winding-0 answer."""
+        error = self._connect_error(json.loads(
+            (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
+            | {"options": {"windings": windings}}, tmp_path, capsys)
+        assert error["field"] == "options"
+        assert "windings must include 0" in error["message"]
+
+    @pytest.mark.parametrize("surface,options,message", [
+        ({"kind": "cylinder", "radius": 1.0}, {"windings": [0, 10 ** 400]},
+         "windings must lie within"),
+        ({"kind": "paraboloid", "a": 1.0}, {"windings": [0, 10 ** 300]},
+         "windings must lie within"),
+        ({"kind": "cylinder", "radius": 1.0}, {"n_starts": 10 ** 400},
+         "unknown options ['n_starts']"),
+    ], ids=["cylinder-10**400", "paraboloid-10**300", "retired-n_starts"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejected_options_exit_1(self, surface, options, message,
+                                     tmp_path, capsys):
+        """A winding past 2**31 turns, or a retired solver setting, is a
+        configuration error, not an overflow from the search."""
+        data = json.loads(
+            (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
+        data["surface"] = surface
+        data["points"]["A1"]["u"] = 1.0     # off the paraboloid's vertex
+        data["options"] = options
+        error = self._connect_error(data, tmp_path, capsys)
+        assert error["field"] == "options"
+        assert message in error["message"]
+
+    def test_options_feed_both_solvers(self, monkeypatch):
+        """Every command gets the scenario's one options record; the Fermat
+        solve connects with it at resid_tol 1e-12."""
         scn = scenario_from_dict(minimal_scenario(
-            options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "n_starts": 8}))
-        assert scn.connect_opts.shoot_tol == 1e-9
-        assert scn.connect_opts.resid_tol == 1e-8
-        assert scn.fermat_opts.connect.n_starts == 8
-        assert scn.fermat_opts.connect.shoot_tol == 1e-9
-        assert scn.fermat_opts.connect.resid_tol == 1e-12
+            options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "max_len": 9.0,
+                     "windings": [0, 1]}))
+        assert scn.connect_opts == ConnectOptions(
+            windings=(0, 1), max_len=9.0, resid_tol=1e-8, shoot_tol=1e-9)
+        seen = []
+        real = fermat_mod.connect_geodesics
+
+        def recorded(surface, pairs, opts):
+            seen.append(opts)
+            return real(surface, pairs, opts)
+
+        monkeypatch.setattr(fermat_mod, "connect_geodesics", recorded)
+        code, _ = cli.run("fermat-solve", scn)
+        assert code == 0
+        assert seen == [ConnectOptions(windings=(0, 1), max_len=9.0,
+                                       resid_tol=1e-12, shoot_tol=1e-9)]
 
 
 # any JSON value, NaN and integers beyond the float range included
@@ -215,8 +258,7 @@ def _field_paths(obj, prefix=()):
         yield from _field_paths(value, prefix + (key,))
 
 
-_FUZZ_OPTIONS = {"n_starts": 16, "windings": [0], "shoot_tol": 1e-10,
-                 "grad_tol": 1e-8, "max_iter": 5}
+_FUZZ_OPTIONS = {"windings": [0], "shoot_tol": 1e-10}
 _FUZZ_BASES = [
     minimal_scenario(
         surface={"kind": "sphere", "radius": 1.0, "u_min": 0.01,
@@ -680,6 +722,7 @@ class TestBundledScenarios:
         ("sphere_planted.json", "fermat-inverse"),
         ("sphere_planted.json", "clairaut-report"),
         ("sphere_near_axis.json", "fermat-solve"),
+        ("sphere_options.json", "fermat-solve"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)

@@ -6,8 +6,8 @@ import pytest
 import geofermat.connect as connect_mod
 import geofermat.geodesics as geodesics_mod
 from geofermat import (ConnectOptions, OffChartError, SolveError, SurfacePoint,
-                       connect_geodesic, connect_geodesics, distance,
-                       make_surface, shoot)
+                       connect_geodesic, connect_geodesics, make_surface,
+                       shoot)
 from geofermat.verify import _sphere_pair
 
 
@@ -39,14 +39,11 @@ class TestExamples:
 
     def test_identical_points(self, sphere):
         p = SurfacePoint(1.0, 0.3)
-        assert distance(sphere, p, p) == 0.0
         path = connect_geodesic(sphere, p, p)
         assert path.length == 0.0
 
     def test_identical_off_chart_points_rejected(self, sphere):
         p = SurfacePoint(-1.0, 0.0)
-        with pytest.raises(OffChartError):
-            distance(sphere, p, p)
         with pytest.raises(OffChartError):
             connect_geodesic(sphere, p, p)
 
@@ -54,7 +51,7 @@ class TestExamples:
         rng = np.random.default_rng(5)
         for _ in range(25):
             A, B, sep = _sphere_pair(rng)
-            length = distance(sphere, A, B)
+            length = connect_geodesic(sphere, A, B).length
             assert abs(length - sep) / sep <= 1e-7
 
     def test_unreachable_budget(self, cylinder):
@@ -130,8 +127,8 @@ class TestInvariants:
             A, B = draw(rng)
             if A.u == B.u and A.v == B.v:
                 continue
-            forward = distance(surface, A, B)
-            backward = distance(surface, B, A)
+            forward = connect_geodesic(surface, A, B).length
+            backward = connect_geodesic(surface, B, A).length
             assert abs(forward - backward) <= 1e-9 * max(1.0, forward)
             chord = float(np.linalg.norm(surface.embed(A)
                                          - surface.embed(B)))
@@ -145,9 +142,9 @@ class TestInvariants:
         for _ in range(100):
             A, B = draw(rng)
             C, _ = draw(rng)
-            ab = distance(surface, A, B)
-            bc = distance(surface, B, C)
-            ac = distance(surface, A, C)
+            ab = connect_geodesic(surface, A, B).length
+            bc = connect_geodesic(surface, B, C).length
+            ac = connect_geodesic(surface, A, C).length
             assert ac <= ab + bc + 1e-8
 
     def test_reversed_path_equal_length(self, paraboloid):
@@ -201,6 +198,19 @@ class TestInvariants:
         assert warm.length == pytest.approx(cold.length, abs=1e-12)
         assert len(shots) <= 4
         assert len({length for _, length in shots}) == len(shots)
+
+    def test_warm_start_leaving_the_chart_falls_back_to_cold(self,
+                                                              cylinder):
+        """A warm start whose first shot leaves the chart gives Newton no
+        candidate, and the connect answers as a cold one."""
+        A = SurfacePoint(cylinder.u_max - 0.5, 0.0)
+        B = SurfacePoint(cylinder.u_max - 1.0, 1.0)
+        assert connect_mod._newton(cylinder, A, B.u, B.v, 1.0, 1.0,
+                                   math.pi / 2, 2.0,
+                                   connect_mod._DEFAULT) == (None, 1)
+        warm = connect_geodesic(cylinder, A, B, initial=(math.pi / 2, 2.0))
+        cold = connect_geodesic(cylinder, A, B)
+        assert np.array_equal(warm.samples, cold.samples)
 
 
 class TestChartCopy:
@@ -362,8 +372,6 @@ class TestBatch:
 class TestOptions:
     def test_option_validation(self):
         with pytest.raises(ValueError):
-            ConnectOptions(n_starts=3)
-        with pytest.raises(ValueError):
             ConnectOptions(max_len=0.0)
         with pytest.raises(ValueError):
             ConnectOptions(resid_tol=-1.0)
@@ -371,6 +379,8 @@ class TestOptions:
             ConnectOptions(shoot_tol=0.0)
         with pytest.raises(ValueError):
             ConnectOptions(windings=())
+        with pytest.raises(ValueError, match="windings must lie within"):
+            ConnectOptions(windings=(0, -2 ** 31 - 1))
 
     @pytest.mark.parametrize("windings", [(1,), (-1, 1), (2,)])
     def test_windings_without_0_rejected(self, windings):
@@ -401,9 +411,8 @@ def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     as in a search without the cuts."""
     target = connect_mod._check_cold(surface, A, B, opts)
     near, _, s_e, s_g, chord, _ = target
-    thetas = [-math.pi + 2 * math.pi * (j + 0.5) / opts.n_starts
-              for j in range(opts.n_starts)]
-    thetas.append(connect_mod._chord_heading(surface, A, near))
+    thetas = [*connect_mod._FAN_HEADINGS,
+              connect_mod._chord_heading(surface, A, near)]
     L_fan, n_steps = _full_fan(surface, A, B, opts)
     fan = geodesics_mod.shoot_fan(surface, [A] * len(thetas), thetas,
                                   [L_fan / n_steps] * len(thetas), n_steps)
@@ -767,8 +776,9 @@ class TestWindingBound:
                 for v_t, length, theta in found:
                     same = (abs(v_t - best.end().v) <= 1e-8
                             and abs(length - best.length) <= 1e-8
-                            and abs(connect_mod._wrap_pi(
-                                theta - best.theta_start)) <= 1e-8)
+                            and abs(math.remainder(
+                                theta - best.theta_start, 2 * math.pi))
+                            <= 1e-8)
                     assert same or length >= surface.inj_floor
         assert windings >= {-1, 0, 1}
         assert (below_inj > 0) == (surface.inj_floor > 0.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import geofermat.connect as connect_mod
-from geofermat import (DegenerateTreeError, FermatOptions, SolveError,
+from geofermat import (ConnectOptions, DegenerateTreeError, SolveError,
                        SurfacePoint, WeightDomainError, WeightTriple,
                        connect_geodesic, floating_test, load_scenario,
                        make_surface, measure_sector_angles,
@@ -307,7 +307,7 @@ class TestSolveFermat:
         assert f[1] < f[0]
         assert f[-1] < f[0]
         # a Newton step may raise f by the geodesic-length noise at most
-        noise = sum(b) * FermatOptions().connect.resid_tol
+        noise = sum(b) * fermat_mod._RESID_TOL
         assert all(f[i + 1] <= f[i] + noise for i in range(len(f) - 1))
 
     def test_near_terminal_minimiser(self, plane):
@@ -328,7 +328,7 @@ class TestSolveFermat:
     def test_trial_on_terminal_rejected(self, plane):
         pts = equilateral_plane_points()
         assert fermat_mod._trial(plane, pts[0], 0.0, 0.0, pts, None,
-                                 (1, 1, 1), FermatOptions()) is None
+                                 (1, 1, 1), ConnectOptions()) is None
 
     def test_vertex_mode_result(self, plane):
         pts = equilateral_plane_points()
@@ -371,8 +371,9 @@ class TestSolveFermat:
         assert res.mode == "vertex" and res.vertex_index == 2
         assert res.point == pts[2]
         # both branches from the vertex were stored the other way round
-        expected = [connect_geodesic(sphere, pts[2], pts[j],
-                                     FermatOptions().connect) for j in (0, 1)]
+        opts = ConnectOptions(resid_tol=fermat_mod._RESID_TOL)
+        expected = [connect_geodesic(sphere, pts[2], pts[j], opts)
+                    for j in (0, 1)]
         for j, (got, want) in enumerate(zip(res.branches[:2], expected)):
             assert got.start() == pts[2]
             assert abs(got.theta_start - want.theta_start) <= 1e-8
@@ -408,17 +409,31 @@ class TestSolveFermat:
             steps.append(res.iterations)
         assert np.mean(steps) <= 6.0
 
-    def test_iteration_cap(self, paraboloid):
+    def test_iteration_cap(self, paraboloid, monkeypatch):
         pts = self.interior_points(paraboloid)
-        with pytest.raises(SolveError):
-            solve_fermat(paraboloid, pts, (1, 1, 1),
-                         FermatOptions(max_iter=1, grad_tol=1e-15))
+        monkeypatch.setattr(fermat_mod, "_MAX_ITER", 1)
+        with pytest.raises(SolveError, match="no convergence in 1 iterations"):
+            solve_fermat(paraboloid, pts, (1, 1, 1))
 
-    def test_option_validation(self):
-        for bad in ({"max_iter": 0}, {"grad_tol": 0.0}, {"angle_tol": -1.0},
-                    {"angle_tol": math.nan}):
-            with pytest.raises(ValueError):
-                FermatOptions(**bad)
+    def test_sector_angles_checked_against_weights(self, paraboloid,
+                                                   monkeypatch):
+        """A balanced tree whose sector angles miss the weights' by more
+        than the tolerance is a SolveError, not an answer."""
+        pts = self.interior_points(paraboloid)
+        monkeypatch.setattr(fermat_mod, "_ANGLE_TOL", 1e-300)
+        with pytest.raises(SolveError, match="sector angles deviate"):
+            solve_fermat(paraboloid, pts, (1, 1, 1))
+
+    def test_descent_fails_in_every_halving(self, paraboloid):
+        """No trial point lowers f below 0, so the halved step gives up
+        after its last halving."""
+        pts = self.interior_points(paraboloid)
+        res = solve_fermat(paraboloid, pts, (1, 1, 1))
+        warm = res.branches, [path.jacobi() for path in res.branches]
+        with pytest.raises(SolveError, match=(
+                f"in none of {fermat_mod._MAX_BACKTRACKS} halvings")):
+            fermat_mod._descend(paraboloid, res.point, 0.3, 0.1, 0.0, pts,
+                                warm, (1, 1, 1), ConnectOptions())
 
 
 class TestVertexRegimeBruteForce:
