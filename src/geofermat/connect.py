@@ -16,27 +16,35 @@ steps:
    winding is settled when no other candidate of it can be shorter than
    L*, tie with it or make it ambiguous:
 
-   - winding 0, when K <= 0 everywhere (``ProfileSurface.
-     nonpositive_curvature``).  On the universal cover, the (u, v) strip
-     with v unwrapped, two distinct geodesics from A to B* would bound a
-     disc D with two corners of interior angles a1, a2 > 0, and
-     Gauss-Bonnet would give ``int_D K dA = a1 + a2 > 0``.  So B* has
-     one geodesic from A;
-   - winding k, when ``hypot(arc_lo, phi_floor |B*.v + 2 pi k - A.v|)``
-     exceeds ``L* + 2 _AMBIGUITY_TOL``.  As ``ds^2 = E du^2 + phi^2 dv^2
-     >= E du^2 + phi_floor^2 dv^2``, Minkowski's inequality makes every
-     curve to that copy of B at least that long; ``arc_lo`` is a lower
-     bound on the meridian arc ``|int sqrt(E) du|`` from A.u to B.u, and
-     ``phi_floor`` one on phi (``ProfileSurface.phi_floor``);
-   - every winding, when ``L* + 2 _AMBIGUITY_TOL`` is below the
-     injectivity radius bound ``ProfileSurface.inj_floor`` (the sphere and
-     the torus).  Two geodesics from A to one surface point, both shorter
-     than the injectivity radius, would be two vectors of the ball that
-     ``exp_A`` maps injectively.  So every other geodesic from A to any
-     copy of B, in v or in u, is at least ``inj_floor`` long.
+   - winding 0, when K <= 0 everywhere (``nonpositive_curvature``).
+     On the universal cover, the (u, v) strip with v unwrapped, two
+     distinct geodesics from A to B* would bound a disc D with two
+     corners of interior angles a1, a2 > 0, and Gauss-Bonnet would give
+     ``int_D K dA = a1 + a2 > 0``.  So B* has one geodesic from A;
+   - winding k, when ``hypot(arc_lo, phi_band |B*.v + 2 pi k - A.v|)``
+     exceeds ``bar = L* + 2 _AMBIGUITY_TOL``.  Only curves at most ``bar``
+     long matter.  With ``arc(a, b) = |int_a^b sqrt(E) du|`` the meridian
+     arc, each point x of such a curve has ``arc(A.u, x.u) + arc(x.u,
+     B.u) <= bar``, as ``ds >= sqrt(E) |du|``.  So x.u lies in the band
+     ``[m - bar / (2 e_floor), m + bar / (2 e_floor)]``, m the mean of
+     A.u and B.u and ``e_floor <= sqrt(E)`` everywhere.  On that band
+     ``phi >= phi_band = max(phi_floor, phi_min(band))``, and as ``ds^2 =
+     E du^2 + phi^2 dv^2 >= E du^2 + phi_band^2 dv^2``, Minkowski's
+     inequality makes the curve at least ``hypot(arc_lo, phi_band
+     |dv|)`` long, ``arc_lo`` a lower bound on ``arc(A.u, B.u)``.  Where
+     phi reaches 0 only away from the pair, as at the cone's apex, the
+     band keeps phi_band above 0;
+   - every winding, when ``bar`` is below the injectivity radius bound
+     ``inj_floor`` (the sphere and the torus).  Two geodesics from A to
+     one surface point, both shorter than the injectivity radius, would
+     be two vectors of the ball that ``exp_A`` maps injectively.  So every
+     other geodesic from A to any copy of B, in v or in u, is at least
+     ``inj_floor`` long.
 
-   A pair whose requested windings are all settled runs no fan: its
-   answer is the chord seed's geodesic.
+   The bounds ``nonpositive_curvature``, ``phi_floor``, ``e_floor``,
+   ``phi_min`` and ``inj_floor`` hold for the whole surface and come from
+   ``ProfileSurface.bounds``.  A pair whose requested windings are all
+   settled runs no fan: its answer is the chord seed's geodesic.
 3. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
    heading among them.  When the chord seed converged to a length L*,
    the fan keeps its step h but runs only ``ceil(1.1 L* / h) + 2`` of its
@@ -101,6 +109,14 @@ _TIE_TOL = 1e-9          # lengths this close tie
 # its square in the screen, would overflow, and no geodesic of a useful
 # max_len winds this often
 _MAX_WINDING = 2 ** 31
+# the loosest resid_tol, a length: an end that misses B by more than the
+# ambiguity tolerance is no answer (a resid_tol of 1e300 took the chord
+# seed's first shot, 0.03 short of B, as converged)
+_MAX_RESID_TOL = _AMBIGUITY_TOL
+# the tightest shoot_tol, the smallest power of ten that the integrator
+# meets on every bundled scenario: at 1e-17 sphere_triangle exits 2 and
+# plane_equilateral runs past a minute
+_MIN_SHOOT_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -122,10 +138,11 @@ class ConnectOptions:
             raise ValueError(f"windings must lie within +-{_MAX_WINDING}")
         if not self.max_len > 0.0:
             raise ValueError("max_len must be positive")
-        if not self.resid_tol > 0.0:
-            raise ValueError("resid_tol must be positive")
-        if not self.shoot_tol > 0.0:
-            raise ValueError("shoot_tol must be positive")
+        if not 0.0 < self.resid_tol <= _MAX_RESID_TOL:
+            raise ValueError(f"resid_tol must be positive and at most "
+                             f"{_MAX_RESID_TOL:g}")
+        if not self.shoot_tol >= _MIN_SHOOT_TOL:
+            raise ValueError(f"shoot_tol must be at least {_MIN_SHOOT_TOL:g}")
 
 
 _DEFAULT = ConnectOptions()
@@ -252,12 +269,18 @@ def _check_cold(surface, A, B, opts):
     return (*target, arc_lo)
 
 
-def _winding_bound(surface, A, target, k):
+def _winding_bound(surface, A, target, k, bar):
     """A lower bound on the length of every curve from A to the copy
-    ``B*.v + 2 pi k`` of B: ``hypot(arc_lo, phi_floor |dv|)``."""
+    ``B*.v + 2 pi k`` of B that is at most ``bar`` long:
+    ``hypot(arc_lo, phi_band |dv|)``, with phi_band the floor on phi over
+    the u-band such a curve can reach (step 2 of the module docstring)."""
     near, arc_lo = target[0], target[5]
-    return math.hypot(arc_lo,
-                      surface.phi_floor * abs(near.v + TWO_PI * k - A.v))
+    bounds = surface.bounds
+    phi_band = bounds.phi_floor
+    if bounds.e_floor > 0.0:
+        mid, half = 0.5 * (A.u + near.u), 0.5 * bar / bounds.e_floor
+        phi_band = max(phi_band, bounds.phi_min(mid - half, mid + half))
+    return math.hypot(arc_lo, phi_band * abs(near.v + TWO_PI * k - A.v))
 
 
 def _settled(surface, A, target, length, opts):
@@ -266,11 +289,12 @@ def _settled(surface, A, target, length, opts):
     with it or make the answer ambiguous (step 2 of the module
     docstring)."""
     bar = length + 2.0 * _AMBIGUITY_TOL
-    if bar < surface.inj_floor:
+    bounds = surface.bounds
+    if bar < bounds.inj_floor:
         return set(opts.windings)
     return {k for k in opts.windings
-            if (k == 0 and surface.nonpositive_curvature)
-            or _winding_bound(surface, A, target, k) > bar}
+            if (k == 0 and bounds.nonpositive_curvature)
+            or _winding_bound(surface, A, target, k, bar) > bar}
 
 
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,

@@ -178,7 +178,9 @@ class FloatingTest:
 
     ``margins[i]`` is ``|b_j U_ij + b_k U_ik| - b_i`` evaluated at terminal
     i with unit departure tangents toward the other two terminals; the
-    minimiser is interior exactly when every margin is positive.
+    minimiser is interior exactly when every margin is positive.  In
+    vertex mode ``vertex_index`` is the terminal of least f among those
+    whose margin is at most 0.
     ``arcs[i, j]`` (i < j) is the geodesic from terminal i to terminal j;
     the tangent at j toward i is its reversed end heading.
     """
@@ -223,10 +225,16 @@ def floating_test(surface: ProfileSurface, points, weights,
                           b[j] * tj[1] + b[k] * tk[1])
         margins.append(pull - b[i])
 
-    worst = min(range(3), key=lambda i: margins[i])
-    if margins[worst] > 0.0:
+    vertices = [i for i in range(3) if margins[i] <= 0.0]
+    if not vertices:
         return FloatingTest("interior", None, tuple(margins), arcs)
-    return FloatingTest("vertex", worst, tuple(margins), arcs)
+
+    def f(i):       # b_j L_ij + b_k L_ik, from the arcs in hand
+        return sum(b[j] * arcs[min(i, j), max(i, j)].length
+                   for j in range(3) if j != i)
+
+    # on a curved surface several terminals can pass the vertex test
+    return FloatingTest("vertex", min(vertices, key=f), tuple(margins), arcs)
 
 
 @dataclass

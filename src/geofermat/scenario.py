@@ -130,7 +130,7 @@ def _parse_options(obj):
     """The ``ConnectOptions`` of the scenario's ``options`` section, which
     every command uses (``solve_fermat`` tightens its ``resid_tol``).
     Only JSON types and finiteness are checked here; ConnectOptions checks
-    the ranges."""
+    the ranges, and an error names the option it found out of range."""
     if obj is None:
         obj = {}
     if not isinstance(obj, dict):
@@ -146,10 +146,13 @@ def _parse_options(obj):
             kwargs[key] = tuple(parse_list(value, where, _parse_int))
         else:
             kwargs[key] = parse_number(value, where)
-    try:
-        return ConnectOptions(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), "options") from exc
+        # each check of ConnectOptions is on one field, so a record with
+        # this key alone fails exactly when the key is out of range
+        try:
+            ConnectOptions(**{key: kwargs[key]})
+        except ValueError as exc:
+            raise ScenarioError(str(exc), where) from exc
+    return ConnectOptions(**kwargs)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

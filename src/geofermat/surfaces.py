@@ -26,6 +26,7 @@ A heading ``theta`` is the signed angle from ``e_parallel`` toward
 
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,9 +267,7 @@ class ProfileSurface:
         self._metric = metric        # (xp, u) -> (E, G, E_u, G_u, phi)
         self._meridian = meridian    # (xp, u) -> (psi, psi')
         self._curvature = curvature  # (xp, u) -> K
-        # (phi_floor, K <= 0 everywhere, inj_floor), see _KINDS
-        (self._phi_floor, self._nonpositive_curvature,
-         self._inj_floor) = bounds
+        self._bounds = bounds
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
         if not self.axis_guard >= _MIN_GUARD:
@@ -297,22 +296,10 @@ class ProfileSurface:
         return abs(slope - 1.0) <= _CLOSURE_SLOPE_TOL
 
     @property
-    def phi_floor(self) -> float:
-        """A lower bound on phi(u) for every u, 0 when none is known."""
-        return self._phi_floor
-
-    @property
-    def nonpositive_curvature(self) -> bool:
-        """Whether K(u) <= 0 for every u; False when not known."""
-        return self._nonpositive_curvature
-
-    @property
-    def inj_floor(self) -> float:
-        """A lower bound on the injectivity radius of the whole surface, 0
-        when none is known: a geodesic from a point shorter than it is the
-        one shortest curve to its end, and every other geodesic between
-        the two is at least this long."""
-        return self._inj_floor
+    def bounds(self) -> "SurfaceBounds":
+        """What the kind knows of its whole surface, on the chart or off
+        it (see ``_KINDS``)."""
+        return self._bounds
 
     def scale(self) -> float:
         """Characteristic radius, used to normalise tolerances."""
@@ -374,42 +361,104 @@ class ProfileSurface:
         return e_par, e_mer
 
 
+def _no_band(lo, hi):
+    return 0.0
+
+
+@dataclass(frozen=True)
+class SurfaceBounds:
+    """What a kind knows of its whole surface, for every u on its chart or
+    off it, so that no chart override breaks it; a kind that knows nothing
+    (the custom spline) keeps the defaults.
+
+    ``phi_floor`` bounds phi(u) below, and ``e_floor`` bounds sqrt(E(u))
+    below.  ``nonpositive_curvature`` says K(u) <= 0.  ``inj_floor`` bounds
+    the injectivity radius of the whole surface below, which a chart only
+    cuts down to a part of.  ``phi_min(lo, hi)`` bounds |phi(u)| below on
+    the u-band [lo, hi]: the least phi at the band ends and at phi's
+    interior minima, 0 where the band passes the axis."""
+
+    phi_floor: float = 0.0
+    nonpositive_curvature: bool = False
+    inj_floor: float = 0.0
+    e_floor: float = 0.0
+    phi_min: Callable[[float, float], float] = _no_band
+
+
+def _sphere_phi_min(R):
+    # sin is concave on (0, pi); a band past either pole reaches the axis
+    return lambda lo, hi: (R * min(math.sin(lo), math.sin(hi))
+                           if 0.0 < lo and hi < math.pi else 0.0)
+
+
+def _torus_phi_min(R, r):
+    # phi = R + r cos u is least, R - r, at the odd multiples of pi and has
+    # no other minimum
+    def phi_min(lo, hi):
+        if math.pi + TWO_PI * math.ceil((lo - math.pi) / TWO_PI) <= hi:
+            return R - r
+        return R + r * min(math.cos(lo), math.cos(hi))
+    return phi_min
+
+
+def _apex_phi_min(lo, hi):
+    # phi = u on the cone, the plane and the paraboloid, which meet the
+    # axis at u = 0
+    return max(0.0, lo)
+
+
 # kind -> (parameter names, profile functions, chart defaults, bounds).
 # All three take the parameters in the listed order; the profile functions
 # are ``(metric, meridian, curvature)``, the chart defaults
-# ``(u_min, u_max, axis_guard)`` and the bounds ``(phi_floor, K <= 0,
-# inj_floor)``: phi(u) >= phi_floor and, when the flag is set, K(u) <= 0
-# for every u, on the chart or off it, so that no chart override breaks
-# them; inj_floor is a lower bound on the injectivity radius of the whole
-# surface, which a chart only cuts down to a part of.  By Klingenberg's
-# lemma a compact surface with K <= K_max > 0 has injectivity radius at
-# least ``min(pi / sqrt(K_max), l / 2)``, l its shortest closed geodesic
-# (do Carmo, Riemannian Geometry, ch. 13).  The sphere's is pi R.  On the
-# torus K_max = 1 / (r (R + r)) on the outer equator, a closed meridian is
-# 2 pi r long, and by Clairaut every other closed geodesic winds in v, so
-# it is at least 2 pi (R - r) long.  The other kinds are not compact and
-# claim 0, as the custom spline claims no bound at all.
+# ``(u_min, u_max, axis_guard)`` and the bounds a ``SurfaceBounds``.
+# By Klingenberg's lemma a compact surface with K <= K_max > 0 has
+# injectivity radius at least ``min(pi / sqrt(K_max), l / 2)``, l its
+# shortest closed geodesic (do Carmo, Riemannian Geometry, ch. 13).  The
+# sphere's is pi R.  On the torus K_max = 1 / (r (R + r)) on the outer
+# equator, a closed meridian is 2 pi r long, and by Clairaut every other
+# closed geodesic winds in v, so it is at least 2 pi (R - r) long.  The
+# other kinds are not compact and claim 0.  ``e_floor`` and ``phi_min``
+# give the u-band that a curve of bounded length can reach, and the least
+# phi on it (``connect._winding_bound``): sqrt(E) is R on the sphere, r on
+# the torus, sqrt(1 + slope^2) on the cone and at least 1 on the other
+# kinds; phi's interior minima are the catenoid's waist u = 0 and the
+# torus's inner equator u = pi (mod 2 pi), and a band reaches the axis past
+# the cone's apex, the sphere's poles and the paraboloid's vertex.
 _KINDS = {
     "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R),
-               lambda R: (0.0, False, math.pi * R)),
+               lambda R: SurfaceBounds(inj_floor=math.pi * R, e_floor=R,
+                                       phi_min=_sphere_phi_min(R))),
     "cylinder": (("radius",), _cylinder_fns,
-                 lambda R: (-20.0, 20.0, 1e-6 * R), lambda R: (R, True, 0.0)),
+                 lambda R: (-20.0, 20.0, 1e-6 * R),
+                 lambda R: SurfaceBounds(
+                     phi_floor=R, nonpositive_curvature=True, e_floor=1.0,
+                     phi_min=lambda lo, hi: R)),
     "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6),
-             lambda slope: (0.0, True, 0.0)),
+             lambda slope: SurfaceBounds(
+                 nonpositive_curvature=True,
+                 e_floor=math.sqrt(1.0 + slope * slope),
+                 phi_min=_apex_phi_min)),
     "paraboloid": (("a",), _paraboloid_fns, lambda a: (0.0, 10.0, 1e-6),
-                   lambda a: (0.0, False, 0.0)),
+                   lambda a: SurfaceBounds(e_floor=1.0,
+                                           phi_min=_apex_phi_min)),
     "catenoid": (("a",), _catenoid_fns,
                  lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a),
-                 lambda a: (a, True, 0.0)),
+                 lambda a: SurfaceBounds(
+                     phi_floor=a, nonpositive_curvature=True, e_floor=1.0,
+                     phi_min=lambda lo, hi: a * math.cosh(
+                         max(0.0, lo, -hi) / a))),
     "torus": (("R", "r"), _torus_fns,
               lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R),
-              lambda R, r: (R - r, False,
-                            math.pi * min(math.sqrt(r * (R + r)), r, R - r))),
+              lambda R, r: SurfaceBounds(
+                  phi_floor=R - r,
+                  inj_floor=math.pi * min(math.sqrt(r * (R + r)), r, R - r),
+                  e_floor=r, phi_min=_torus_phi_min(R, r))),
     "plane": ((), lambda: _cone_fns(0.0), lambda: (0.0, 50.0, 1e-6),
-              lambda: (0.0, True, 0.0)),
+              lambda: SurfaceBounds(nonpositive_curvature=True, e_floor=1.0,
+                                    phi_min=_apex_phi_min)),
     "custom": (("samples",), _custom_fns,
                lambda rows: (rows[0, 0], rows[-1, 0], 1e-6),
-               lambda rows: (0.0, False, 0.0)),
+               lambda rows: SurfaceBounds()),
 }
 CATALOGUE = tuple(_KINDS)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import geofermat.cli as cli
+import geofermat.connect as connect_mod
 import geofermat.fermat as fermat_mod
 import geofermat.geodesics as geodesics_mod
 import geofermat.verify as verify_mod
@@ -170,8 +171,9 @@ class TestScenarioLoading:
     def test_option_range_checked_by_options_class(self, options):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(minimal_scenario(options=options))
-        assert err.value.field == "options"
-        assert next(iter(options)) in str(err.value)
+        key = next(iter(options))
+        assert err.value.field == f"options.{key}"
+        assert key in str(err.value)
 
     @staticmethod
     def _connect_error(data, tmp_path, capsys):
@@ -194,19 +196,19 @@ class TestScenarioLoading:
         error = self._connect_error(json.loads(
             (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
             | {"options": {"windings": windings}}, tmp_path, capsys)
-        assert error["field"] == "options"
+        assert error["field"] == "options.windings"
         assert "windings must include 0" in error["message"]
 
-    @pytest.mark.parametrize("surface,options,message", [
+    @pytest.mark.parametrize("surface,options,message,field", [
         ({"kind": "cylinder", "radius": 1.0}, {"windings": [0, 10 ** 400]},
-         "windings must lie within"),
+         "windings must lie within", "options.windings"),
         ({"kind": "paraboloid", "a": 1.0}, {"windings": [0, 10 ** 300]},
-         "windings must lie within"),
+         "windings must lie within", "options.windings"),
         ({"kind": "cylinder", "radius": 1.0}, {"n_starts": 10 ** 400},
-         "unknown options ['n_starts']"),
+         "unknown options ['n_starts']", "options"),
     ], ids=["cylinder-10**400", "paraboloid-10**300", "retired-n_starts"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rejected_options_exit_1(self, surface, options, message,
+    def test_rejected_options_exit_1(self, surface, options, message, field,
                                      tmp_path, capsys):
         """A winding past 2**31 turns, or a retired solver setting, is a
         configuration error, not an overflow from the search."""
@@ -216,7 +218,26 @@ class TestScenarioLoading:
         data["points"]["A1"]["u"] = 1.0     # off the paraboloid's vertex
         data["options"] = options
         error = self._connect_error(data, tmp_path, capsys)
-        assert error["field"] == "options"
+        assert error["field"] == field
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("options,message", [
+        ({"resid_tol": 1e300}, "resid_tol must be positive and at most 1e-06"),
+        ({"shoot_tol": 1e-300}, "shoot_tol must be at least 1e-16"),
+    ], ids=["resid_tol", "shoot_tol"])
+    def test_unanswerable_tolerances_exit_1(self, options, message,
+                                            tmp_path, capsys):
+        """A residual tolerance that takes a shot 0.03 short of B as
+        converged, or an integrator tolerance below what double precision
+        meets, is a configuration error that names the option."""
+        data = json.loads(
+            (TestBundledScenarios.SCENARIOS / "sphere_triangle.json")
+            .read_text()) | {"options": options}
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(data))
+        assert cli.main(["fermat-solve", "--scenario", str(scn_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["field"] == f"options.{next(iter(options))}"
         assert message in error["message"]
 
     def test_options_feed_both_solvers(self, monkeypatch):
@@ -363,7 +384,7 @@ class TestRun:
         (("weights",), "fermat-solve", [1.0, 2.0], "weights"),
         (("fermat_points",), "fermat-solve", ["A1", "A2"], "fermat_points"),
         # an empty list reaches the range check of ConnectOptions
-        (("options", "windings"), "connect", [], "options"),
+        (("options", "windings"), "connect", [], "options.windings"),
         (("inverse", "angles"), "fermat-inverse", [0.1, 0.2],
          "inverse.angles"),
         (("experiment", "lengths"), "rotate-experiment", [0.3, 0.4],
@@ -723,6 +744,7 @@ class TestBundledScenarios:
         ("sphere_planted.json", "clairaut-report"),
         ("sphere_near_axis.json", "fermat-solve"),
         ("sphere_options.json", "fermat-solve"),
+        ("cone_pair.json", "connect"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
@@ -766,6 +788,24 @@ class TestBundledScenarios:
         assert code == 0
         assert report["results"]["fermat"]["mode"] == "interior"
         assert len(calls) <= 370
+
+    def test_cone_pair_runs_no_fan(self, monkeypatch):
+        """No curve from A1 to A2 as short as the chord seed's geodesic
+        comes nearer the apex than u = 0.86, so windings -1 and 1 are
+        settled, as K = 0 settles 0, and the answer is the chord seed's
+        geodesic: the chord of the unrolled cone, slant radius ``u sqrt 2``
+        and sector angle ``v / sqrt 2``."""
+        fans = []
+        monkeypatch.setattr(connect_mod, "shoot_fan",
+                            lambda *args: fans.append(args))
+        scn = load_scenario(self.SCENARIOS / "cone_pair.json")
+        code, report = cli.run("connect", scn)
+        assert (code, fans) == (0, [])
+        r1, r2 = math.sqrt(2.0), 2.5 * math.sqrt(2.0)
+        turn = (math.pi / 3.0 - 0.2) / math.sqrt(2.0)
+        assert report["results"]["path"]["length"] == pytest.approx(
+            math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(turn)),
+            abs=1e-9)
 
     def test_planted_tree_report_schema(self):
         """The planted sphere tree (branch 1 at 100 degrees, clockwise) is

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -382,6 +383,18 @@ class TestOptions:
         with pytest.raises(ValueError, match="windings must lie within"):
             ConnectOptions(windings=(0, -2 ** 31 - 1))
 
+    def test_tolerance_bounds(self):
+        """resid_tol is a length of at most 1e-6, and shoot_tol at least
+        1e-16, the smallest power of ten the integrator meets on every
+        bundled scenario."""
+        ConnectOptions(resid_tol=1e-6, shoot_tol=1e-16)
+        with pytest.raises(ValueError, match="resid_tol"):
+            ConnectOptions(resid_tol=1.0000001e-6)
+        with pytest.raises(ValueError, match="shoot_tol"):
+            ConnectOptions(shoot_tol=0.99e-16)
+        with pytest.raises(ValueError, match="resid_tol"):
+            ConnectOptions(resid_tol=math.nan)
+
     @pytest.mark.parametrize("windings", [(1,), (-1, 1), (2,)])
     def test_windings_without_0_rejected(self, windings):
         """The chord seed always searches winding 0, so a search that
@@ -606,10 +619,12 @@ class TestSettle:
         assert len(starts) > 1
 
     def test_cone_polishes_no_winding_0_pick(self, monkeypatch):
-        """K = 0 settles winding 0 on the cone; phi_floor is 0 there, so
-        windings -1 and 1 stay open and the fan runs."""
+        """K = 0 settles winding 0 on the cone.  The band that this pair's
+        curves of the chord seed's length can reach goes down to u = 0.44,
+        too near the apex to settle windings -1 and 1, so the fan runs."""
         cone = make_surface("cone", slope=1.0)
-        A, B = SurfacePoint(0.58, 0.41), SurfacePoint(1.44, -0.82)
+        A = SurfacePoint(3.887492086001204, -0.09003309696647355)
+        B = SurfacePoint(1.9520288075321444, 2.6655594505241016)
         want = _full_fan_path(cone, A, B)
         starts, fans = self._count(monkeypatch)
         path = connect_geodesic(cone, A, B)
@@ -646,34 +661,55 @@ class TestSettle:
         """phi_floor bounds phi on and off the default chart, and the
         custom spline claims no bound.  inj_floor is pi R on the sphere,
         ``pi min(sqrt(r (R + r)), r, R - r)`` on the torus and 0 on the
-        other kinds."""
-        for kind, params, floor, flat_or_saddle, inj in [
-                ("cylinder", dict(radius=2.0), 2.0, True, 0.0),
-                ("catenoid", dict(a=0.5), 0.5, True, 0.0),
-                ("torus", dict(R=2.0, r=0.7), 1.3, False, 0.7 * math.pi),
+        other kinds.  e_floor bounds sqrt(E), and phi_min(lo, hi) bounds
+        |phi| on every sampled band, on and off the chart."""
+        rng = np.random.default_rng(79)
+        for kind, params, floor, flat_or_saddle, inj, e_floor in [
+                ("cylinder", dict(radius=2.0), 2.0, True, 0.0, 1.0),
+                ("catenoid", dict(a=0.5), 0.5, True, 0.0, 1.0),
+                ("torus", dict(R=2.0, r=0.7), 1.3, False, 0.7 * math.pi,
+                 0.7),
                 # a fat torus: the inner equator, 2 pi (R - r) long
                 ("torus", dict(R=1.0, r=0.8), 1.0 - 0.8, False,
-                 0.2 * math.pi),
-                ("cone", dict(slope=0.8), 0.0, True, 0.0),
-                ("plane", {}, 0.0, True, 0.0),
-                ("sphere", dict(radius=2.0), 0.0, False, 2.0 * math.pi),
-                ("paraboloid", dict(a=1.0), 0.0, False, 0.0)]:
+                 0.2 * math.pi, 0.8),
+                ("cone", dict(slope=0.8), 0.0, True, 0.0,
+                 math.sqrt(1.64)),
+                ("cone", dict(slope=-2.0), 0.0, True, 0.0, math.sqrt(5.0)),
+                ("plane", {}, 0.0, True, 0.0, 1.0),
+                ("sphere", dict(radius=2.0), 0.0, False, 2.0 * math.pi,
+                 2.0),
+                ("paraboloid", dict(a=1.0), 0.0, False, 0.0, 1.0)]:
             surface = make_surface(kind, **params)
-            assert surface.phi_floor == floor
-            assert surface.nonpositive_curvature == flat_or_saddle
-            assert surface.inj_floor == pytest.approx(inj, rel=1e-15)
+            bounds = surface.bounds
+            assert bounds.phi_floor == floor
+            assert bounds.nonpositive_curvature == flat_or_saddle
+            assert bounds.inj_floor == pytest.approx(inj, rel=1e-15)
+            assert bounds.e_floor == pytest.approx(e_floor, rel=1e-15)
             u = np.linspace(surface.u_min - 5.0, surface.u_max + 5.0, 401)
-            phi = surface.metric_terms_batch(u)[4]
+            E, _, _, _, phi = surface.metric_terms_batch(u)
+            assert np.all(np.sqrt(E) >= bounds.e_floor)
             if floor > 0.0:
                 assert np.all(phi >= floor * (1.0 - 1e-15))
             if flat_or_saddle:
                 assert np.all(surface.curvature(u[phi > 0.0]) <= 0.0)
-        assert (_vase().phi_floor, _vase().nonpositive_curvature,
-                _vase().inj_floor) == (0.0, False, 0.0)
+            for _ in range(200):
+                lo, hi = np.sort(rng.uniform(surface.u_min - 5.0,
+                                             surface.u_max + 5.0, 2))
+                if rng.uniform() < 0.5:     # a narrow band
+                    hi = lo + rng.uniform(0.0, 0.3)
+                band = np.linspace(lo, hi, 301)
+                least = np.min(np.abs(surface.metric_terms_batch(band)[4]))
+                assert bounds.phi_min(lo, hi) <= least * (1.0 + 1e-15)
+        vase = _vase().bounds
+        assert (vase.phi_floor, vase.nonpositive_curvature, vase.inj_floor,
+                vase.e_floor, vase.phi_min(0.0, 8.0)) == (0.0, False, 0.0,
+                                                          0.0, 0.0)
         with pytest.raises(AttributeError):
-            make_surface("cylinder", radius=1.0).phi_floor = 5.0
+            make_surface("cylinder", radius=1.0).bounds.phi_floor = 5.0
         with pytest.raises(AttributeError):
-            make_surface("sphere", radius=1.0).inj_floor = 5.0
+            make_surface("sphere", radius=1.0).bounds.inj_floor = 5.0
+        with pytest.raises(AttributeError):
+            make_surface("sphere", radius=1.0).bounds = None
 
     def test_inj_floor_against_closed_forms(self):
         """Every non-antipodal sphere pair has its shortest arc below
@@ -688,22 +724,23 @@ class TestSettle:
                 A, B, sep = _sphere_pair(rng, sep_lo=1e-3, sep_hi=math.pi
                                          - 1e-6)
                 d = radius * sep
-                assert d < sphere.inj_floor
-                assert 2.0 * math.pi * radius - d >= sphere.inj_floor
+                assert d < sphere.bounds.inj_floor
+                assert 2.0 * math.pi * radius - d >= sphere.bounds.inj_floor
         for R, r in [(2.0, 0.7), (1.0, 0.8), (3.0, 0.5)]:
             torus = make_surface("torus", R=R, r=r)
             for d in np.linspace(1e-3, math.pi, 200):
                 short, other = r * d, r * (2.0 * math.pi - d)
-                if short < torus.inj_floor:
-                    assert other >= torus.inj_floor
+                if short < torus.bounds.inj_floor:
+                    assert other >= torus.bounds.inj_floor
 
-    def test_settle_changes_no_path(self, sphere, torus, monkeypatch):
-        """Random sphere and torus pairs get the same path with no winding
-        ever settled, in a search that polishes every pick."""
+    def test_settle_changes_no_path(self, monkeypatch):
+        """Random sphere, torus and cone pairs get the same path with no
+        winding ever settled, in a search that polishes every pick."""
         _, fans = self._count(monkeypatch)
         settled = {}
-        for name, surface in (("sphere", sphere), ("torus", torus)):
-            draw = TestInvariants.SAMPLERS[name][1]
+        for name in ("sphere", "torus", "cone"):
+            build, draw = TestInvariants.SAMPLERS[name]
+            surface = build()
             rng = np.random.default_rng(73)
             pairs = [draw(rng) for _ in range(40)]
             fans.clear()
@@ -717,11 +754,15 @@ class TestSettle:
                 assert (g.winding, g.ambiguous) == (w.winding, w.ambiguous)
         assert settled["sphere"] == 40
         assert settled["torus"] > 0
+        assert settled["cone"] > 0
 
 
 class TestWindingBound:
-    """``_winding_bound`` is at most the length of every geodesic to its
-    copy of B, and so never settles a winding that could win."""
+    """``_winding_bound`` at a length ``bar`` is at most the length of every
+    geodesic to its copy of B that is at most ``bar`` long, and so never
+    settles a winding that could win.  Each check takes ``bar`` at the
+    geodesic's own length, the narrowest band it can reach: a longer bar
+    widens the band and lowers the bound."""
 
     @staticmethod
     def _pairs(rng, lo, hi, n):
@@ -737,26 +778,39 @@ class TestWindingBound:
             for k in range(-2, 3):
                 length = math.hypot(B.u - A.u,
                                     1.5 * (near.v + 2 * math.pi * k - A.v))
-                bound = connect_mod._winding_bound(cylinder, A, target, k)
+                bound = connect_mod._winding_bound(cylinder, A, target, k,
+                                                   length)
                 assert bound <= length * (1.0 + 1e-12)
 
     # the torus's reference searches take about 0.15 s a pair
     @pytest.mark.parametrize("name, lo, hi, n", [
-        ("catenoid", -1.2, 1.2, 80), ("torus", -math.pi, math.pi, 20)],
-        ids=["catenoid", "torus"])
+        ("catenoid", -1.2, 1.2, 80), ("torus", -math.pi, math.pi, 20),
+        ("cone", 0.5, 3.0, 20), ("paraboloid", 2.0, 6.0, 20)],
+        ids=["catenoid", "torus", "cone", "paraboloid"])
     def test_every_converged_candidate(self, name, lo, hi, n, monkeypatch):
-        """Every candidate of a search without the cuts, of every winding."""
+        """Every candidate of a search without the cuts, of every winding;
+        each stays inside the u-band that its bound takes phi's least
+        value over."""
         surface = TestInvariants.SAMPLERS[name][0]()
-        found = []
+        found, bands = [], []
         real = connect_mod._newton
 
         def recorded(surface_, A, u_t, v_t, *rest):
             got, shots = real(surface_, A, u_t, v_t, *rest)
             if got is not None:
-                found.append((v_t, got.length, got.theta))
+                us = got.path.samples[:, 1]
+                found.append((v_t, got.length, got.theta, us.min(),
+                              us.max()))
             return got, shots
 
+        def phi_min(lo_, hi_):
+            bands.append((lo_, hi_))
+            return bounds.phi_min(lo_, hi_)
+
+        bounds = surface.bounds
         monkeypatch.setattr(connect_mod, "_newton", recorded)
+        monkeypatch.setattr(surface, "_bounds",
+                            dataclasses.replace(bounds, phi_min=phi_min))
         windings = set()
         below_inj = 0
         for A, B in self._pairs(np.random.default_rng(67), lo, hi, n):
@@ -764,24 +818,28 @@ class TestWindingBound:
             best = _full_fan_path(surface, A, B)
             target = connect_mod._check_cold(surface, A, B,
                                              connect_mod._DEFAULT)
-            for v_t, length, _ in found:
+            for v_t, length, _, u_lo, u_hi in found:
                 k = round((v_t - target[0].v) / (2 * math.pi))
                 windings.add(k)
-                bound = connect_mod._winding_bound(surface, A, target, k)
+                bands.clear()
+                bound = connect_mod._winding_bound(surface, A, target, k,
+                                                   length)
                 assert bound <= length + 1e-9
-            if best.length < surface.inj_floor:
+                (band_lo, band_hi), = bands
+                assert band_lo - 1e-9 <= u_lo and u_hi <= band_hi + 1e-9
+            if best.length < bounds.inj_floor:
                 # below the injectivity radius, every other geodesic to
                 # any copy of B is at least inj_floor long
                 below_inj += 1
-                for v_t, length, theta in found:
+                for v_t, length, theta, _, _ in found:
                     same = (abs(v_t - best.end().v) <= 1e-8
                             and abs(length - best.length) <= 1e-8
                             and abs(math.remainder(
                                 theta - best.theta_start, 2 * math.pi))
                             <= 1e-8)
-                    assert same or length >= surface.inj_floor
+                    assert same or length >= bounds.inj_floor
         assert windings >= {-1, 0, 1}
-        assert (below_inj > 0) == (surface.inj_floor > 0.0)
+        assert (below_inj > 0) == (bounds.inj_floor > 0.0)
 
 
 # the benchmark's wavy vase: 17 knots on u in [0, 8]

@@ -144,6 +144,28 @@ class TestFloatingTest:
         assert res.mode == "vertex"
         assert res.vertex_index == 2
 
+    def test_vertex_of_least_f(self, sphere):
+        """All three terminals of this wide sphere triangle pass the vertex
+        test.  Terminal 0 has the most negative margin, but terminal 2 has
+        the least f, the global minimum: on the unit sphere
+        ``f(x) = sum b_i arccos(<x, A_i>)``."""
+        pts = [SurfacePoint(2.154741995265915, 2.352440650516235),
+               SurfacePoint(1.6981294004951661, -0.43732165394648037),
+               SurfacePoint(0.2830855969447268, 0.9168508980531902)]
+        b = (1.1962624959318753, 0.9396235297205457, 0.9072034736581892)
+        res = floating_test(sphere, pts, b)
+        assert res.mode == "vertex"
+        assert res.margins == pytest.approx((-0.452, -0.173, -0.277),
+                                            abs=1e-3)
+        assert res.vertex_index == 2
+        xyz = [sphere.embed(p) for p in pts]
+        f = [sum(bj * math.acos(min(1.0, float(xyz[i] @ xj)))
+                 for bj, xj in zip(b, xyz)) for i in range(3)]
+        assert f == pytest.approx([4.111487, 4.299834, 4.037251], abs=1e-6)
+        solved = solve_fermat(sphere, pts, b)
+        assert (solved.mode, solved.vertex_index) == ("vertex", 2)
+        assert solved.f_value == pytest.approx(4.037251, abs=1e-6)
+
     def test_sphere_near_equilateral_interior(self, sphere):
         center = SurfacePoint(math.pi / 2, 0.5)
         pts = [shoot(sphere, center, th, 0.4).end()
