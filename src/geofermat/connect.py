@@ -6,13 +6,19 @@ chart metric frozen at the target point.  The windings count from the
 copy of the target nearest the start, ``B* = (B.u, B.v + 2 pi k)`` with
 k the whole turns nearest ``(A.v - B.v) / 2 pi``: every start aims at B*
 or its neighbours, and the ``winding`` reported is relative to B as
-given (the winding found from B* plus k).  A cold connect runs in five
-steps:
+given (the winding found from B* plus k).
+
+The search windings are fixed: -1, 0 and 1 from B*.  The metric ``E du^2
++ phi^2 dv^2`` does not depend on v, so a curve (u(t), v(t)) from A whose
+v-travel exceeds half a turn is no shorter than (u(t), A.v + lam (v(t) -
+A.v)) with |lam| < 1, which keeps its u-travel and ends at a nearer copy
+of B.  The shortest curve from A therefore ends at B*, whose v-travel is
+at most pi, or at the copy of winding +-1 only when B lies exactly half a
+turn from A.  A cold connect runs in five steps:
 
 1. Chord seed.  Newton from the embedded chord direction, with the
-   chord as length, aimed at B* (winding 0, which every search
-   includes).
-2. Settle.  When the chord seed converged to a length L*, a requested
+   chord as length, aimed at B* (winding 0).
+2. Settle.  When the chord seed converged to a length L*, a search
    winding is settled when no other candidate of it can be shorter than
    L*, tie with it or make it ambiguous:
 
@@ -28,12 +34,12 @@ steps:
      B.u) <= bar``, as ``ds >= sqrt(E) |du|``.  So x.u lies in the band
      ``[m - bar / (2 e_floor), m + bar / (2 e_floor)]``, m the mean of
      A.u and B.u and ``e_floor <= sqrt(E)`` everywhere.  On that band
-     ``phi >= phi_band = max(phi_floor, phi_min(band))``, and as ``ds^2 =
-     E du^2 + phi^2 dv^2 >= E du^2 + phi_band^2 dv^2``, Minkowski's
-     inequality makes the curve at least ``hypot(arc_lo, phi_band
-     |dv|)`` long, ``arc_lo`` a lower bound on ``arc(A.u, B.u)``.  Where
-     phi reaches 0 only away from the pair, as at the cone's apex, the
-     band keeps phi_band above 0;
+     ``phi >= phi_band = phi_min(band)`` (0 where ``e_floor`` is 0), and
+     as ``ds^2 = E du^2 + phi^2 dv^2 >= E du^2 + phi_band^2 dv^2``,
+     Minkowski's inequality makes the curve at least ``hypot(arc_lo,
+     phi_band |dv|)`` long, ``arc_lo`` a lower bound on ``arc(A.u,
+     B.u)``.  Where phi reaches 0 only away from the pair, as at the
+     cone's apex, the band keeps phi_band above 0;
    - every winding, when ``bar`` is below the injectivity radius bound
      ``inj_floor`` (the sphere and the torus).  Two geodesics from A to
      one surface point, both shorter than the injectivity radius, would
@@ -41,9 +47,9 @@ steps:
      other geodesic from A to any copy of B, in v or in u, is at least
      ``inj_floor`` long.
 
-   The bounds ``nonpositive_curvature``, ``phi_floor``, ``e_floor``,
-   ``phi_min`` and ``inj_floor`` hold for the whole surface and come from
-   ``ProfileSurface.bounds``.  A pair whose requested windings are all
+   The bounds ``nonpositive_curvature``, ``e_floor``, ``phi_min`` and
+   ``inj_floor`` hold for the whole surface and come from
+   ``ProfileSurface.bounds``.  A pair whose search windings are all
    settled runs no fan: its answer is the chord seed's geodesic.
 3. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
    heading among them.  When the chord seed converged to a length L*,
@@ -52,7 +58,7 @@ steps:
    nearest B* no later than the length of the geodesic it shadows, so
    samples beyond ``1.1 L* + 2h`` could only seed geodesics longer than
    the one in hand.  Otherwise the fan runs in full.
-4. Screen.  Each lane's nearest pass to every requested winding of
+4. Screen.  Each lane's nearest pass to every search winding of
    B* is a seed; the best few go on.  Settled windings are screened
    too, so the picks are those of a search without the cuts.
 5. Polish.  Each pick of an unsettled winding is polished by a damped
@@ -105,10 +111,9 @@ _FAN_HEADINGS = tuple(-math.pi + TWO_PI * (j + 0.5) / 16 for j in range(16))
 _REFINE_TOP = 4          # screened starts polished by Newton
 _AMBIGUITY_TOL = 1e-6    # a second geodesic this close in length: ambiguous
 _TIE_TOL = 1e-9          # lengths this close tie
-# largest |winding| searched: 2 pi times a winding past the float range, or
-# its square in the screen, would overflow, and no geodesic of a useful
-# max_len winds this often
-_MAX_WINDING = 2 ** 31
+# whole turns searched, counted from B*: the shortest curve from A turns at
+# most half a turn about the axis (module docstring)
+_WINDINGS = (-1, 0, 1)
 # the loosest resid_tol, a length: an end that misses B by more than the
 # ambiguity tolerance is no answer (a resid_tol of 1e300 took the chord
 # seed's first shot, 0.03 short of B, as converged)
@@ -121,21 +126,15 @@ _MIN_SHOOT_TOL = 1e-16
 
 @dataclass(frozen=True)
 class ConnectOptions:
-    """Search settings of a cold connect.  ``windings`` are the whole turns
-    searched, counted from the copy of B nearest A, and include 0; a
-    path's reported ``winding`` is relative to B as given."""
+    """Budget and tolerances of a connect: the longest geodesic looked
+    for, the endpoint residual that counts as converged and the
+    integrator's error tolerance."""
 
-    windings: tuple = (-1, 0, 1)
     max_len: float = 20.0
     resid_tol: float = 1e-10
     shoot_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if 0 not in self.windings:
-            raise ValueError("windings must include 0, the copy of B nearest "
-                             "A, which the chord seed always searches")
-        if any(abs(k) > _MAX_WINDING for k in self.windings):
-            raise ValueError(f"windings must lie within +-{_MAX_WINDING}")
         if not self.max_len > 0.0:
             raise ValueError("max_len must be positive")
         if not 0.0 < self.resid_tol <= _MAX_RESID_TOL:
@@ -165,27 +164,32 @@ class _Candidate:
 
 def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     """Damped Newton on the 2-D endpoint residual.  Returns a _Candidate
-    with the converged residual and shot, or None, and the shots made."""
+    with the converged residual and shot, or None; the shots made; and the
+    message of the integrator's SolveError when the last shot raised one,
+    else None (a chart exit is the shot's end, not an integrator fault)."""
     theta, L = theta0, max(L0, 1e-12)
-    shots = 0
+    shots, fault = 0, None
 
     def res(th, ln):
-        nonlocal shots
-        shots += 1
+        nonlocal shots, fault
+        shots, fault = shots + 1, None
         try:
             path = shoot(surface, A, th, ln, opts.shoot_tol)
-        except (ChartExitError, SolveError):
+        except ChartExitError:
+            return None
+        except SolveError as exc:
+            fault = str(exc)
             return None
         _, u, v, du, dv = path.samples[-1].tolist()
         return (s_e * (u - u_t), s_g * (v - v_t), du, dv, path)
 
     cur = res(theta, L)
     if cur is None:
-        return None, shots
+        return None, shots, fault
     r_norm = math.hypot(cur[0], cur[1])
     for _ in range(_NEWTON_MAX_ITER):
         if r_norm <= opts.resid_tol:
-            return _Candidate(theta, L, 0, r_norm, cur[4]), shots
+            return _Candidate(theta, L, 0, r_norm, cur[4]), shots, None
         # Jacobian: the heading column is the Jacobi field m1 along the end
         # normal, the length column the end velocity
         path = cur[4]
@@ -197,7 +201,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
         j11 = s_g * cur[3]
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
-            return None, shots
+            return None, shots, fault
         step_th = (-cur[0] * j11 + cur[1] * j01) / det
         step_L = (-j00 * cur[1] + j10 * cur[0]) / det
         # near-conjugate configurations make the heading column tiny; a
@@ -217,10 +221,10 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
                     break
             lam *= 0.5
         if not improved:
-            return None, shots
+            return None, shots, fault
     if r_norm <= opts.resid_tol:
-        return _Candidate(theta, L, 0, r_norm, cur[4]), shots
-    return None, shots
+        return _Candidate(theta, L, 0, r_norm, cur[4]), shots, None
+    return None, shots, fault
 
 
 def _check_pair(surface, A, B, opts):
@@ -276,23 +280,23 @@ def _winding_bound(surface, A, target, k, bar):
     the u-band such a curve can reach (step 2 of the module docstring)."""
     near, arc_lo = target[0], target[5]
     bounds = surface.bounds
-    phi_band = bounds.phi_floor
+    phi_band = 0.0
     if bounds.e_floor > 0.0:
         mid, half = 0.5 * (A.u + near.u), 0.5 * bar / bounds.e_floor
-        phi_band = max(phi_band, bounds.phi_min(mid - half, mid + half))
+        phi_band = bounds.phi_min(mid - half, mid + half)
     return math.hypot(arc_lo, phi_band * abs(near.v + TWO_PI * k - A.v))
 
 
-def _settled(surface, A, target, length, opts):
-    """The requested windings from B* that the chord seed's geodesic, of
+def _settled(surface, A, target, length):
+    """The search windings from B* that the chord seed's geodesic, of
     this length, settles: no other candidate of them can be shorter, tie
     with it or make the answer ambiguous (step 2 of the module
     docstring)."""
     bar = length + 2.0 * _AMBIGUITY_TOL
     bounds = surface.bounds
     if bar < bounds.inj_floor:
-        return set(opts.windings)
-    return {k for k in opts.windings
+        return set(_WINDINGS)
+    return {k for k in _WINDINGS
             if (k == 0 and bounds.nonpositive_curvature)
             or _winding_bound(surface, A, target, k, bar) > bar}
 
@@ -312,9 +316,7 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
         target = _check_pair(surface, A, B, opts)
         if target is None:
             return shoot(surface, A, 0.0, 0.0)
-        _, _, s_e, s_g, _ = target
-        got, _ = _newton(surface, A, B.u, B.v, s_e, s_g, initial[0],
-                         initial[1], opts)
+        got = _newton(surface, A, B.u, B.v, *target[2:4], *initial, opts)[0]
         if got is not None:
             got.path.winding = 0
             return got.path
@@ -342,19 +344,19 @@ def connect_geodesics(surface: ProfileSurface, pairs,
 
     lanes = []          # (start, heading, step) of every fan lane
     grids = {}          # pair index -> (first lane, thetas, s_grid)
-    seeded = {}         # pair index -> the chord seed's (Newton result, shots)
+    seeded = {}         # pair index -> the chord seed's _newton result
     settled = {}        # pair index -> its settled windings from B*
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
         near, _, s_e, s_g, chord, _ = target
         thetas = [*_FAN_HEADINGS, _chord_heading(surface, A, near)]
-        got, shots = _newton(surface, A, near.u, near.v, s_e, s_g,
-                             thetas[-1], chord, opts)
-        seeded[n] = (got, shots)
+        seeded[n] = _newton(surface, A, near.u, near.v, s_e, s_g,
+                            thetas[-1], chord, opts)
+        got = seeded[n][0]
         settled[n] = (set() if got is None
-                      else _settled(surface, A, target, got.length, opts))
-        if settled[n].issuperset(opts.windings):
+                      else _settled(surface, A, target, got.length))
+        if settled[n].issuperset(_WINDINGS):
             continue        # the chord seed's geodesic is the answer
         L_fan = min(opts.max_len, 3.2 * chord + 0.1)
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
@@ -384,10 +386,10 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
     """Newton-polish the best screened fan starts of one pair toward the
     copy B* of its target nearest A, and return the shortest converged
     geodesic with its winding counted from B as given.  ``seeded`` is the
-    chord seed's ``(Newton result, shots)``, which is not polished again.
-    Seeds of every requested winding are screened and ranked, but picks
+    chord seed's ``_newton`` result, which is not polished again.
+    Seeds of every search winding are screened and ranked, but picks
     of a ``settled`` winding are not polished; ``fan`` is None when every
-    requested winding is settled, and the chord seed's geodesic is then
+    search winding is settled, and the chord seed's geodesic is then
     the answer."""
     near, turns, s_e, s_g, chord, _ = target
     if fan is None:
@@ -396,7 +398,7 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
         return path
     fan_thetas, s_grid, us, vs, alive = fan
     seeds: list[_Candidate] = [_Candidate(fan_thetas[-1], chord, 0, 0.0)]
-    for k in opts.windings:
+    for k in _WINDINGS:
         v_t = near.v + TWO_PI * k
         r2 = (s_e * (us - near.u)) ** 2 + (s_g * (vs - v_t)) ** 2
         r2 = np.where(alive, r2, np.inf)
@@ -430,11 +432,13 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
             picks.append(cand)
     converged: list[_Candidate] = []
     spent = {}          # winding from B* -> [Newton starts, shots]
+    faults = []         # each start's integrator fault, or None
 
-    def _absorb(cand, got, shots):
+    def _absorb(cand, got, shots, fault):
         tally = spent.setdefault(cand.winding, [0, 0])
         tally[0] += 1
         tally[1] += shots
+        faults.append(fault)
         if got is None:
             return
         got.winding = cand.winding
@@ -457,9 +461,13 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
         tallies = ", ".join(f"{k}: {n}/{m}"
                             for k, (n, m) in sorted(spent.items()))
         screened = f"{ranked[0].resid:.3e}" if ranked else "none"
+        head = ("unreachable within search budget: the chord seed did not "
+                "converge")
+        if all(faults):
+            head = ("every Newton start failed in the integrator at "
+                    f"shoot_tol {opts.shoot_tol:g}: {faults[-1]}")
         raise SolveError(
-            "unreachable within search budget: the chord seed did not "
-            "converge; Newton starts/shots per winding from the copy of B "
+            f"{head}; Newton starts/shots per winding from the copy of B "
             f"nearest A: {tallies}; best screened residual {screened}")
 
     best_len = min(c.length for c in converged)

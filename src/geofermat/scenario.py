@@ -1,6 +1,11 @@
 """Scenario files: JSON descriptions of a surface, points, weights, and
 solver options consumed by the command-line interface.
 
+A scenario holds only the keys listed in ``_SECTIONS`` and ``_TOP_KEYS``,
+and each command section only its own: a misspelled or retired key is a
+configuration error, never silently ignored.  The Fermat terminals are
+the points named ``A1``, ``A2`` and ``A3``.
+
 Angles are radians; any angle-valued field also accepts ``{"deg": x}``.
 The profile parameter ``u`` is not an angle and is always a plain number.
 Every number must be finite: JSON parsers accept ``NaN`` and ``Infinity``.
@@ -20,6 +25,16 @@ __all__ = ["Scenario", "load_scenario", "scenario_from_dict",
            "parse_angle", "parse_list", "parse_number"]
 
 SCHEMA = "geofermat/1"
+# the keys of each command section
+_SECTIONS = {
+    "shoot": {"from", "heading", "length"},
+    "connect": {"from", "to"},
+    "inverse": {"angles", "center", "total"},
+    "clairaut": {"center"},
+    "experiment": {"center", "theta0", "lengths", "deltas"},
+}
+_TOP_KEYS = {"schema", "surface", "points", "weights", "options", *_SECTIONS}
+_TERMINALS = ("A1", "A2", "A3")
 
 
 def parse_angle(value, where: str) -> float:
@@ -62,10 +77,10 @@ class Scenario:
     points: dict
     weights: WeightTriple | None
     connect_opts: ConnectOptions
-    fermat_point_names: tuple = ("A1", "A2", "A3")
 
     def section(self, name: str, optional: bool = False) -> dict:
-        """The command section ``name``; an optional one defaults to {}."""
+        """The command section ``name``, whose keys were checked when the
+        scenario loaded; an optional one defaults to {}."""
         if name not in self.raw:
             if optional:
                 return {}
@@ -86,12 +101,19 @@ class Scenario:
         raise ScenarioError("expected a point name or {u, v} object", where)
 
     def terminals(self):
-        pts = []
-        for name in self.fermat_point_names:
+        """The Fermat terminals, the points A1, A2 and A3."""
+        for name in _TERMINALS:
             if name not in self.points:
                 raise ScenarioError(f"missing point {name!r}", "points")
-            pts.append(self.points[name])
-        return pts
+        return [self.points[name] for name in _TERMINALS]
+
+
+def _check_keys(obj, allowed, prefix=""):
+    """Reject the first key of ``obj`` not in ``allowed``, naming it."""
+    extra = sorted(set(obj) - allowed)
+    if extra:
+        raise ScenarioError(f"unknown key; expected one of {sorted(allowed)}",
+                            prefix + extra[0])
 
 
 def _parse_point(surface, obj, where):
@@ -120,12 +142,6 @@ def _parse_surface(obj):
 _OPTION_FIELDS = {f.name for f in fields(ConnectOptions)}
 
 
-def _parse_int(value, where):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError("expected an integer", where)
-    return value
-
-
 def _parse_options(obj):
     """The ``ConnectOptions`` of the scenario's ``options`` section, which
     every command uses (``solve_fermat`` tightens its ``resid_tol``).
@@ -135,23 +151,17 @@ def _parse_options(obj):
         obj = {}
     if not isinstance(obj, dict):
         raise ScenarioError("options must be an object", "options")
-    extra = set(obj) - _OPTION_FIELDS
-    if extra:
-        raise ScenarioError(f"unknown options {sorted(extra)}", "options")
+    _check_keys(obj, _OPTION_FIELDS, "options.")
 
-    kwargs = {}
-    for key, value in obj.items():
-        where = f"options.{key}"
-        if key == "windings":
-            kwargs[key] = tuple(parse_list(value, where, _parse_int))
-        else:
-            kwargs[key] = parse_number(value, where)
+    kwargs = {key: parse_number(value, f"options.{key}")
+              for key, value in obj.items()}
+    for key, value in kwargs.items():
         # each check of ConnectOptions is on one field, so a record with
         # this key alone fails exactly when the key is out of range
         try:
-            ConnectOptions(**{key: kwargs[key]})
+            ConnectOptions(**{key: value})
         except ValueError as exc:
-            raise ScenarioError(str(exc), where) from exc
+            raise ScenarioError(str(exc), f"options.{key}") from exc
     return ConnectOptions(**kwargs)
 
 
@@ -162,6 +172,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     if schema != SCHEMA:
         raise ScenarioError(f"unsupported schema {schema!r}; expected "
                             f"{SCHEMA!r}", "schema")
+    _check_keys(data, _TOP_KEYS)
+    # a section that is not an object is rejected when its command runs
+    for name, keys in _SECTIONS.items():
+        if isinstance(data.get(name), dict):
+            _check_keys(data[name], keys, f"{name}.")
     if "surface" not in data:
         raise ScenarioError("missing 'surface' section", "surface")
     surface = _parse_surface(data["surface"])
@@ -177,15 +192,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     weights = None if "weights" not in data else WeightTriple(*parse_list(
         data["weights"], "weights", partial(parse_number, positive=True), 3))
 
-    scn = Scenario(raw=data, surface=surface, points=points, weights=weights,
-                   connect_opts=_parse_options(data.get("options")))
-    if "fermat_points" in data:
-        names = tuple(parse_list(data["fermat_points"], "fermat_points",
-                                 lambda name, _: name, 3))
-        if not all(isinstance(name, str) for name in names):
-            raise ScenarioError("expected point names", "fermat_points")
-        scn.fermat_point_names = names
-    return scn
+    return Scenario(raw=data, surface=surface, points=points,
+                    weights=weights,
+                    connect_opts=_parse_options(data.get("options")))
 
 
 def load_scenario(path) -> Scenario:

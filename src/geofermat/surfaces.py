@@ -371,14 +371,13 @@ class SurfaceBounds:
     off it, so that no chart override breaks it; a kind that knows nothing
     (the custom spline) keeps the defaults.
 
-    ``phi_floor`` bounds phi(u) below, and ``e_floor`` bounds sqrt(E(u))
-    below.  ``nonpositive_curvature`` says K(u) <= 0.  ``inj_floor`` bounds
-    the injectivity radius of the whole surface below, which a chart only
-    cuts down to a part of.  ``phi_min(lo, hi)`` bounds |phi(u)| below on
-    the u-band [lo, hi]: the least phi at the band ends and at phi's
-    interior minima, 0 where the band passes the axis."""
+    ``e_floor`` bounds sqrt(E(u)) below.  ``nonpositive_curvature`` says
+    K(u) <= 0.  ``inj_floor`` bounds the injectivity radius of the whole
+    surface below, which a chart only cuts down to a part of.
+    ``phi_min(lo, hi)`` bounds |phi(u)| below on the u-band [lo, hi]: the
+    least phi at the band ends and at phi's interior minima, 0 where the
+    band passes the axis."""
 
-    phi_floor: float = 0.0
     nonpositive_curvature: bool = False
     inj_floor: float = 0.0
     e_floor: float = 0.0
@@ -431,7 +430,7 @@ _KINDS = {
     "cylinder": (("radius",), _cylinder_fns,
                  lambda R: (-20.0, 20.0, 1e-6 * R),
                  lambda R: SurfaceBounds(
-                     phi_floor=R, nonpositive_curvature=True, e_floor=1.0,
+                     nonpositive_curvature=True, e_floor=1.0,
                      phi_min=lambda lo, hi: R)),
     "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6),
              lambda slope: SurfaceBounds(
@@ -444,13 +443,12 @@ _KINDS = {
     "catenoid": (("a",), _catenoid_fns,
                  lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a),
                  lambda a: SurfaceBounds(
-                     phi_floor=a, nonpositive_curvature=True, e_floor=1.0,
+                     nonpositive_curvature=True, e_floor=1.0,
                      phi_min=lambda lo, hi: a * math.cosh(
                          max(0.0, lo, -hi) / a))),
     "torus": (("R", "r"), _torus_fns,
               lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R),
               lambda R, r: SurfaceBounds(
-                  phi_floor=R - r,
                   inj_floor=math.pi * min(math.sqrt(r * (R + r)), r, R - r),
                   e_floor=r, phi_min=_torus_phi_min(R, r))),
     "plane": ((), lambda: _cone_fns(0.0), lambda: (0.0, 50.0, 1e-6),

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,8 +16,9 @@ import geofermat.connect as connect_mod
 import geofermat.fermat as fermat_mod
 import geofermat.geodesics as geodesics_mod
 import geofermat.verify as verify_mod
-from geofermat import (ConnectOptions, DegenerateTreeError, ScenarioError,
-                       SurfacePoint, load_scenario, shoot)
+from geofermat import (ChartExitError, ConnectOptions, DegenerateTreeError,
+                       ScenarioError, SolveError, SurfacePoint, load_scenario,
+                       shoot)
 from geofermat.scenario import Scenario, scenario_from_dict
 
 
@@ -95,11 +98,13 @@ class TestScenarioLoading:
     def test_invalid_fermat_options_named(self):
         """The retired solver settings are unknown options, named in the
         error."""
-        for key in ("n_starts", "grad_tol", "angle_tol", "max_iter"):
+        for key in ("n_starts", "grad_tol", "angle_tol", "max_iter",
+                    "windings"):
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict(minimal_scenario(options={key: 1}))
-            assert err.value.field == "options"
-            assert f"unknown options ['{key}']" in str(err.value)
+            assert err.value.field == f"options.{key}"
+            assert "unknown key; expected one of ['max_len', 'resid_tol', " \
+                "'shoot_tol']" in str(err.value)
 
     @pytest.mark.parametrize("field,value", [
         ("shoot.length", math.inf),
@@ -155,19 +160,9 @@ class TestScenarioLoading:
         assert err["kind"] == "ScenarioError"
         assert err["field"].startswith("surface")
 
-    @pytest.mark.parametrize("options,field", [
-        ({"windings": [0, True]}, "options.windings[1]"),
-    ], ids=["windings"])
-    def test_bool_is_not_an_integer_option(self, options, field):
-        with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(minimal_scenario(options=options))
-        assert err.value.field == field
-
     @pytest.mark.parametrize("options", [
-        {"shoot_tol": 0.0}, {"windings": []}, {"resid_tol": -1.0},
-        {"max_len": 0.0}, {"windings": [0, 2 ** 31 + 1]},
-    ], ids=["shoot_tol", "windings", "resid_tol", "max_len",
-            "windings-bound"])
+        {"shoot_tol": 0.0}, {"resid_tol": -1.0}, {"max_len": 0.0},
+    ], ids=["shoot_tol", "resid_tol", "max_len"])
     def test_option_range_checked_by_options_class(self, options):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(minimal_scenario(options=options))
@@ -191,27 +186,28 @@ class TestScenarioLoading:
 
     @pytest.mark.parametrize("windings", [[1], [-1, 1], [2]])
     def test_windings_without_0_exit_1(self, windings, tmp_path, capsys):
-        """A search always includes winding 0, so a scenario that leaves it
-        out is a configuration error, not a winding-0 answer."""
+        """The search windings are fixed, so ``windings`` is a retired
+        option: any value is a configuration error, not a search that
+        ignores it."""
         error = self._connect_error(json.loads(
             (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
             | {"options": {"windings": windings}}, tmp_path, capsys)
         assert error["field"] == "options.windings"
-        assert "windings must include 0" in error["message"]
+        assert "unknown key" in error["message"]
 
     @pytest.mark.parametrize("surface,options,message,field", [
         ({"kind": "cylinder", "radius": 1.0}, {"windings": [0, 10 ** 400]},
-         "windings must lie within", "options.windings"),
+         "unknown key", "options.windings"),
         ({"kind": "paraboloid", "a": 1.0}, {"windings": [0, 10 ** 300]},
-         "windings must lie within", "options.windings"),
+         "unknown key", "options.windings"),
         ({"kind": "cylinder", "radius": 1.0}, {"n_starts": 10 ** 400},
-         "unknown options ['n_starts']", "options"),
+         "unknown key", "options.n_starts"),
     ], ids=["cylinder-10**400", "paraboloid-10**300", "retired-n_starts"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected_options_exit_1(self, surface, options, message, field,
                                      tmp_path, capsys):
-        """A winding past 2**31 turns, or a retired solver setting, is a
-        configuration error, not an overflow from the search."""
+        """A retired solver setting is a configuration error, whatever its
+        value, not an overflow from the search."""
         data = json.loads(
             (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
         data["surface"] = surface
@@ -244,10 +240,9 @@ class TestScenarioLoading:
         """Every command gets the scenario's one options record; the Fermat
         solve connects with it at resid_tol 1e-12."""
         scn = scenario_from_dict(minimal_scenario(
-            options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "max_len": 9.0,
-                     "windings": [0, 1]}))
+            options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "max_len": 9.0}))
         assert scn.connect_opts == ConnectOptions(
-            windings=(0, 1), max_len=9.0, resid_tol=1e-8, shoot_tol=1e-9)
+            max_len=9.0, resid_tol=1e-8, shoot_tol=1e-9)
         seen = []
         real = fermat_mod.connect_geodesics
 
@@ -258,8 +253,59 @@ class TestScenarioLoading:
         monkeypatch.setattr(fermat_mod, "connect_geodesics", recorded)
         code, _ = cli.run("fermat-solve", scn)
         assert code == 0
-        assert seen == [ConnectOptions(windings=(0, 1), max_len=9.0,
-                                       resid_tol=1e-12, shoot_tol=1e-9)]
+        assert seen == [ConnectOptions(max_len=9.0, resid_tol=1e-12,
+                                       shoot_tol=1e-9)]
+
+    @pytest.mark.parametrize("key,value", [
+        ("options.windings", [-1, 0, 1]),
+        ("fermat_points", ["A1", "A2", "A3"]),
+        ("optoins", {"max_len": 0.5}),
+    ], ids=["options.windings", "fermat_points", "optoins"])
+    def test_unknown_keys_exit_1(self, key, value, tmp_path, capsys):
+        """A retired or misspelled key is a configuration error that names
+        the key.  "optoins" used to be ignored: connect from A1 to A2
+        answered 0.898 with exit 0, where "options" exits 2."""
+        data = json.loads(
+            (TestBundledScenarios.SCENARIOS / "sphere_triangle.json")
+            .read_text()) | {"connect": {"from": "A1", "to": "A2"}}
+        *parents, last = key.split(".")
+        target = data
+        for name in parents:
+            target = target.setdefault(name, {})
+        target[last] = value
+        error = self._connect_error(data, tmp_path, capsys)
+        assert error["field"] == key
+        assert "unknown key" in error["message"]
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("shoot", "shoot", "tol", 1e-6),
+        ("connect", "connect", "via", "A3"),
+        ("fermat-inverse", "inverse", "totl", 9.0),
+        ("clairaut-report", "clairaut", "centre", "C"),
+        ("rotate-experiment", "experiment", "theta_0", 0.2),
+    ], ids=["shoot", "connect", "inverse", "clairaut", "experiment"])
+    def test_unknown_section_key_exit_1(self, command, section, key, value,
+                                        tmp_path, capsys):
+        """A key that its command section does not take exits 1 and names
+        itself.  Each used to exit 0 with a wrong answer: clairaut.centre
+        ran the Fermat solve instead of the report at the given center,
+        experiment.theta_0 used theta0 = 0 and inverse.totl total = 1."""
+        data = all_sections_scenario()
+        data.setdefault(section, {})[key] = value
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps(data))
+        assert cli.main([command, "--scenario", str(scn_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["field"] == f"{section}.{key}"
+        assert "unknown key" in error["message"]
+
+    def test_readme_options_table_lists_the_options(self):
+        """The README's table of the ``options`` keys has one row per
+        ConnectOptions field, in field order."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("\n| key ", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"^\| `(\w+)`", table, flags=re.M) == [
+            f.name for f in dataclasses.fields(ConnectOptions)]
 
 
 # any JSON value, NaN and integers beyond the float range included
@@ -279,12 +325,12 @@ def _field_paths(obj, prefix=()):
         yield from _field_paths(value, prefix + (key,))
 
 
-_FUZZ_OPTIONS = {"windings": [0], "shoot_tol": 1e-10}
+_FUZZ_OPTIONS = {"shoot_tol": 1e-10}
 _FUZZ_BASES = [
     minimal_scenario(
         surface={"kind": "sphere", "radius": 1.0, "u_min": 0.01,
                  "u_max": 3.1, "axis_guard": 1e-6},
-        options=_FUZZ_OPTIONS, fermat_points=["A1", "A2", "A3"]),
+        options=_FUZZ_OPTIONS),
     minimal_scenario(
         surface={"kind": "custom", "samples": [
             [u, math.sin(u), math.cos(u)] for u in (0.5, 1.0, 1.5, 2.0, 2.5)]},
@@ -382,8 +428,8 @@ class TestRun:
 
     @pytest.mark.parametrize("path,command,wrong_length,length_field", [
         (("weights",), "fermat-solve", [1.0, 2.0], "weights"),
+        # retired keys: rejected whatever their value, the key named
         (("fermat_points",), "fermat-solve", ["A1", "A2"], "fermat_points"),
-        # an empty list reaches the range check of ConnectOptions
         (("options", "windings"), "connect", [], "options.windings"),
         (("inverse", "angles"), "fermat-inverse", [0.1, 0.2],
          "inverse.angles"),
@@ -678,6 +724,27 @@ class TestMeasuredFailureExitCodes:
         assert report["error"]["kind"] == "DegenerateTreeError"
         assert "pairwise distinct" in report["error"]["message"]
         json.dumps(report, allow_nan=False)
+
+    @pytest.mark.parametrize("error,head", [
+        (SolveError("integrator cannot satisfy the error tolerance"),
+         "every Newton start failed in the integrator at shoot_tol 1e-10: "
+         "integrator cannot satisfy the error tolerance; "),
+        (ChartExitError("left the chart", 0.5),
+         "unreachable within search budget: the chord seed did not "
+         "converge; "),
+    ], ids=["integrator", "chart-exit"])
+    def test_integrator_failure_is_named(self, monkeypatch, error, head):
+        """When every Newton start of a pair fails in the integrator, the
+        report names the integrator's message and tolerance instead of
+        the search budget alone; a chart exit is no integrator fault."""
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(connect_mod, "shoot", failing)
+        code, report = cli.run("connect", scenario_from_dict(
+            minimal_scenario(connect={"from": "A1", "to": "A2"})))
+        self._numerical(code, report, head)
+        assert report["error"]["message"].startswith(head)
 
 
 class TestVerifyCommand:

@@ -206,9 +206,10 @@ class TestInvariants:
         candidate, and the connect answers as a cold one."""
         A = SurfacePoint(cylinder.u_max - 0.5, 0.0)
         B = SurfacePoint(cylinder.u_max - 1.0, 1.0)
+        # a chart exit is no integrator fault
         assert connect_mod._newton(cylinder, A, B.u, B.v, 1.0, 1.0,
                                    math.pi / 2, 2.0,
-                                   connect_mod._DEFAULT) == (None, 1)
+                                   connect_mod._DEFAULT) == (None, 1, None)
         warm = connect_geodesic(cylinder, A, B, initial=(math.pi / 2, 2.0))
         cold = connect_geodesic(cylinder, A, B)
         assert np.array_equal(warm.samples, cold.samples)
@@ -378,10 +379,10 @@ class TestOptions:
             ConnectOptions(resid_tol=-1.0)
         with pytest.raises(ValueError):
             ConnectOptions(shoot_tol=0.0)
-        with pytest.raises(ValueError):
-            ConnectOptions(windings=())
-        with pytest.raises(ValueError, match="windings must lie within"):
+        with pytest.raises(TypeError, match="windings"):
             ConnectOptions(windings=(0, -2 ** 31 - 1))
+        assert [f.name for f in dataclasses.fields(ConnectOptions)] == [
+            "max_len", "resid_tol", "shoot_tol"]
 
     def test_tolerance_bounds(self):
         """resid_tol is a length of at most 1e-6, and shoot_tol at least
@@ -397,9 +398,10 @@ class TestOptions:
 
     @pytest.mark.parametrize("windings", [(1,), (-1, 1), (2,)])
     def test_windings_without_0_rejected(self, windings):
-        """The chord seed always searches winding 0, so a search that
-        leaves 0 out is rejected rather than answered at winding 0."""
-        with pytest.raises(ValueError, match="windings must include 0"):
+        """The search windings are fixed, -1, 0 and 1 from the copy of B
+        nearest A, so ``windings`` is no option: any value is rejected
+        rather than ignored."""
+        with pytest.raises(TypeError, match="windings"):
             ConnectOptions(windings=windings)
 
 
@@ -506,8 +508,8 @@ class TestChordSeedFirst:
 
         def chord_fails(*args):
             calls.append(args)
-            got, shots = real(*args)
-            return (None, shots) if len(calls) == 1 else (got, shots)
+            got, *rest = real(*args)
+            return (None if len(calls) == 1 else got, *rest)
 
         monkeypatch.setattr(connect_mod, "_newton", chord_fails)
         path = connect_geodesic(torus, A, B)
@@ -541,7 +543,7 @@ class TestChordSeedFirst:
 
         def failing(*args):
             starts.append(args)
-            return None, real_newton(*args)[1]
+            return None, real_newton(*args)[1], None
 
         def counted(*args):
             shots.append(args)
@@ -658,10 +660,10 @@ class TestSettle:
                 rel=1e-10)
 
     def test_surface_bounds(self):
-        """phi_floor bounds phi on and off the default chart, and the
-        custom spline claims no bound.  inj_floor is pi R on the sphere,
-        ``pi min(sqrt(r (R + r)), r, R - r)`` on the torus and 0 on the
-        other kinds.  e_floor bounds sqrt(E), and phi_min(lo, hi) bounds
+        """phi_min over a band wider than the default chart is phi's floor
+        on and off the chart, and the custom spline claims no bound.
+        inj_floor is pi R on the sphere, ``pi min(sqrt(r (R + r)), r, R -
+        r)`` on the torus and 0 on the other kinds.  e_floor bounds sqrt(E), and phi_min(lo, hi) bounds
         |phi| on every sampled band, on and off the chart."""
         rng = np.random.default_rng(79)
         for kind, params, floor, flat_or_saddle, inj, e_floor in [
@@ -681,7 +683,8 @@ class TestSettle:
                 ("paraboloid", dict(a=1.0), 0.0, False, 0.0, 1.0)]:
             surface = make_surface(kind, **params)
             bounds = surface.bounds
-            assert bounds.phi_floor == floor
+            assert bounds.phi_min(surface.u_min - 5.0,
+                                  surface.u_max + 5.0) == floor
             assert bounds.nonpositive_curvature == flat_or_saddle
             assert bounds.inj_floor == pytest.approx(inj, rel=1e-15)
             assert bounds.e_floor == pytest.approx(e_floor, rel=1e-15)
@@ -701,11 +704,10 @@ class TestSettle:
                 least = np.min(np.abs(surface.metric_terms_batch(band)[4]))
                 assert bounds.phi_min(lo, hi) <= least * (1.0 + 1e-15)
         vase = _vase().bounds
-        assert (vase.phi_floor, vase.nonpositive_curvature, vase.inj_floor,
-                vase.e_floor, vase.phi_min(0.0, 8.0)) == (0.0, False, 0.0,
-                                                          0.0, 0.0)
+        assert (vase.nonpositive_curvature, vase.inj_floor, vase.e_floor,
+                vase.phi_min(0.0, 8.0)) == (False, 0.0, 0.0, 0.0)
         with pytest.raises(AttributeError):
-            make_surface("cylinder", radius=1.0).bounds.phi_floor = 5.0
+            make_surface("cylinder", radius=1.0).bounds.e_floor = 5.0
         with pytest.raises(AttributeError):
             make_surface("sphere", radius=1.0).bounds.inj_floor = 5.0
         with pytest.raises(AttributeError):
@@ -796,12 +798,13 @@ class TestWindingBound:
         real = connect_mod._newton
 
         def recorded(surface_, A, u_t, v_t, *rest):
-            got, shots = real(surface_, A, u_t, v_t, *rest)
+            result = real(surface_, A, u_t, v_t, *rest)
+            got = result[0]
             if got is not None:
                 us = got.path.samples[:, 1]
                 found.append((v_t, got.length, got.theta, us.min(),
                               us.max()))
-            return got, shots
+            return result
 
         def phi_min(lo_, hi_):
             bands.append((lo_, hi_))
@@ -840,6 +843,41 @@ class TestWindingBound:
                     assert same or length >= bounds.inj_floor
         assert windings >= {-1, 0, 1}
         assert (below_inj > 0) == (bounds.inj_floor > 0.0)
+
+
+class TestHalfTurn:
+    """The metric does not depend on v, so a curve from A that turns more
+    than half a turn about the axis is no shorter than the same u-travel
+    with its v-travel scaled down to a nearer copy of B.  Every answer
+    that is not a half-turn tie therefore ends at B*, the copy of B
+    nearest A: its winding is the whole turns ``round((A.v - B.v) / 2
+    pi)`` from B as given.  (The custom vase is left out: its pair in
+    ``test_benchmark_vase_pair_finds_the_shorter_winding`` answers a
+    geodesic that is not the shortest.)"""
+
+    # per kind: parameters and the u range of both points
+    KINDS = {"sphere": (dict(radius=1.0), 0.3, 2.8),
+             "cylinder": (dict(radius=1.0), -2.0, 2.0),
+             "cone": (dict(slope=1.0), 0.5, 3.0),
+             "paraboloid": (dict(a=1.0), 0.5, 2.0),
+             "catenoid": (dict(a=1.0), -1.2, 1.2),
+             "torus": (dict(R=2.0, r=0.7), -math.pi, math.pi)}
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_answer_ends_at_the_nearest_copy(self, name):
+        params, lo, hi = self.KINDS[name]
+        surface = make_surface(name, **params)
+        rng = np.random.default_rng(83)
+        for _ in range(25):
+            A = SurfacePoint(rng.uniform(lo, hi), rng.uniform(-math.pi,
+                                                              math.pi))
+            # B up to half a turn from A, given up to two turns away
+            B = SurfacePoint(rng.uniform(lo, hi),
+                             A.v + rng.uniform(-math.pi, math.pi)
+                             + 2.0 * math.pi * int(rng.integers(-2, 3)))
+            path = connect_geodesic(surface, A, B)
+            if not path.ambiguous:
+                assert path.winding == round((A.v - B.v) / (2.0 * math.pi))
 
 
 # the benchmark's wavy vase: 17 knots on u in [0, 8]

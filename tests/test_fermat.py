@@ -669,8 +669,7 @@ class TestWarmConnectWork:
 
     def trees(self):
         scn = load_scenario(self.SCENARIO)
-        yield (scn.surface, [scn.points[n] for n in scn.fermat_point_names],
-               scn.weights)
+        yield scn.surface, scn.terminals(), scn.weights
         torus = make_surface("torus", R=2.0, r=0.7)
         b = (1.0, 1.2, 1.4)
         phi = sector_angles_from_weights(b)
@@ -719,7 +718,7 @@ class TestWeiszfeldFallback:
 
     def test_weiszfeld_steps_alone_converge(self, monkeypatch):
         scn = load_scenario(TestWarmConnectWork.SCENARIO)
-        pts = [scn.points[n] for n in scn.fermat_point_names]
+        pts = scn.terminals()
         newton = solve_fermat(scn.surface, pts, scn.weights)
         monkeypatch.setattr(fermat_mod, "_newton_step", lambda *args: None)
         res = solve_fermat(scn.surface, pts, scn.weights)
