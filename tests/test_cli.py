@@ -160,9 +160,23 @@ class TestScenarioLoading:
         assert err["kind"] == "ScenarioError"
         assert err["field"].startswith("surface")
 
+    @pytest.mark.parametrize("options,field", [
+        ({"windings": [0, True]}, "options.windings"),
+    ], ids=["windings"])
+    def test_bool_is_not_an_integer_option(self, options, field):
+        """``windings`` was the one integer option; retired, it is an
+        unknown key whatever its items, a bool among them."""
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(minimal_scenario(options=options))
+        assert err.value.field == field
+        assert "unknown key" in str(err.value)
+
+    # the windings rows: a retired key, rejected before any range check
     @pytest.mark.parametrize("options", [
-        {"shoot_tol": 0.0}, {"resid_tol": -1.0}, {"max_len": 0.0},
-    ], ids=["shoot_tol", "resid_tol", "max_len"])
+        {"shoot_tol": 0.0}, {"windings": []}, {"resid_tol": -1.0},
+        {"max_len": 0.0}, {"windings": [0, 2 ** 31 + 1]},
+    ], ids=["shoot_tol", "windings", "resid_tol", "max_len",
+            "windings-bound"])
     def test_option_range_checked_by_options_class(self, options):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(minimal_scenario(options=options))
