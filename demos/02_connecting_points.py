@@ -1,16 +1,15 @@
 """Boundary-value solves: geodesic arcs between given points.
 
 Checks the solver against closed forms (great circles, unrolled
-cylinders, flat triangles) and shows the winding search and the
-cut-locus ambiguity flag.
+cylinders, flat triangles) and shows the winding search, the
+cut-locus ambiguity flag and a pair on a sphere of radius 100.
 """
 
 import math
 
 import numpy as np
 
-from geofermat import ConnectOptions, SurfacePoint, connect_geodesic, \
-    make_surface
+from geofermat import SurfacePoint, connect_geodesic, make_surface
 
 
 def main():
@@ -54,12 +53,12 @@ def main():
         print(f"  d = {fwd:.9f}, |d - d_reversed| = {abs(fwd - bwd):.2e}, "
               f"chord = {chord:.9f}")
 
-    opts = ConnectOptions(max_len=0.5)
-    try:
-        connect_geodesic(cylinder, SurfacePoint(0.0, 0.0),
-                         SurfacePoint(5.0, 1.0), opts)
-    except Exception as exc:
-        print(f"\nsearch cap respected: {exc}")
+    big = make_surface("sphere", radius=100.0)
+    A, B = SurfacePoint(1.0, 0.1), SurfacePoint(1.5, 0.9)
+    d = connect_geodesic(big, A, B).length
+    oracle = 100.0 * math.acos(float(sphere.embed(A) @ sphere.embed(B)))
+    print(f"\nsphere of radius 100: solver {d:.9f} vs 100 x arccos oracle "
+          f"{oracle:.9f}")
 
 
 if __name__ == "__main__":

@@ -68,6 +68,15 @@ turn from A.  A cold connect runs in five steps:
    iteration, plus halvings.  The chord seed's result from step 1 is
    reused, not polished again.
 
+Every Newton start of a pair caps the lengths it steps to at the pair's
+reach plus ``2 _AMBIGUITY_TOL``: the reach is the length of a curve known
+to join A to B, so no geodesic longer than that can win, tie or make the
+answer ambiguous.  A cold pair's curve runs along the meridian from A.u
+to B.u and along the shorter of the two parallels, ``reach = arc_hi +
+min(phi(A.u), phi(B.u)) |B*.v - A.v|``, ``arc_hi`` an upper bound on the
+meridian arc (no cap when the arc's integral fails).  A warm connect is
+given its bound by the caller.
+
 Every Newton shot is a ``shoot``, and a converged candidate keeps its
 path: the geodesic returned is the shot whose residual converged, not a
 second integration of it.
@@ -78,9 +87,7 @@ settled), each lane with its own pair's step size, for the largest step
 count of the batch.  Each pair then reads its own steps of its lanes and
 is screened and polished on its own, so every answer equals that of a
 lone cold ``connect_geodesic``.  Without a converged warm start,
-``connect_geodesic`` is a batch of one pair.  A cold pair whose meridian
-arc ``|int sqrt(E) du|`` alone exceeds ``max_len`` is unreachable, and is
-rejected before any fan runs.
+``connect_geodesic`` is a batch of one pair.
 
 Among converged candidates the shortest is returned; lengths within
 ``_TIE_TOL`` of it count as ties, which prefer smaller |winding| from B*,
@@ -126,17 +133,13 @@ _MIN_SHOOT_TOL = 1e-16
 
 @dataclass(frozen=True)
 class ConnectOptions:
-    """Budget and tolerances of a connect: the longest geodesic looked
-    for, the endpoint residual that counts as converged and the
-    integrator's error tolerance."""
+    """Tolerances of a connect: the endpoint residual that counts as
+    converged and the integrator's error tolerance."""
 
-    max_len: float = 20.0
     resid_tol: float = 1e-10
     shoot_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not self.max_len > 0.0:
-            raise ValueError("max_len must be positive")
         if not 0.0 < self.resid_tol <= _MAX_RESID_TOL:
             raise ValueError(f"resid_tol must be positive and at most "
                              f"{_MAX_RESID_TOL:g}")
@@ -162,12 +165,14 @@ class _Candidate:
     path: GeodesicPath | None = None    # the converged shot, set by _newton
 
 
-def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
-    """Damped Newton on the 2-D endpoint residual.  Returns a _Candidate
-    with the converged residual and shot, or None; the shots made; and the
-    message of the integrator's SolveError when the last shot raised one,
-    else None (a chart exit is the shot's end, not an integrator fault)."""
+def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts):
+    """Damped Newton on the 2-D endpoint residual, its steps capped at
+    length ``reach + 2 _AMBIGUITY_TOL``.  Returns a _Candidate with the
+    converged residual and shot, or None; the shots made; and the message
+    of the integrator's SolveError when the last shot raised one, else
+    None (a chart exit is the shot's end, not an integrator fault)."""
     theta, L = theta0, max(L0, 1e-12)
+    cap = reach + 2.0 * _AMBIGUITY_TOL
     shots, fault = 0, None
 
     def res(th, ln):
@@ -211,7 +216,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
         improved = False
         for _halve in range(14):
             th_new = theta + lam * step_th
-            L_new = min(opts.max_len, max(L + lam * step_L, 0.25 * L, 1e-12))
+            L_new = min(cap, max(L + lam * step_L, 0.25 * L, 1e-12))
             trial = res(th_new, L_new)
             if trial is not None:
                 t_norm = math.hypot(trial[0], trial[1])
@@ -227,11 +232,11 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, opts):
     return None, shots, fault
 
 
-def _check_pair(surface, A, B, opts):
-    """Chart checks and search budget of one pair.  Returns the copy
-    ``B* = (B.u, B.v + 2 pi k)`` of B nearest A, the whole turns ``k``,
-    the target's frame scales and the embedded chord
-    ``(B*, k, s_e, s_g, chord)``, or None when A and B coincide."""
+def _check_pair(surface, A, B):
+    """Chart checks of one pair.  Returns the copy ``B* = (B.u, B.v + 2 pi
+    k)`` of B nearest A, the whole turns ``k``, the target's frame scales
+    and the embedded chord ``(B*, k, s_e, s_g, chord)``, or None when A
+    and B coincide."""
     surface.check_point(A)
     surface.check_point(B)
     turns = (A.v - B.v) / TWO_PI
@@ -244,33 +249,28 @@ def _check_pair(surface, A, B, opts):
     near = SurfacePoint(B.u, B.v + TWO_PI * k)
     E_b, G_b, _, _, _ = surface.metric_terms(B.u)
     chord = float(np.linalg.norm(surface.embed(near) - surface.embed(A)))
-    if chord > opts.max_len:
-        raise SolveError(
-            f"unreachable within search budget: chord {chord:.6g} exceeds "
-            f"max_len {opts.max_len:.6g}")
     return near, k, math.sqrt(E_b), math.sqrt(G_b), chord
 
 
-def _check_cold(surface, A, B, opts):
+def _check_cold(surface, A, B):
     """``_check_pair`` for a pair that goes to the cold search, which also
-    bounds its reach by the meridian arc: every curve from A to B is at
-    least ``|int sqrt(E) du|`` long over [A.u, B.u].  The target gains a
-    lower bound ``arc_lo`` on that arc, ``(B*, k, s_e, s_g, chord,
-    arc_lo)``."""
-    target = _check_pair(surface, A, B, opts)
+    bounds the length of its answer by the meridian arc ``|int sqrt(E)
+    du|`` over [A.u, B.u]: every curve from A to B is at least that long.
+    The target gains a lower bound ``arc_lo`` on that arc and the reach
+    (module docstring), ``(B*, k, s_e, s_g, chord, arc_lo, reach)``."""
+    target = _check_pair(surface, A, B)
     if target is None:
         return None
     # full_output keeps quad quiet and appends a message when it fails; a
     # failed quad bounds nothing
     out = quad(lambda u: math.sqrt(surface.metric_terms(u)[0]), A.u, B.u,
                full_output=1)
-    arc = abs(out[0])
-    arc_lo = max(0.0, arc - out[1]) if len(out) == 3 else 0.0
-    if arc_lo > opts.max_len:
-        raise SolveError(
-            f"unreachable within search budget: meridian arc {arc:.6g} "
-            f"exceeds max_len {opts.max_len:.6g}")
-    return (*target, arc_lo)
+    if len(out) != 3:
+        return (*target, 0.0, math.inf)
+    arc, err = abs(out[0]), out[1]
+    phi = min(surface.metric_terms(A.u)[4], surface.metric_terms(B.u)[4])
+    return (*target, max(0.0, arc - err),
+            arc + err + phi * abs(target[0].v - A.v))
 
 
 def _winding_bound(surface, A, target, k, bar):
@@ -303,17 +303,18 @@ def _settled(surface, A, target, length):
 
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
                      opts: ConnectOptions | None = None,
-                     initial: tuple[float, float] | None = None) -> GeodesicPath:
+                     initial: tuple | None = None) -> GeodesicPath:
     """Shortest found geodesic from A to B.
 
-    ``initial`` is an optional warm start ``(theta, length)`` aimed at the
-    winding-0 target; when it converges the multi-start search is skipped
-    (no ambiguity detection in that mode).  Otherwise this is
+    ``initial`` is an optional warm start ``(theta, length, bound)`` aimed
+    at the winding-0 target, ``bound`` the length of a curve known to join
+    A to B, which is its reach; when it converges the multi-start search
+    is skipped (no ambiguity detection in that mode).  Otherwise this is
     ``connect_geodesics(surface, [(A, B)], opts)[0]``.
     """
     opts = opts or _DEFAULT
     if initial is not None:
-        target = _check_pair(surface, A, B, opts)
+        target = _check_pair(surface, A, B)
         if target is None:
             return shoot(surface, A, 0.0, 0.0)
         got = _newton(surface, A, B.u, B.v, *target[2:4], *initial, opts)[0]
@@ -340,7 +341,7 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     """
     opts = opts or _DEFAULT
     pairs = list(pairs)
-    targets = [_check_cold(surface, A, B, opts) for A, B in pairs]
+    targets = [_check_cold(surface, A, B) for A, B in pairs]
 
     lanes = []          # (start, heading, step) of every fan lane
     grids = {}          # pair index -> (first lane, thetas, s_grid)
@@ -349,16 +350,16 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
-        near, _, s_e, s_g, chord, _ = target
+        near, _, s_e, s_g, chord, _, reach = target
         thetas = [*_FAN_HEADINGS, _chord_heading(surface, A, near)]
         seeded[n] = _newton(surface, A, near.u, near.v, s_e, s_g,
-                            thetas[-1], chord, opts)
+                            thetas[-1], chord, reach, opts)
         got = seeded[n][0]
         settled[n] = (set() if got is None
                       else _settled(surface, A, target, got.length))
         if settled[n].issuperset(_WINDINGS):
             continue        # the chord seed's geodesic is the answer
-        L_fan = min(opts.max_len, 3.2 * chord + 0.1)
+        L_fan = 3.2 * chord + 0.1
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
         h = L_fan / n_steps
         n_read = n_steps if got is None else min(
@@ -391,7 +392,7 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
     of a ``settled`` winding are not polished; ``fan`` is None when every
     search winding is settled, and the chord seed's geodesic is then
     the answer."""
-    near, turns, s_e, s_g, chord, _ = target
+    near, turns, s_e, s_g, chord, _, reach = target
     if fan is None:
         path = seeded[0].path
         path.winding = turns
@@ -454,7 +455,7 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
         if cand.winding not in settled:
             _absorb(cand, *_newton(surface, A, near.u,
                                    near.v + TWO_PI * cand.winding, s_e, s_g,
-                                   cand.theta, cand.length, opts))
+                                   cand.theta, cand.length, reach, opts))
 
     if not converged:
         # the chord seed is among the failed starts, so the fan ran in full

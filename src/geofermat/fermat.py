@@ -266,18 +266,19 @@ class FermatResult:
 
 def _branch_data(surface, p, pts, warm, opts):
     """Connect p to each terminal, warm, one connect per branch, and return
-    the paths.  ``warm[i]`` is ``(winding, theta, length)``: the winding of
-    branch i before the step d, whose copy of the terminal the connect aims
-    at, and the start ``_predicted_start`` puts it at, not the old one: the
-    old length less ``<U_i, d>``, and the old heading turned by
-    ``-(m2_i / m1_i) <N_i, d>`` and by the chart frame's turn along the
-    step shot.  A start that fails to converge falls back to a cold
-    connect."""
+    the paths.  ``warm[i]`` is ``(winding, theta, length, bound)``: the
+    winding of branch i before the step d, whose copy of the terminal the
+    connect aims at; the start ``_predicted_start`` puts it at, not the
+    old one: the old length less ``<U_i, d>``, and the old heading turned
+    by ``-(m2_i / m1_i) <N_i, d>`` and by the chart frame's turn along the
+    step shot; and the length of the step shot reversed plus the old
+    branch, a curve from p to that copy.  A start that fails to converge
+    falls back to a cold connect."""
     paths = []
-    for t, (winding, theta, length) in zip(pts, warm):
+    for t, (winding, theta, length, bound) in zip(pts, warm):
         path = connect_geodesic(
             surface, p, SurfacePoint(t.u, t.v + TWO_PI * winding),
-            opts, initial=(theta, length))
+            opts, initial=(theta, length, bound))
         path.winding += winding
         paths.append(path)
     return paths
@@ -356,7 +357,8 @@ def _trial(surface, p, theta, length, pts, warm, b, opts):
         # small turn, not the turn plus or minus 2 pi
         turn = math.remainder(step.theta_end - step.theta_start, TWO_PI)
         starts = [(path.winding,
-                   *_predicted_start(path, jac, d_par, d_mer, turn))
+                   *_predicted_start(path, jac, d_par, d_mer, turn),
+                   path.length + length)
                   for path, jac in zip(*warm)]
         paths = _branch_data(surface, q, pts, starts, opts)
     except (SolveError, ChartExitError, OffChartError):

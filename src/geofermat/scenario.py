@@ -2,7 +2,8 @@
 solver options consumed by the command-line interface.
 
 A scenario holds only the keys listed in ``_SECTIONS`` and ``_TOP_KEYS``,
-and each command section only its own: a misspelled or retired key is a
+each command section is an object of only its own keys, and each point
+object holds only ``u`` and ``v``: a misspelled or retired key is a
 configuration error, never silently ignored.  The Fermat terminals are
 the points named ``A1``, ``A2`` and ``A3``.
 
@@ -79,16 +80,13 @@ class Scenario:
     connect_opts: ConnectOptions
 
     def section(self, name: str, optional: bool = False) -> dict:
-        """The command section ``name``, whose keys were checked when the
-        scenario loaded; an optional one defaults to {}."""
+        """The command section ``name``, an object whose keys were checked
+        when the scenario loaded; an optional one defaults to {}."""
         if name not in self.raw:
             if optional:
                 return {}
             raise ScenarioError(f"missing '{name}' section", name)
-        spec = self.raw[name]
-        if not isinstance(spec, dict):
-            raise ScenarioError("section must be a JSON object", name)
-        return spec
+        return self.raw[name]
 
     def point(self, ref, where: str) -> SurfacePoint:
         """Resolve a point reference: a name or an inline {u, v} object."""
@@ -119,6 +117,7 @@ def _check_keys(obj, allowed, prefix=""):
 def _parse_point(surface, obj, where):
     if not isinstance(obj, dict) or not {"u", "v"} <= set(obj):
         raise ScenarioError("point needs fields u and v", where)
+    _check_keys(obj, {"u", "v"}, f"{where}.")
     p = SurfacePoint(parse_number(obj["u"], f"{where}.u"),
                      parse_angle(obj["v"], f"{where}.v"))
     try:
@@ -147,8 +146,6 @@ def _parse_options(obj):
     every command uses (``solve_fermat`` tightens its ``resid_tol``).
     Only JSON types and finiteness are checked here; ConnectOptions checks
     the ranges, and an error names the option it found out of range."""
-    if obj is None:
-        obj = {}
     if not isinstance(obj, dict):
         raise ScenarioError("options must be an object", "options")
     _check_keys(obj, _OPTION_FIELDS, "options.")
@@ -173,9 +170,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unsupported schema {schema!r}; expected "
                             f"{SCHEMA!r}", "schema")
     _check_keys(data, _TOP_KEYS)
-    # a section that is not an object is rejected when its command runs
     for name, keys in _SECTIONS.items():
-        if isinstance(data.get(name), dict):
+        if name in data:
+            if not isinstance(data[name], dict):
+                raise ScenarioError("section must be a JSON object", name)
             _check_keys(data[name], keys, f"{name}.")
     if "surface" not in data:
         raise ScenarioError("missing 'surface' section", "surface")
@@ -194,7 +192,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     return Scenario(raw=data, surface=surface, points=points,
                     weights=weights,
-                    connect_opts=_parse_options(data.get("options")))
+                    connect_opts=_parse_options(data.get("options", {})))
 
 
 def load_scenario(path) -> Scenario:

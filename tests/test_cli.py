@@ -99,11 +99,11 @@ class TestScenarioLoading:
         """The retired solver settings are unknown options, named in the
         error."""
         for key in ("n_starts", "grad_tol", "angle_tol", "max_iter",
-                    "windings"):
+                    "windings", "max_len"):
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict(minimal_scenario(options={key: 1}))
             assert err.value.field == f"options.{key}"
-            assert "unknown key; expected one of ['max_len', 'resid_tol', " \
+            assert "unknown key; expected one of ['resid_tol', " \
                 "'shoot_tol']" in str(err.value)
 
     @pytest.mark.parametrize("field,value", [
@@ -171,7 +171,8 @@ class TestScenarioLoading:
         assert err.value.field == field
         assert "unknown key" in str(err.value)
 
-    # the windings rows: a retired key, rejected before any range check
+    # the windings and max_len rows: retired keys, rejected before any
+    # range check
     @pytest.mark.parametrize("options", [
         {"shoot_tol": 0.0}, {"windings": []}, {"resid_tol": -1.0},
         {"max_len": 0.0}, {"windings": [0, 2 ** 31 + 1]},
@@ -254,9 +255,9 @@ class TestScenarioLoading:
         """Every command gets the scenario's one options record; the Fermat
         solve connects with it at resid_tol 1e-12."""
         scn = scenario_from_dict(minimal_scenario(
-            options={"shoot_tol": 1e-9, "resid_tol": 1e-8, "max_len": 9.0}))
-        assert scn.connect_opts == ConnectOptions(
-            max_len=9.0, resid_tol=1e-8, shoot_tol=1e-9)
+            options={"shoot_tol": 1e-9, "resid_tol": 1e-8}))
+        assert scn.connect_opts == ConnectOptions(resid_tol=1e-8,
+                                                  shoot_tol=1e-9)
         seen = []
         real = fermat_mod.connect_geodesics
 
@@ -267,18 +268,19 @@ class TestScenarioLoading:
         monkeypatch.setattr(fermat_mod, "connect_geodesics", recorded)
         code, _ = cli.run("fermat-solve", scn)
         assert code == 0
-        assert seen == [ConnectOptions(max_len=9.0, resid_tol=1e-12,
-                                       shoot_tol=1e-9)]
+        assert seen == [ConnectOptions(resid_tol=1e-12, shoot_tol=1e-9)]
 
     @pytest.mark.parametrize("key,value", [
         ("options.windings", [-1, 0, 1]),
         ("fermat_points", ["A1", "A2", "A3"]),
-        ("optoins", {"max_len": 0.5}),
-    ], ids=["options.windings", "fermat_points", "optoins"])
+        ("optoins", {"resid_tol": 1e-9}),
+        ("options.max_len", 20.0),
+    ], ids=["options.windings", "fermat_points", "optoins",
+            "options.max_len"])
     def test_unknown_keys_exit_1(self, key, value, tmp_path, capsys):
         """A retired or misspelled key is a configuration error that names
         the key.  "optoins" used to be ignored: connect from A1 to A2
-        answered 0.898 with exit 0, where "options" exits 2."""
+        answered with the default options and exit 0."""
         data = json.loads(
             (TestBundledScenarios.SCENARIOS / "sphere_triangle.json")
             .read_text()) | {"connect": {"from": "A1", "to": "A2"}}
@@ -534,14 +536,57 @@ class TestRun:
         ("fermat-inverse", "inverse", "x"),
         ("rotate-experiment", "experiment", []),
         ("clairaut-report", "clairaut", [1]),
+        ("connect", "shoot", 5),
     ])
     def test_non_object_section_is_config_error(self, command, section,
-                                                value):
-        scn = scenario_from_dict(minimal_scenario(**{section: value}))
-        code, report = cli.run(command, scn)
-        assert code == 1
-        assert report["error"]["kind"] == "ScenarioError"
-        assert report["error"]["message"].startswith(f"{section}: ")
+                                                value, tmp_path, capsys):
+        """A command section that is not a JSON object is rejected when the
+        scenario loads, whichever command runs: with ``"shoot": 5``,
+        connect used to answer with exit 0."""
+        data = all_sections_scenario() | {section: value}
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(data)
+        assert err.value.field == section
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--scenario", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["kind"], error["field"], error["message"]) == (
+            "ScenarioError", section,
+            f"{section}: section must be a JSON object")
+
+    @pytest.mark.parametrize("options", [None, []], ids=["null", "list"])
+    def test_non_object_options_is_config_error(self, options, tmp_path,
+                                                capsys):
+        """``options`` must be an object; ``null`` used to run connect with
+        the default options and exit 0."""
+        data = all_sections_scenario() | {"options": options}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["connect", "--scenario", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["field"] == "options"
+        assert "options must be an object" in error["message"]
+
+    @pytest.mark.parametrize("where,field", [
+        ("points", "points.A1.w"), ("connect", "connect.to.deg")],
+        ids=["named", "inline"])
+    def test_extra_point_key_is_config_error(self, where, field, tmp_path):
+        """A point object holds only u and v.  Each of these used to
+        answer connect with exit 0, the extra key ignored."""
+        data = json.loads(
+            (TestBundledScenarios.SCENARIOS / "cylinder_pair.json").read_text())
+        if where == "points":
+            data["points"]["A1"] = {"u": 0.0, "v": 0.0, "w": 3.0}
+        else:
+            data["connect"]["to"] = {"u": 0.5, "v": 1.0, "deg": 30}
+        path, out = tmp_path / "s.json", tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["connect", "--scenario", str(path),
+                         "--out", str(out)]) == 1
+        error = json.loads(out.read_text())["error"]
+        assert error["field"] == field
+        assert "unknown key; expected one of ['u', 'v']" in error["message"]
 
     def test_numerical_failure_exit_code(self):
         scn = scenario_from_dict({
@@ -826,6 +871,8 @@ class TestBundledScenarios:
         ("sphere_near_axis.json", "fermat-solve"),
         ("sphere_options.json", "fermat-solve"),
         ("cone_pair.json", "connect"),
+        ("sphere_large.json", "connect"),
+        ("sphere_large.json", "clairaut-report"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
@@ -869,6 +916,29 @@ class TestBundledScenarios:
         assert code == 0
         assert report["results"]["fermat"]["mode"] == "interior"
         assert len(calls) <= 370
+
+    def test_sphere_answers_scale_with_the_radius(self):
+        """``sphere_large.json`` is ``sphere_triangle.json`` on a sphere of
+        radius 100: the connect length and the Fermat value f scale by
+        100, and the sphere probe's ratios, which do not depend on scale,
+        agree.  The fixed 20-long search cap used to reject every pair."""
+        large = load_scenario(self.SCENARIOS / "sphere_large.json")
+        small = scenario_from_dict(large.raw | {
+            "surface": {"kind": "sphere", "radius": 1.0}})
+        got = []
+        for scn in (small, large):
+            code, connect = cli.run("connect", scn)
+            assert code == 0
+            code, report = cli.run("clairaut-report", scn)
+            assert code == 0
+            res = report["results"]
+            got.append((connect["results"]["path"]["length"],
+                        res["fermat"]["f_value"],
+                        res["clairaut"]["sphere_probe"]["ratios"]))
+        (l1, f1, r1), (l100, f100, r100) = got
+        assert l100 == pytest.approx(100.0 * l1, rel=1e-9)
+        assert f100 == pytest.approx(100.0 * f1, rel=1e-9)
+        assert r100 == pytest.approx(r1, abs=1e-8)
 
     def test_cone_pair_runs_no_fan(self, monkeypatch):
         """No curve from A1 to A2 as short as the chord seed's geodesic

@@ -56,10 +56,16 @@ class TestExamples:
             assert abs(length - sep) / sep <= 1e-7
 
     def test_unreachable_budget(self, cylinder):
-        opts = ConnectOptions(max_len=0.5)
-        with pytest.raises(SolveError):
-            connect_geodesic(cylinder, SurfacePoint(0.0, 0.0),
-                             SurfacePoint(5.0, 1.0), opts)
+        """No search length is fixed: the retired ``max_len`` is no option,
+        and pairs it held out of reach connect, the second one 30 apart
+        along the axis, beyond its default of 20."""
+        with pytest.raises(TypeError, match="max_len"):
+            ConnectOptions(max_len=0.5)
+        for u_a, u_b in ((0.0, 5.0), (-15.0, 15.0)):
+            path = connect_geodesic(cylinder, SurfacePoint(u_a, 0.0),
+                                    SurfacePoint(u_b, 1.0))
+            assert path.length == pytest.approx(math.hypot(u_b - u_a, 1.0),
+                                                rel=1e-10)
 
 
 class TestAmbiguity:
@@ -135,6 +141,24 @@ class TestInvariants:
                                          - surface.embed(B)))
             assert forward >= chord - 1e-9 * max(1.0, chord)
 
+    @pytest.mark.parametrize("name", [*sorted(SAMPLERS), "custom"])
+    def test_answer_within_its_bounds(self, name):
+        """Every cold answer is at least ``arc_lo``, the meridian arc's
+        lower bound, and at most the reach, the length of the curve along
+        the meridian and the shorter parallel: no Newton step goes past
+        the reach by more than ``2 _AMBIGUITY_TOL``."""
+        build, draw = self.SAMPLERS.get(name, (_vase, lambda rng: tuple(
+            SurfacePoint(rng.uniform(1.0, 7.0), rng.uniform(-1.0, 1.0))
+            for _ in range(2))))
+        surface = build()
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            A, B = draw(rng)
+            arc_lo, reach = connect_mod._check_cold(surface, A, B)[5:]
+            length = connect_geodesic(surface, A, B).length
+            assert arc_lo <= length
+            assert length <= reach + 2.0 * connect_mod._AMBIGUITY_TOL
+
     @pytest.mark.parametrize("name", ["sphere", "cylinder"])
     def test_triangle_inequality(self, name):
         build, draw = self.SAMPLERS[name]
@@ -173,8 +197,8 @@ class TestInvariants:
 
         monkeypatch.setattr(geodesics_mod, "_integrate", counted)
         monkeypatch.setattr(connect_mod, "_integrate", counted, raising=False)
-        warm = connect_geodesic(sphere, A, B,
-                                initial=(cold.theta_start, cold.length))
+        warm = connect_geodesic(sphere, A, B, initial=(
+            cold.theta_start, cold.length, cold.length))
         assert warm.length == pytest.approx(cold.length, abs=1e-12)
         # the converged Newton shot is the returned path, not shot again
         assert len(calls) == 1
@@ -195,7 +219,7 @@ class TestInvariants:
 
         monkeypatch.setattr(connect_mod, "shoot", counted)
         warm = connect_geodesic(sphere, A, B, initial=(
-            cold.theta_start + 1e-3, cold.length - 1e-3))
+            cold.theta_start + 1e-3, cold.length - 1e-3, cold.length))
         assert warm.length == pytest.approx(cold.length, abs=1e-12)
         assert len(shots) <= 4
         assert len({length for _, length in shots}) == len(shots)
@@ -206,11 +230,13 @@ class TestInvariants:
         candidate, and the connect answers as a cold one."""
         A = SurfacePoint(cylinder.u_max - 0.5, 0.0)
         B = SurfacePoint(cylinder.u_max - 1.0, 1.0)
+        reach = 0.5 + 1.0   # along the meridian, then the parallel
         # a chart exit is no integrator fault
         assert connect_mod._newton(cylinder, A, B.u, B.v, 1.0, 1.0,
-                                   math.pi / 2, 2.0,
+                                   math.pi / 2, 2.0, reach,
                                    connect_mod._DEFAULT) == (None, 1, None)
-        warm = connect_geodesic(cylinder, A, B, initial=(math.pi / 2, 2.0))
+        warm = connect_geodesic(cylinder, A, B,
+                                initial=(math.pi / 2, 2.0, reach))
         cold = connect_geodesic(cylinder, A, B)
         assert np.array_equal(warm.samples, cold.samples)
 
@@ -335,19 +361,22 @@ class TestBatch:
 
     def test_first_failing_check_raises(self, sphere):
         ok = (SurfacePoint(1.0, 0.0), SurfacePoint(1.2, 0.5))
-        far = (SurfacePoint(0.5, 0.0), SurfacePoint(2.6, 1.0))
+        # each v is finite, their difference is not
+        wide = (SurfacePoint(0.5, 1e308), SurfacePoint(2.6, -1e308))
         off = (SurfacePoint(1.0, 0.0), SurfacePoint(-1.0, 0.5))
-        opts = ConnectOptions(max_len=1.0)
-        with pytest.raises(SolveError):
-            connect_geodesics(sphere, [ok, far, off], opts)
+        with pytest.raises(SolveError, match="not finite"):
+            connect_geodesics(sphere, [ok, wide, off])
         with pytest.raises(OffChartError):
-            connect_geodesics(sphere, [ok, off, far], opts)
+            connect_geodesics(sphere, [ok, off, wide])
         assert connect_geodesics(sphere, []) == []
 
     def test_meridian_arc_over_budget_runs_no_fan(self, monkeypatch):
         """On a vase whose psi jumps to 100 at u = 3.5, the chord from A to
         B is 1.4 but every curve between them is at least the meridian arc
-        33.5 long: the pair is rejected before any fan or shot."""
+        33.5 long, and the curve along the meridian and then the shorter
+        parallel, 34.4 long, joins them.  ``_check_cold`` finds both bounds
+        with no fan or shot.  The connect itself answers 33.518 after some
+        50 s of search, too long to run here."""
         rows = [[0.5 * k, 1.2 + 0.35 * math.sin(0.65 * k) + 0.025 * k,
                  0.5 * k + 0.2 * math.sin(0.5 * k)] for k in range(17)]
         rows[7][2] = 100.0
@@ -365,16 +394,17 @@ class TestBatch:
         for name in ("shoot_fan", "shoot"):
             monkeypatch.setattr(connect_mod, name, counted(name))
         A, B = SurfacePoint(2.0, 0.0), SurfacePoint(3.0, 0.8)
-        with pytest.raises(SolveError, match="unreachable within search "
-                           "budget: meridian arc 33.5"):
-            connect_geodesic(vase, A, B)
+        chord, arc_lo, reach = connect_mod._check_cold(vase, A, B)[4:]
+        assert chord == pytest.approx(1.360, abs=1e-3)
+        assert arc_lo == pytest.approx(33.504, abs=1e-3)
+        assert reach == pytest.approx(34.392, abs=1e-3)
         assert calls == []
 
 
 class TestOptions:
     def test_option_validation(self):
-        with pytest.raises(ValueError):
-            ConnectOptions(max_len=0.0)
+        with pytest.raises(TypeError, match="max_len"):
+            ConnectOptions(max_len=20.0)
         with pytest.raises(ValueError):
             ConnectOptions(resid_tol=-1.0)
         with pytest.raises(ValueError):
@@ -382,7 +412,7 @@ class TestOptions:
         with pytest.raises(TypeError, match="windings"):
             ConnectOptions(windings=(0, -2 ** 31 - 1))
         assert [f.name for f in dataclasses.fields(ConnectOptions)] == [
-            "max_len", "resid_tol", "shoot_tol"]
+            "resid_tol", "shoot_tol"]
 
     def test_tolerance_bounds(self):
         """resid_tol is a length of at most 1e-6, and shoot_tol at least
@@ -412,27 +442,27 @@ def _vase():
          0.5 * k + 0.2 * math.sin(0.5 * k)] for k in range(17)])
 
 
-def _full_fan(surface, A, B, opts=connect_mod._DEFAULT):
+def _full_fan(surface, A, B):
     """Length and step count of the pair's full screening fan."""
-    chord = connect_mod._check_cold(surface, A, B, opts)[4]
-    L_fan = min(opts.max_len, 3.2 * chord + 0.1)
+    chord = connect_mod._check_cold(surface, A, B)[4]
+    L_fan = 3.2 * chord + 0.1
     return L_fan, max(connect_mod._FAN_STEPS, min(320, int(L_fan * 16)))
 
 
 def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     """``_polish`` fed the pair's full screening fan, every step up to
     ``3.2 chord + 0.1``, as the fan ran before it was cut at the chord
-    seed's length, and with no winding settled: every pick is polished,
-    as in a search without the cuts."""
-    target = connect_mod._check_cold(surface, A, B, opts)
-    near, _, s_e, s_g, chord, _ = target
+    seed's length, with no winding settled and with no reach capping
+    Newton: every pick is polished, as in a search without the cuts."""
+    target = (*connect_mod._check_cold(surface, A, B)[:6], math.inf)
+    near, _, s_e, s_g, chord, _, reach = target
     thetas = [*connect_mod._FAN_HEADINGS,
               connect_mod._chord_heading(surface, A, near)]
-    L_fan, n_steps = _full_fan(surface, A, B, opts)
+    L_fan, n_steps = _full_fan(surface, A, B)
     fan = geodesics_mod.shoot_fan(surface, [A] * len(thetas), thetas,
                                   [L_fan / n_steps] * len(thetas), n_steps)
     seeded = connect_mod._newton(surface, A, near.u, near.v, s_e, s_g,
-                                 thetas[-1], chord, opts)
+                                 thetas[-1], chord, reach, opts)
     return connect_mod._polish(
         surface, A, target,
         (thetas, np.linspace(0.0, L_fan, n_steps + 1), *fan), seeded, set(),
@@ -523,9 +553,9 @@ class TestChordSeedFirst:
         real = connect_mod._newton
         starts = []
 
-        def counted(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, opts):
+        def counted(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, *rest):
             starts.append((v_t, theta0, L0))
-            return real(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, opts)
+            return real(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, *rest)
 
         monkeypatch.setattr(connect_mod, "_newton", counted)
         connect_geodesic(torus, A, B)
@@ -774,8 +804,7 @@ class TestWindingBound:
     def test_cylinder_closed_form(self):
         cylinder = make_surface("cylinder", radius=1.5)
         for A, B in self._pairs(np.random.default_rng(61), -3.0, 3.0, 100):
-            target = connect_mod._check_cold(cylinder, A, B,
-                                             connect_mod._DEFAULT)
+            target = connect_mod._check_cold(cylinder, A, B)
             near = target[0]
             for k in range(-2, 3):
                 length = math.hypot(B.u - A.u,
@@ -819,8 +848,7 @@ class TestWindingBound:
         for A, B in self._pairs(np.random.default_rng(67), lo, hi, n):
             found.clear()
             best = _full_fan_path(surface, A, B)
-            target = connect_mod._check_cold(surface, A, B,
-                                             connect_mod._DEFAULT)
+            target = connect_mod._check_cold(surface, A, B)
             for v_t, length, _, u_lo, u_hi in found:
                 k = round((v_t - target[0].v) / (2 * math.pi))
                 windings.add(k)
@@ -912,7 +940,9 @@ def test_torus_miss_pair_has_a_geodesic():
     torus = make_surface("torus", R=2.0, r=0.7)
     A, B = _TORUS_MISS
     near = SurfacePoint(B.u, B.v - 2.0 * math.pi)
-    path = connect_geodesic(torus, A, near, initial=(-2.090, 5.41))
+    # the curve along the meridian and the shorter parallel, 6.09 long
+    reach = connect_mod._check_cold(torus, A, near)[6]
+    path = connect_geodesic(torus, A, near, initial=(-2.090, 5.41, reach))
     assert path.winding == 0
     assert path.length == pytest.approx(5.411914, abs=1e-6)
     end = path.end()
