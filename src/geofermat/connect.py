@@ -16,9 +16,15 @@ of B.  The shortest curve from A therefore ends at B*, whose v-travel is
 at most pi, or at the copy of winding +-1 only when B lies exactly half a
 turn from A.  A cold connect runs in five steps:
 
-1. Chord seed.  Newton from the embedded chord direction, with the
-   chord as length, aimed at B* (winding 0).
-2. Settle.  When the chord seed converged to a length L*, a search
+1. Seed.  Newton aimed at B* (winding 0) from the kind's closed-form
+   geodesic to B* (``ProfileSurface.closed_form``): the great circle on
+   the sphere, the unrolled strip on the cylinder and the developed
+   sector on the cone and the plane.  Its first shot lands on B* up to
+   the integrator's error, so Newton stops there or one step later.
+   Other kinds, and pairs where the form is undefined (antipodal on the
+   sphere, a developed angle of pi or more), start from the chord seed:
+   the embedded chord's heading, with the chord as length.
+2. Settle.  When the seed converged to a length L*, a search
    winding is settled when no other candidate of it can be shorter than
    L*, tie with it or make it ambiguous:
 
@@ -50,9 +56,9 @@ turn from A.  A cold connect runs in five steps:
    The bounds ``nonpositive_curvature``, ``e_floor``, ``phi_min`` and
    ``inj_floor`` hold for the whole surface and come from
    ``ProfileSurface.bounds``.  A pair whose search windings are all
-   settled runs no fan: its answer is the chord seed's geodesic.
+   settled runs no fan: its answer is the seed's geodesic.
 3. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
-   heading among them.  When the chord seed converged to a length L*,
+   heading among them.  When the seed converged to a length L*,
    the fan keeps its step h but runs only ``ceil(1.1 L* / h) + 2`` of its
    steps, so its samples are a prefix of the full fan's.  A lane passes
    nearest B* no later than the length of the geodesic it shadows, so
@@ -65,8 +71,8 @@ turn from A.  A cold connect runs in five steps:
    Newton iteration whose heading column is the Jacobi field ``m1`` of
    the last shot along its end normal (``GeodesicPath.jacobi``) and
    whose length column is the endpoint velocity: one shot per
-   iteration, plus halvings.  The chord seed's result from step 1 is
-   reused, not polished again.
+   iteration, plus halvings.  The seed's result from step 1 is reused,
+   not polished again.
 
 Every Newton start of a pair caps the lengths it steps to at the pair's
 reach plus ``2 _AMBIGUITY_TOL``: the reach is the length of a curve known
@@ -111,9 +117,12 @@ __all__ = ["ConnectOptions", "connect_geodesic", "connect_geodesics"]
 _NEWTON_MAX_ITER = 30    # damped Newton iterations per start
 # fewest fixed RK4 steps in the full screening fan: a short fan samples each
 # lane every 0.08 chord, 5 times finer than the gap of 16 lanes at the
-# target.  A pair whose chord seed converged runs a prefix of its full fan
+# target.  A pair whose seed converged runs a prefix of its full fan
 _FAN_STEPS = 40
-# the screening fan's headings, evenly spaced; each pair adds its chord heading
+# the screening fan's headings, evenly spaced; each pair adds its chord
+# heading, also where its seed is a closed form: a lane at that exact heading
+# passes B* within a fraction of a step, and as the best screened seed it
+# narrows _polish's cutoff until a half-turn tie's second winding is dropped
 _FAN_HEADINGS = tuple(-math.pi + TWO_PI * (j + 0.5) / 16 for j in range(16))
 _REFINE_TOP = 4          # screened starts polished by Newton
 _AMBIGUITY_TOL = 1e-6    # a second geodesic this close in length: ambiguous
@@ -154,6 +163,17 @@ def _chord_heading(surface, A, B):
     d = surface.embed(B) - surface.embed(A)
     e_par, e_mer = surface.embedding_frame(A)
     return math.atan2(float(d @ e_mer), float(d @ e_par))
+
+
+def _seed(surface, A, near, chord):
+    """The first Newton start of a cold pair, aimed at ``near``, the copy
+    B* of B nearest A: ``(theta, L, name)`` of the kind's closed-form
+    geodesic where it has one, else of the chord seed (step 1 of the
+    module docstring)."""
+    form = surface.closed_form(A, near)
+    if form is not None:
+        return (*form, "closed-form seed")
+    return _chord_heading(surface, A, near), chord, "chord seed"
 
 
 @dataclass
@@ -288,10 +308,9 @@ def _winding_bound(surface, A, target, k, bar):
 
 
 def _settled(surface, A, target, length):
-    """The search windings from B* that the chord seed's geodesic, of
-    this length, settles: no other candidate of them can be shorter, tie
-    with it or make the answer ambiguous (step 2 of the module
-    docstring)."""
+    """The search windings from B* that the seed's geodesic, of this
+    length, settles: no other candidate of them can be shorter, tie with
+    it or make the answer ambiguous (step 2 of the module docstring)."""
     bar = length + 2.0 * _AMBIGUITY_TOL
     bounds = surface.bounds
     if bar < bounds.inj_floor:
@@ -331,7 +350,7 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     Each pair is checked, screened and polished as a lone cold connect
     would be, and gets the same answer.  All pairs are checked before any
     Newton or fan runs, and the first failing check raises.  Then each
-    pair's chord seed is polished, which settles windings and sets how
+    pair's seed is polished, which settles windings and sets how
     many fan steps the pair reads: ``ceil(1.1 L* / h) + 2`` of its ``n``
     full steps of size h when the seed converged to length L*, all ``n``
     otherwise, and none when all its windings are settled.  The fans of
@@ -345,25 +364,26 @@ def connect_geodesics(surface: ProfileSurface, pairs,
 
     lanes = []          # (start, heading, step) of every fan lane
     grids = {}          # pair index -> (first lane, thetas, s_grid)
-    seeded = {}         # pair index -> the chord seed's _newton result
+    seeded = {}         # pair index -> its _seed and that seed's _newton result
     settled = {}        # pair index -> its settled windings from B*
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
         near, _, s_e, s_g, chord, _, reach = target
-        thetas = [*_FAN_HEADINGS, _chord_heading(surface, A, near)]
-        seeded[n] = _newton(surface, A, near.u, near.v, s_e, s_g,
-                            thetas[-1], chord, reach, opts)
-        got = seeded[n][0]
+        seed = _seed(surface, A, near, chord)
+        seeded[n] = (seed, _newton(surface, A, near.u, near.v, s_e, s_g,
+                                   *seed[:2], reach, opts))
+        got = seeded[n][1][0]
         settled[n] = (set() if got is None
                       else _settled(surface, A, target, got.length))
         if settled[n].issuperset(_WINDINGS):
-            continue        # the chord seed's geodesic is the answer
+            continue        # the seed's geodesic is the answer
         L_fan = 3.2 * chord + 0.1
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
         h = L_fan / n_steps
         n_read = n_steps if got is None else min(
             n_steps, math.ceil(1.1 * got.length / h) + 2)
+        thetas = [*_FAN_HEADINGS, _chord_heading(surface, A, near)]
         grids[n] = (len(lanes), thetas,
                     np.linspace(0.0, L_fan, n_steps + 1)[:n_read + 1])
         lanes += [(A, theta, h) for theta in thetas]
@@ -383,22 +403,23 @@ def connect_geodesics(surface: ProfileSurface, pairs,
             for n, ((A, B), target) in enumerate(zip(pairs, targets))]
 
 
-def _polish(surface, A, target, fan, seeded, settled, opts):
+def _polish(surface, A, target, fan, start, settled, opts):
     """Newton-polish the best screened fan starts of one pair toward the
     copy B* of its target nearest A, and return the shortest converged
-    geodesic with its winding counted from B as given.  ``seeded`` is the
-    chord seed's ``_newton`` result, which is not polished again.
-    Seeds of every search winding are screened and ranked, but picks
-    of a ``settled`` winding are not polished; ``fan`` is None when every
-    search winding is settled, and the chord seed's geodesic is then
-    the answer."""
-    near, turns, s_e, s_g, chord, _, reach = target
+    geodesic with its winding counted from B as given.  ``start`` is the
+    pair's ``_seed`` and that seed's ``_newton`` result, which is not
+    polished again.  Seeds of every search winding are screened and ranked, but
+    picks of a ``settled`` winding are not polished; ``fan`` is None when
+    every search winding is settled, and the seed's geodesic is then the
+    answer."""
+    near, turns, s_e, s_g, _, _, reach = target
+    seed, seeded = start
     if fan is None:
         path = seeded[0].path
         path.winding = turns
         return path
     fan_thetas, s_grid, us, vs, alive = fan
-    seeds: list[_Candidate] = [_Candidate(fan_thetas[-1], chord, 0, 0.0)]
+    seeds: list[_Candidate] = [_Candidate(seed[0], seed[1], 0, 0.0)]
     for k in _WINDINGS:
         v_t = near.v + TWO_PI * k
         r2 = (s_e * (us - near.u)) ** 2 + (s_g * (vs - v_t)) ** 2
@@ -458,11 +479,11 @@ def _polish(surface, A, target, fan, seeded, settled, opts):
                                    cand.theta, cand.length, reach, opts))
 
     if not converged:
-        # the chord seed is among the failed starts, so the fan ran in full
+        # the seed is among the failed starts, so the fan ran in full
         tallies = ", ".join(f"{k}: {n}/{m}"
                             for k, (n, m) in sorted(spent.items()))
         screened = f"{ranked[0].resid:.3e}" if ranked else "none"
-        head = ("unreachable within search budget: the chord seed did not "
+        head = (f"unreachable within search budget: the {seed[2]} did not "
                 "converge")
         if all(faults):
             head = ("every Newton start failed in the integrator at "

@@ -52,6 +52,9 @@ _WHOLE_TURN_TOL = 1e-9
 _CLOSURE_SLOPE_TOL = 1e-6
 _CLOSURE_PHI_TOL = 1e-9
 _MIN_GUARD = 1e-150      # phi above it keeps G = phi**2 from underflowing
+# a sphere pair whose central angle is within this sine of pi is antipodal:
+# its great circle's heading is lost to the rounding of its frame components
+_ANTIPODAL_TOL = 1e-9
 
 
 def mod_two_pi(angle: float) -> float:
@@ -259,7 +262,7 @@ class ProfileSurface:
     """
 
     def __init__(self, kind, metric, meridian, curvature, u_min, u_max,
-                 axis_guard, bounds):
+                 axis_guard, bounds, geodesic):
         self.kind = kind
         self.u_min = float(u_min)
         self.u_max = float(u_max)
@@ -268,6 +271,7 @@ class ProfileSurface:
         self._meridian = meridian    # (xp, u) -> (psi, psi')
         self._curvature = curvature  # (xp, u) -> K
         self._bounds = bounds
+        self._geodesic = geodesic    # (u_a, u_b, dv) -> (theta, L) or None
         if not (self.u_min < self.u_max):
             raise ProfileError(f"empty chart: u_min={self.u_min}, u_max={self.u_max}")
         if not self.axis_guard >= _MIN_GUARD:
@@ -300,6 +304,18 @@ class ProfileSurface:
         """What the kind knows of its whole surface, on the chart or off
         it (see ``_KINDS``)."""
         return self._bounds
+
+    def closed_form(self, A: SurfacePoint, B: SurfacePoint):
+        """Heading and length ``(theta, L)`` of the geodesic from A to B
+        where the kind knows it in closed form (see ``_KINDS``), else
+        None.  B is the copy of its point to reach, as given: ``connect``
+        gives B*, the copy nearest A.  The cylinder's strip and the cone's
+        developed sector reach any copy, with None from a developed angle
+        of pi on; the sphere's great circle reaches B*, with None for an
+        antipodal pair.  Unchecked, like ``metric_terms``."""
+        if self._geodesic is None:
+            return None
+        return self._geodesic(A.u, B.u, B.v - A.v)
 
     def scale(self) -> float:
         """Characteristic radius, used to normalise tolerances."""
@@ -406,10 +422,60 @@ def _apex_phi_min(lo, hi):
     return max(0.0, lo)
 
 
-# kind -> (parameter names, profile functions, chart defaults, bounds).
-# All three take the parameters in the listed order; the profile functions
-# are ``(metric, meridian, curvature)``, the chart defaults
-# ``(u_min, u_max, axis_guard)`` and the bounds a ``SurfaceBounds``.
+# Closed-form geodesics: ``geodesic(u_a, u_b, dv)`` is the heading and length
+# ``(theta, L)`` of the geodesic from A = (u_a, v) to B = (u_b, v + dv), or
+# None where the form is undefined.  The heading is ``atan2`` of the chord to
+# B in the orthonormal frame (e_parallel, e_meridian) at A, developed on the
+# flat kinds, written with no difference of nearly equal terms.
+
+def _sphere_geodesic(R):
+    # the great circle: in the frame at A, B has components R (p, m), so
+    # |A x B| = R^2 hypot(p, m), and A.B = R^2 c; L = R atan2(|A x B|, A.B),
+    # with 1 - cos dv written as 2 sin^2(dv / 2).  It ends at B*, the copy
+    # of B nearest A, whichever copy is given
+    def geodesic(u_a, u_b, dv):
+        sa, sb, h = math.sin(u_a), math.sin(u_b), math.sin(0.5 * dv) ** 2
+        p = sb * math.sin(dv)
+        m = math.sin(u_b - u_a) - 2.0 * sb * math.cos(u_a) * h
+        c = math.cos(u_b - u_a) - 2.0 * sa * sb * h
+        sine = math.hypot(p, m)
+        if c < 0.0 and sine <= _ANTIPODAL_TOL:
+            return None         # the heading is undefined
+        return math.atan2(m, p), R * math.atan2(sine, c)
+    return geodesic
+
+
+def _cylinder_geodesic(R):
+    # the unrolled strip
+    def geodesic(u_a, u_b, dv):
+        du = u_b - u_a
+        return math.atan2(du, R * dv), math.hypot(du, R * dv)
+    return geodesic
+
+
+def _cone_geodesic(slope):
+    # the developed sector: A at slant radius k u_a and angle 0, B at k u_b
+    # and angle dv / k; a chord across an angle of pi or more would pass the
+    # apex, and no geodesic does
+    k = math.sqrt(1.0 + slope * slope)
+
+    def geodesic(u_a, u_b, dv):
+        angle = dv / k
+        if abs(angle) >= math.pi:
+            return None
+        m = u_b - u_a - 2.0 * u_b * math.sin(0.5 * angle) ** 2
+        p = u_b * math.sin(angle)
+        return math.atan2(m, p), k * math.hypot(m, p)
+    return geodesic
+
+
+# kind -> (parameter names, profile functions, chart defaults, bounds,
+# geodesic).  All four take the parameters in the listed order; the profile
+# functions are ``(metric, meridian, curvature)``, the chart defaults
+# ``(u_min, u_max, axis_guard)``, the bounds a ``SurfaceBounds`` and the
+# geodesic the closed form above, where the kind has one: the sphere's
+# great circle, the cylinder's unrolled strip and the developed sector of
+# the cone and of the plane, the cone of slope 0.  Other kinds give None.
 # By Klingenberg's lemma a compact surface with K <= K_max > 0 has
 # injectivity radius at least ``min(pi / sqrt(K_max), l / 2)``, l its
 # shortest closed geodesic (do Carmo, Riemannian Geometry, ch. 13).  The
@@ -426,37 +492,44 @@ def _apex_phi_min(lo, hi):
 _KINDS = {
     "sphere": (("radius",), _sphere_fns, lambda R: (0.0, math.pi, 1e-6 * R),
                lambda R: SurfaceBounds(inj_floor=math.pi * R, e_floor=R,
-                                       phi_min=_sphere_phi_min(R))),
+                                       phi_min=_sphere_phi_min(R)),
+               _sphere_geodesic),
     "cylinder": (("radius",), _cylinder_fns,
                  lambda R: (-20.0, 20.0, 1e-6 * R),
                  lambda R: SurfaceBounds(
                      nonpositive_curvature=True, e_floor=1.0,
-                     phi_min=lambda lo, hi: R)),
+                     phi_min=lambda lo, hi: R),
+                 _cylinder_geodesic),
     "cone": (("slope",), _cone_fns, lambda slope: (0.0, 20.0, 1e-6),
              lambda slope: SurfaceBounds(
                  nonpositive_curvature=True,
                  e_floor=math.sqrt(1.0 + slope * slope),
-                 phi_min=_apex_phi_min)),
+                 phi_min=_apex_phi_min),
+             _cone_geodesic),
     "paraboloid": (("a",), _paraboloid_fns, lambda a: (0.0, 10.0, 1e-6),
                    lambda a: SurfaceBounds(e_floor=1.0,
-                                           phi_min=_apex_phi_min)),
+                                           phi_min=_apex_phi_min),
+                   None),
     "catenoid": (("a",), _catenoid_fns,
                  lambda a: (-3.0 * a, 3.0 * a, 1e-6 * a),
                  lambda a: SurfaceBounds(
                      nonpositive_curvature=True, e_floor=1.0,
                      phi_min=lambda lo, hi: a * math.cosh(
-                         max(0.0, lo, -hi) / a))),
+                         max(0.0, lo, -hi) / a)),
+                 None),
     "torus": (("R", "r"), _torus_fns,
               lambda R, r: (-4.0 * math.pi, 4.0 * math.pi, 1e-6 * R),
               lambda R, r: SurfaceBounds(
                   inj_floor=math.pi * min(math.sqrt(r * (R + r)), r, R - r),
-                  e_floor=r, phi_min=_torus_phi_min(R, r))),
+                  e_floor=r, phi_min=_torus_phi_min(R, r)),
+              None),
     "plane": ((), lambda: _cone_fns(0.0), lambda: (0.0, 50.0, 1e-6),
               lambda: SurfaceBounds(nonpositive_curvature=True, e_floor=1.0,
-                                    phi_min=_apex_phi_min)),
+                                    phi_min=_apex_phi_min),
+              lambda: _cone_geodesic(0.0)),
     "custom": (("samples",), _custom_fns,
                lambda rows: (rows[0, 0], rows[-1, 0], 1e-6),
-               lambda rows: SurfaceBounds()),
+               lambda rows: SurfaceBounds(), None),
 }
 CATALOGUE = tuple(_KINDS)
 
@@ -506,7 +579,7 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
     if kind not in CATALOGUE:
         raise ProfileError(f"unknown surface kind {kind!r}; "
                            f"expected one of {CATALOGUE}")
-    names, fns, defaults, bounds = _KINDS[kind]
+    names, fns, defaults, bounds, geodesic = _KINDS[kind]
     if set(params) != set(names):
         raise ProfileError(f"{kind} takes exactly the parameters "
                            f"{list(names)}, got {sorted(params)}")
@@ -521,4 +594,5 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
         u_min=d_min if u_min is None else u_min,
         u_max=d_max if u_max is None else u_max,
         axis_guard=d_guard if axis_guard is None else axis_guard,
-        bounds=bounds(*values))
+        bounds=bounds(*values),
+        geodesic=None if geodesic is None else geodesic(*values))

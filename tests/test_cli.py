@@ -784,24 +784,32 @@ class TestMeasuredFailureExitCodes:
         assert "pairwise distinct" in report["error"]["message"]
         json.dumps(report, allow_nan=False)
 
-    @pytest.mark.parametrize("error,head", [
+    @pytest.mark.parametrize("error,head,surface", [
         (SolveError("integrator cannot satisfy the error tolerance"),
          "every Newton start failed in the integrator at shoot_tol 1e-10: "
-         "integrator cannot satisfy the error tolerance; "),
+         "integrator cannot satisfy the error tolerance; ", None),
+        (ChartExitError("left the chart", 0.5),
+         "unreachable within search budget: the closed-form seed did not "
+         "converge; ", None),
         (ChartExitError("left the chart", 0.5),
          "unreachable within search budget: the chord seed did not "
-         "converge; "),
-    ], ids=["integrator", "chart-exit"])
-    def test_integrator_failure_is_named(self, monkeypatch, error, head):
+         "converge; ", {"kind": "torus", "R": 2.0, "r": 0.7}),
+    ], ids=["integrator", "chart-exit", "chart-exit-torus"])
+    def test_integrator_failure_is_named(self, monkeypatch, error, head,
+                                         surface):
         """When every Newton start of a pair fails in the integrator, the
         report names the integrator's message and tolerance instead of
-        the search budget alone; a chart exit is no integrator fault."""
+        the search budget alone; a chart exit is no integrator fault, and
+        the message names the seed that failed: the sphere's great circle
+        or, on the torus, the chord."""
         def failing(*args):
             raise error
 
         monkeypatch.setattr(connect_mod, "shoot", failing)
-        code, report = cli.run("connect", scenario_from_dict(
-            minimal_scenario(connect={"from": "A1", "to": "A2"})))
+        data = minimal_scenario(connect={"from": "A1", "to": "A2"})
+        if surface is not None:
+            data["surface"] = surface
+        code, report = cli.run("connect", scenario_from_dict(data))
         self._numerical(code, report, head)
         assert report["error"]["message"].startswith(head)
 

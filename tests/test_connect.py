@@ -77,6 +77,24 @@ class TestAmbiguity:
         assert path.length == pytest.approx(math.hypot(0.7, math.pi),
                                             rel=1e-10)
 
+    @pytest.mark.parametrize("kind, params, lo, hi", [
+        ("cylinder", dict(radius=1.0), -2.0, 2.0),
+        ("cone", dict(slope=1.0), 0.5, 3.0),
+        ("cone", dict(slope=-1.0), 0.5, 3.0),
+    ], ids=["cylinder", "cone", "cone-1"])
+    def test_half_turn_ties_are_ambiguous(self, kind, params, lo, hi):
+        """B half a turn from A: its two nearest copies are equally near,
+        and each has a geodesic of the same length.  The closed-form seed
+        finds one, and the other winding's fan pick is polished too: the
+        fan's 17th lane stays at the chord heading, as a lane at the exact
+        heading would narrow the screening cutoff past that pick."""
+        surface = make_surface(kind, **params)
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            A = SurfacePoint(rng.uniform(lo, hi), rng.uniform(-3.0, 3.0))
+            B = SurfacePoint(rng.uniform(lo, hi), A.v + math.pi)
+            assert connect_geodesic(surface, A, B).ambiguous
+
     def test_generic_pair_not_ambiguous(self, sphere):
         path = connect_geodesic(sphere, SurfacePoint(1.2, 0.0),
                                 SurfacePoint(1.4, 1.0))
@@ -207,9 +225,13 @@ class TestInvariants:
     def test_newton_makes_one_shot_per_iteration(self, sphere, monkeypatch):
         """The heading column comes from the Jacobi field of the last shot,
         so each iteration makes one shot: from a start 1e-3 off, Newton
-        converges within four shots, each at a new length."""
+        converges within four shots, each at a new length.  Both connects
+        run at resid_tol 1e-12: the cold one starts at the great circle
+        and stops at its first shot, which the default 1e-10 would let the
+        warm one miss by 4e-11."""
         A, B = SurfacePoint(1.1, 0.2), SurfacePoint(1.5, 1.1)
-        cold = connect_geodesic(sphere, A, B)
+        opts = ConnectOptions(resid_tol=1e-12)
+        cold = connect_geodesic(sphere, A, B, opts)
         shots = []
         real = connect_mod.shoot
 
@@ -218,7 +240,7 @@ class TestInvariants:
             return real(surface, p, theta, length, *rest)
 
         monkeypatch.setattr(connect_mod, "shoot", counted)
-        warm = connect_geodesic(sphere, A, B, initial=(
+        warm = connect_geodesic(sphere, A, B, opts, initial=(
             cold.theta_start + 1e-3, cold.length - 1e-3, cold.length))
         assert warm.length == pytest.approx(cold.length, abs=1e-12)
         assert len(shots) <= 4
@@ -451,22 +473,24 @@ def _full_fan(surface, A, B):
 
 def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     """``_polish`` fed the pair's full screening fan, every step up to
-    ``3.2 chord + 0.1``, as the fan ran before it was cut at the chord
-    seed's length, with no winding settled and with no reach capping
-    Newton: every pick is polished, as in a search without the cuts."""
+    ``3.2 chord + 0.1``, as the fan ran before it was cut at the seed's
+    length, with no winding settled and with no reach capping Newton:
+    every pick is polished, as in a search without the cuts.  The first
+    start is the solver's own ``_seed``."""
     target = (*connect_mod._check_cold(surface, A, B)[:6], math.inf)
     near, _, s_e, s_g, chord, _, reach = target
+    seed = connect_mod._seed(surface, A, near, chord)
     thetas = [*connect_mod._FAN_HEADINGS,
               connect_mod._chord_heading(surface, A, near)]
     L_fan, n_steps = _full_fan(surface, A, B)
     fan = geodesics_mod.shoot_fan(surface, [A] * len(thetas), thetas,
                                   [L_fan / n_steps] * len(thetas), n_steps)
     seeded = connect_mod._newton(surface, A, near.u, near.v, s_e, s_g,
-                                 thetas[-1], chord, reach, opts)
+                                 *seed[:2], reach, opts)
     return connect_mod._polish(
         surface, A, target,
-        (thetas, np.linspace(0.0, L_fan, n_steps + 1), *fan), seeded, set(),
-        opts)
+        (thetas, np.linspace(0.0, L_fan, n_steps + 1), *fan), (seed, seeded),
+        set(), opts)
 
 
 class TestChordSeedFirst:
@@ -566,8 +590,10 @@ class TestChordSeedFirst:
         assert len(set(starts)) == len(starts)
 
     def test_unreachable_error_names_the_work(self, sphere, monkeypatch):
-        """Every Newton start fails: the error says so, with the starts
-        and shots per winding and the best screened residual."""
+        """Every Newton start fails: the error says so, naming the seed
+        that failed first, with the starts and shots per winding and the
+        best screened residual.  The sphere's seed is its great circle,
+        the torus's the chord."""
         real_newton, real_shoot = connect_mod._newton, connect_mod.shoot
         shots, starts = [], []
 
@@ -581,21 +607,27 @@ class TestChordSeedFirst:
 
         monkeypatch.setattr(connect_mod, "_newton", failing)
         monkeypatch.setattr(connect_mod, "shoot", counted)
-        with pytest.raises(SolveError) as err:
-            connect_geodesic(sphere, SurfacePoint(1.2, 0.3),
-                             SurfacePoint(1.5, 1.0))
-        text = str(err.value)
-        head, tallies, best = text.split("; ")
-        assert head == ("unreachable within search budget: the chord seed "
-                        "did not converge")
-        prefix = "Newton starts/shots per winding from the copy of B " \
-                 "nearest A: "
-        assert tallies.startswith(prefix)
-        spent = [part.split(": ")[1].split("/")
-                 for part in tallies[len(prefix):].split(", ")]
-        assert sum(int(n) for n, _ in spent) == len(starts)
-        assert sum(int(m) for _, m in spent) == len(shots)
-        assert float(best.removeprefix("best screened residual ")) > 0.0
+        torus = make_surface("torus", R=2.0, r=0.7)
+        for surface, (A, B), seed in [
+                (sphere, (SurfacePoint(1.2, 0.3), SurfacePoint(1.5, 1.0)),
+                 "closed-form seed"),
+                (torus, TestChordSeedFirst.TORUS_PAIR, "chord seed")]:
+            shots.clear()
+            starts.clear()
+            with pytest.raises(SolveError) as err:
+                connect_geodesic(surface, A, B)
+            text = str(err.value)
+            head, tallies, best = text.split("; ")
+            assert head == (f"unreachable within search budget: the {seed} "
+                            "did not converge")
+            prefix = "Newton starts/shots per winding from the copy of B " \
+                     "nearest A: "
+            assert tallies.startswith(prefix)
+            spent = [part.split(": ")[1].split("/")
+                     for part in tallies[len(prefix):].split(", ")]
+            assert sum(int(n) for n, _ in spent) == len(starts)
+            assert sum(int(m) for _, m in spent) == len(shots)
+            assert float(best.removeprefix("best screened residual ")) > 0.0
 
 
 class TestSettle:
@@ -640,6 +672,40 @@ class TestSettle:
         assert (len(starts), fans) == (1, [])
         assert np.array_equal(path.samples, want.samples)
         assert (path.winding, path.ambiguous) == (want.winding, False)
+
+    @pytest.mark.parametrize("name", ["cone", "cone-1", "cylinder", "plane",
+                                      "sphere"])
+    def test_closed_form_seed_takes_at_most_two_shots(self, name,
+                                                      monkeypatch):
+        """Seeded at its closed-form geodesic, a settled cold connect on
+        the kinds that have one lands on B at its first shot, or its
+        second when the integrator's error exceeds resid_tol: at most two
+        ``_integrate`` calls and one Newton start."""
+        build, draw = TestInvariants.SAMPLERS[name.split("-")[0]]
+        surface = (make_surface("cone", slope=-1.0) if name == "cone-1"
+                   else build())
+        starts, fans = self._count(monkeypatch)
+        calls = []
+        real = geodesics_mod._integrate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geodesics_mod, "_integrate", counted)
+        rng = np.random.default_rng(83)
+        settled = 0
+        for _ in range(30):
+            A, B = draw(rng)
+            starts.clear()
+            fans.clear()
+            calls.clear()
+            connect_geodesic(surface, A, B)
+            if not fans:
+                settled += 1
+                assert len(starts) == 1
+                assert len(calls) <= 2
+        assert settled >= 29
 
     def test_reference_search_polishes_settled_windings(self, catenoid,
                                                         monkeypatch):

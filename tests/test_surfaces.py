@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from geofermat import OffChartError, ProfileError, SurfacePoint, make_surface
+from geofermat import (OffChartError, ProfileError, SurfacePoint, make_surface,
+                       shoot)
 
 
 def _catenoid_table(n):
@@ -235,3 +237,119 @@ class TestCustomSpline:
         with pytest.raises(ProfileError):
             make_surface("custom",
                          samples=[[0, 1, 0], [1, -1, 1], [2, 1, 2], [3, 1, 3]])
+
+
+def _haversine(R, A, B):
+    """Length and initial heading of the great circle from A to B by the
+    navigator's formulas: latitude pi/2 - u, longitude v, and the bearing
+    from north turned into a heading from e_parallel (east) toward
+    e_meridian (south)."""
+    la, lb, dl = math.pi / 2 - A.u, math.pi / 2 - B.u, B.v - A.v
+    h = (math.sin(0.5 * (lb - la)) ** 2
+         + math.cos(la) * math.cos(lb) * math.sin(0.5 * dl) ** 2)
+    bearing = math.atan2(math.sin(dl) * math.cos(lb),
+                         math.cos(la) * math.sin(lb)
+                         - math.sin(la) * math.cos(lb) * math.cos(dl))
+    return (math.atan2(-math.cos(bearing), math.sin(bearing)),
+            2.0 * R * math.asin(math.sqrt(h)))
+
+
+def _developed(k, A, B):
+    """Heading and length of the straight chord between the points ``k u
+    exp(i v / k)`` of the plane, in the frame at A: e_meridian points away
+    from the origin, e_parallel a quarter turn counterclockwise of it.  At
+    k = 1 these are the plane's polar coordinates."""
+    radial = cmath.exp(1j * A.v / k)
+    d = (k * B.u * cmath.exp(1j * B.v / k) - k * A.u * radial) / radial
+    return math.atan2(d.real, d.imag), abs(d)
+
+
+class TestClosedForm:
+    """``ProfileSurface.closed_form`` against formulas written here, and
+    against the integrator: a shot from it lands on B.  "cone" has slope
+    0.8 and "cone-1" slope -1."""
+    CASES = {
+        "sphere": (dict(radius=1.5), (0.2, math.pi - 0.2),
+                   lambda A, B: _haversine(1.5, A, B)),
+        "cylinder": (dict(radius=1.5), (-3.0, 3.0), lambda A, B: (
+            math.atan2(B.u - A.u, 1.5 * (B.v - A.v)),
+            math.hypot(B.u - A.u, 1.5 * (B.v - A.v)))),
+        "cone": (dict(slope=0.8), (0.5, 3.0),
+                 lambda A, B: _developed(math.sqrt(1.64), A, B)),
+        "cone-1": (dict(slope=-1.0), (0.5, 3.0),
+                   lambda A, B: _developed(math.sqrt(2.0), A, B)),
+        "plane": ({}, (0.5, 3.0), lambda A, B: _developed(1.0, A, B)),
+    }
+    # pairs (A, B) as (u, v).  Copies of B beyond B* that the strip and the
+    # developed sector reach
+    FAR = {"cylinder": [((0.3, 0.2), (1.1, 0.2 + 5.0))],
+           "cone": [((1.0, 0.2), (1.5, 0.2 + 3.9))],
+           "cone-1": [((1.0, 0.2), (1.5, 0.2 - 4.3))]}
+    # antipodal sphere pairs, and developed angles of pi (the plane's B*
+    # half a turn away) and more
+    UNDEFINED = {
+        "sphere": [((1.1, 0.4), (math.pi - 1.1, 0.4 + math.pi)),
+                   ((math.pi / 2, 0.0), (math.pi / 2, -math.pi))],
+        "cone": [((1.0, 0.2), (1.5, 0.2 + 4.1)),
+                 ((1.0, 0.2), (1.5, 0.2 - 4.1))],
+        "cone-1": [((1.0, 0.2), (1.5, 0.2 + math.pi * math.sqrt(2.0)))],
+        "plane": [((1.0, 0.2), (2.0, 0.2 + math.pi)),
+                  ((1.0, 0.2), (2.0, 0.2 - math.pi))],
+    }
+    # just inside the undefined pairs: 1e-3 from antipodal, a developed
+    # angle 1e-3 below pi
+    NEAR = {"sphere": [((1.1, 0.4), (math.pi - 1.1, 0.4 + math.pi - 1e-3))],
+            "plane": [((1.0, 0.2), (2.0, 0.2 + math.pi - 1e-3))]}
+
+    @staticmethod
+    def _surface(name):
+        return make_surface(name.split("-", 1)[0],
+                            **TestClosedForm.CASES[name][0])
+
+    def _pairs(self, name):
+        """B given as B*, the copy nearest A, then the listed pairs."""
+        _, (lo, hi), _ = self.CASES[name]
+        rng = np.random.default_rng(89)
+        pairs = []
+        for _ in range(40):
+            A = SurfacePoint(rng.uniform(lo, hi), rng.uniform(-3.0, 3.0))
+            pairs.append((A, SurfacePoint(rng.uniform(lo, hi), A.v
+                                          + rng.uniform(-3.1, 3.1))))
+        return pairs + [(SurfacePoint(*a), SurfacePoint(*b))
+                        for a, b in self.FAR.get(name, [])
+                        + self.NEAR.get(name, [])]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_the_written_formula(self, name):
+        surface, want = self._surface(name), self.CASES[name][2]
+        for A, B in self._pairs(name):
+            theta, length = surface.closed_form(A, B)
+            theta_w, length_w = want(A, B)
+            assert abs(math.remainder(theta - theta_w, 2 * math.pi)) <= 1e-12
+            assert length == pytest.approx(length_w, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_shot_lands_on_b(self, name):
+        surface = self._surface(name)
+        for A, B in self._pairs(name):
+            end = shoot(surface, A, *surface.closed_form(A, B)).end()
+            assert end.u == pytest.approx(B.u, abs=1e-9)
+            assert end.v == pytest.approx(B.v, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(UNDEFINED))
+    def test_undefined_pairs_give_none(self, name):
+        surface = self._surface(name)
+        for a, b in self.UNDEFINED[name]:
+            assert surface.closed_form(SurfacePoint(*a),
+                                       SurfacePoint(*b)) is None
+
+    def test_kinds_without_a_closed_form_give_none(self):
+        for kind, params, (a, b) in [
+                ("torus", dict(R=2.0, r=0.7), ((0.3, 0.1), (1.0, 0.5))),
+                ("paraboloid", dict(a=1.0), ((1.0, 0.1), (1.5, 0.5))),
+                ("catenoid", dict(a=1.0), ((0.3, 0.1), (-0.5, 0.5))),
+                ("custom", dict(samples=_catenoid_table(41)),
+                 ((0.3, 0.1), (-0.5, 0.5)))]:
+            surface = make_surface(kind, **params)
+            assert surface.closed_form(SurfacePoint(*a),
+                                       SurfacePoint(*b)) is None
