@@ -100,28 +100,33 @@ class GeodesicPath:
 
         A heading change d(theta) at the start moves the end point by
         ``m1 d(theta)`` along the end normal (the end tangent turned by
-        +pi/2).  RK4 runs over the path's own samples; mid-step ``u`` comes
-        from the cubic Hermite interpolant of ``(u, du)``.
+        +pi/2).  RK4 runs over the path's own samples, one scalar step per
+        sample interval; mid-step ``u`` comes from the cubic Hermite
+        interpolant of ``(u, du)``, and K at a step's start is the previous
+        step's end value.
         """
-        s, u, _, du, dv = self.samples.T
-        n = len(s)
-        h = np.diff(s)
-        du0 = du[:-1]
-        if not dv.any():    # a meridian's du flips sign where it crosses the axis
-            du0 = np.copysign(du0, du[1:])
-        u_mid = 0.5 * (u[:-1] + u[1:]) + 0.125 * h * (du0 - du[1:])
-        K = self.surface.curvature(np.concatenate([u, u_mid]))
-        k0, k_mid, k1 = K[:n - 1], K[n:], K[1:n]
-        # one RK4 step maps (m, m') linearly: (m, m') <- [[A, B], [C, D]] (m, m')
-        q = h * h
-        A = 1.0 - q * (k0 + 2.0 * k_mid) / 6.0 + q * q * k0 * k_mid / 24.0
-        B = h * (1.0 - q * k_mid / 6.0)
-        C = h * (q * k_mid * (k0 + k1) / 12.0 - (k0 + 4.0 * k_mid + k1) / 6.0)
-        D = 1.0 - q * (2.0 * k_mid + k1) / 6.0 + q * q * k_mid * k1 / 24.0
+        curvature = self.surface.curvature
+        rows = self.samples.tolist()
+        # a meridian's du flips sign where it crosses the axis
+        meridian = not self.samples[:, 4].any()
+        s0, u0, _, du0, _ = rows[0]
+        k0 = curvature(u0)
         m1, p1, m2, p2 = 0.0, 1.0, 1.0, 0.0
-        for a, b, c, d in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()):
+        for s1, u1, _, du1, _ in rows[1:]:
+            h = s1 - s0
+            if meridian:
+                du0 = math.copysign(du0, du1)
+            k_mid = curvature(0.5 * (u0 + u1) + 0.125 * h * (du0 - du1))
+            k1 = curvature(u1)
+            # one RK4 step maps linearly: (m, m') <- [[a, b], [c, d]] (m, m')
+            q = h * h
+            a = 1.0 - q * (k0 + 2.0 * k_mid) / 6.0 + q * q * k0 * k_mid / 24.0
+            b = h * (1.0 - q * k_mid / 6.0)
+            c = h * (q * k_mid * (k0 + k1) / 12.0 - (k0 + 4.0 * k_mid + k1) / 6.0)
+            d = 1.0 - q * (2.0 * k_mid + k1) / 6.0 + q * q * k_mid * k1 / 24.0
             m1, p1 = a * m1 + b * p1, c * m1 + d * p1
             m2, p2 = a * m2 + b * p2, c * m2 + d * p2
+            s0, u0, du0, k0 = s1, u1, du1, k1
         return m1, p1, m2, p2
 
 

@@ -86,7 +86,8 @@ class SurfacePoint:
 # ``numpy`` for an array.  ``metric(xp, u)`` gives ``(E, G, E_u, G_u, phi)``
 # in closed form, ``meridian(xp, u)`` gives ``(psi, psi')`` and
 # ``curvature(xp, u)`` the Gaussian curvature
-# ``K = psi' (phi' psi'' - phi'' psi') / (phi E**2)``; ``phi' = G_u / (2 phi)``.
+# ``K = psi' (phi' psi'' - phi'' psi') / (phi E**2)``; ``phi' = G_u / (2 phi)``,
+# which the solver evaluates on scalars only.
 # Constant terms add ``zero = 0.0 * u`` so that a batch gets arrays shaped
 # like ``u``.
 
@@ -346,9 +347,9 @@ class ProfileSurface:
         """Unchecked metric terms as arrays shaped like ``u``."""
         return self._metric(np, np.array(u, dtype=float))
 
-    def curvature(self, u):
-        """Unchecked Gaussian curvature K as an array shaped like ``u``."""
-        return self._curvature(np, np.array(u, dtype=float))
+    def curvature(self, u: float) -> float:
+        """Unchecked scalar Gaussian curvature K."""
+        return self._curvature(math, u)
 
     def embed(self, p: SurfacePoint) -> np.ndarray:
         """Embedding r(u, v) = (phi cos v, phi sin v, psi) in 3-space."""

@@ -790,7 +790,8 @@ class TestSettle:
             if floor > 0.0:
                 assert np.all(phi >= floor * (1.0 - 1e-15))
             if flat_or_saddle:
-                assert np.all(surface.curvature(u[phi > 0.0]) <= 0.0)
+                assert all(surface.curvature(x) <= 0.0
+                           for x in u[phi > 0.0].tolist())
             for _ in range(200):
                 lo, hi = np.sort(rng.uniform(surface.u_min - 5.0,
                                              surface.u_max + 5.0, 2))
@@ -1025,3 +1026,41 @@ def test_torus_pair_is_reachable():
     torus = make_surface("torus", R=2.0, r=0.7)
     path = connect_geodesic(torus, *_TORUS_MISS)
     assert path.length <= 5.411914 + 1e-6
+
+
+# two points on the torus's outer equator, 5.4 apart along it: the equator
+# arc passes its conjugate point, at pi sqrt(r (R + r)) = 4.319
+_TORUS_EQUATOR = (SurfacePoint(0.0, 0.0), SurfacePoint(0.0, 2.0))
+
+
+def test_equator_pair_has_two_shorter_geodesics():
+    """Warm starts on either side of the equator converge to two mirror
+    geodesics of length 5.175373, each with m1 > 0 at its end, while the
+    equator arc's end m1 is negative: it is past its conjugate point and
+    not minimal (do Carmo, Riemannian Geometry, ch. 5)."""
+    torus = make_surface("torus", R=2.0, r=0.7)
+    A, B = _TORUS_EQUATOR
+    arc = shoot(torus, A, 0.0, 5.4)
+    assert arc.jacobi()[0] < 0.0
+    reach = connect_mod._check_cold(torus, A, B)[6]
+    for theta in (0.84, -0.84):
+        path = connect_geodesic(torus, A, B, initial=(theta, 5.2, reach))
+        assert path.length == pytest.approx(5.175373, abs=1e-6)
+        assert path.theta_start == pytest.approx(theta, abs=0.01)
+        assert path.jacobi()[0] > 0.0
+        end = path.end()
+        assert abs(end.u - B.u) <= 1e-9 and abs(end.v - B.v) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the chord seed converges to the equator arc, past "
+                   "its conjugate point, and the fan lane along the equator "
+                   "narrows the screening cutoff so that no other pick is "
+                   "polished (needs a conjugate-point cut or a global audit)")
+def test_equator_pair_past_its_conjugate_point_is_a_tie():
+    """The cold connect returns the equator arc, 5.4 long, at heading 0,
+    with no error and no ambiguity flag."""
+    torus = make_surface("torus", R=2.0, r=0.7)
+    path = connect_geodesic(torus, *_TORUS_EQUATOR)
+    assert path.length <= 5.175373 + 1e-6
+    assert path.ambiguous

@@ -359,6 +359,55 @@ class TestShootFanReference:
         assert not both[2][3, -1]       # the pole lane dies
 
 
+def _jacobi_reference(path):
+    """``GeodesicPath.jacobi`` as numpy arrays over the whole path: every
+    step's RK4 coefficients at once, then the products in sample order.
+    The scalar pass must match it up to the last-ulp differences between
+    scalar and numpy libm in K."""
+    s, u, _, du, dv = path.samples.T
+    n = len(s)
+    h = np.diff(s)
+    du0 = du[:-1]
+    if not dv.any():    # a meridian's du flips sign where it crosses the axis
+        du0 = np.copysign(du0, du[1:])
+    u_mid = 0.5 * (u[:-1] + u[1:]) + 0.125 * h * (du0 - du[1:])
+    K = path.surface._curvature(np, np.concatenate([u, u_mid]))
+    k0, k_mid, k1 = K[:n - 1], K[n:], K[1:n]
+    # one RK4 step maps (m, m') linearly: (m, m') <- [[A, B], [C, D]] (m, m')
+    q = h * h
+    A = 1.0 - q * (k0 + 2.0 * k_mid) / 6.0 + q * q * k0 * k_mid / 24.0
+    B = h * (1.0 - q * k_mid / 6.0)
+    C = h * (q * k_mid * (k0 + k1) / 12.0 - (k0 + 4.0 * k_mid + k1) / 6.0)
+    D = 1.0 - q * (2.0 * k_mid + k1) / 6.0 + q * q * k_mid * k1 / 24.0
+    m1, p1, m2, p2 = 0.0, 1.0, 1.0, 0.0
+    for a, b, c, d in zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()):
+        m1, p1 = a * m1 + b * p1, c * m1 + d * p1
+        m2, p2 = a * m2 + b * p2, c * m2 + d * p2
+    return m1, p1, m2, p2
+
+
+# per case: kind, surface parameters, the shot (u0, theta, length) and,
+# where it is pinned, the path's sample count
+_JACOBI_CASES = {
+    "sphere": ("sphere", {"radius": 1.0}, (1.0, 0.3, 2.0), None),
+    "sphere-pole": ("sphere", {"radius": 1.0}, (0.5, -math.pi / 2, 2.0), None),
+    "zero-length": ("sphere", {"radius": 1.0}, (1.0, 0.3, 0.0), 1),
+    "cylinder": ("cylinder", {"radius": 1.0}, (0.3, 0.7, 3.0), None),
+    "cone": ("cone", {"slope": 0.8}, (1.5, 0.4, 2.0), None),
+    "plane": ("plane", {}, (1.0, 2.0, 3.0), None),
+    "paraboloid": ("paraboloid", {"a": 1.0}, (1.2, 0.5, 2.0), None),
+    "catenoid": ("catenoid", {"a": 1.0}, (0.3, 0.4, 2.5), None),
+    "torus-short": ("torus", {"R": 2.0, "r": 0.7}, (0.5, 0.8, 0.4), 9),
+    "torus-long": ("torus", {"R": 2.0, "r": 0.7}, (0.5, 0.8, 2.6), 49),
+    "custom": ("custom", {"samples": VASE}, (2.0, 0.6, 2.5), None),
+}
+
+_FLAT = {"cylinder": ("cylinder", {"radius": 1.0}),
+         "cone": ("cone", {"slope": 0.8}),
+         "cone-1": ("cone", {"slope": -1.0}),
+         "plane": ("plane", {})}
+
+
 class TestJacobi:
     @pytest.mark.parametrize("u0,theta,length", [
         (1.0, 0.3, 2.0), (1.2, -2.0, 0.4), (0.6, 1.1, 3.0),
@@ -403,6 +452,32 @@ class TestJacobi:
         assert abs(m1) > 0.1
         assert abs(m1 - normal) <= 1e-5 * abs(m1)
         assert abs(along) <= 1e-5 * abs(m1)
+
+    @pytest.mark.parametrize("case", sorted(_JACOBI_CASES))
+    def test_equals_reference(self, case):
+        kind, params, (u0, theta, length), n_samples = _JACOBI_CASES[case]
+        path = shoot(make_surface(kind, **params), SurfacePoint(u0, 0.1),
+                     theta, length)
+        if n_samples is not None:
+            assert len(path.samples) == n_samples
+        if case == "sphere-pole":
+            assert not path.samples[:, 4].any()     # the meridian rule runs
+        got, want = path.jacobi(), _jacobi_reference(path)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
+
+    @pytest.mark.parametrize("case", sorted(_FLAT))
+    def test_flat_kinds(self, case):
+        """K = 0: m1 = s, m1' = 1, m2 = 1 and m2' = 0 along the path."""
+        kind, params = _FLAT[case]
+        path = shoot(make_surface(kind, **params), SurfacePoint(1.5, 0.1),
+                     0.7, 2.0)
+        assert len(path.samples) > 2
+        m1, dm1, m2, dm2 = path.jacobi()
+        assert abs(m1 - path.length) <= 1e-12
+        assert abs(dm1 - 1.0) <= 1e-12
+        assert abs(m2 - 1.0) <= 1e-12
+        assert abs(dm2) <= 1e-12
 
 
 class TestClairautConstant:

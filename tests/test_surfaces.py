@@ -205,7 +205,7 @@ class TestProfileFormulas:
         h = 1e-5
         E, G, _, _, _ = surface.metric_terms_batch(u)
         brioschi = -(g(u + h) - g(u - h)) / (2 * h) / (2.0 * np.sqrt(E * G))
-        K = surface.curvature(u)
+        K = np.array([surface.curvature(x) for x in u.tolist()])
         assert K.shape == u.shape
         assert np.all(np.abs(K - brioschi) <= 1e-6 * np.maximum(1.0, np.abs(K)))
 
