@@ -65,8 +65,11 @@ turn from A.  A cold connect runs in five steps:
    samples beyond ``1.1 L* + 2h`` could only seed geodesics longer than
    the one in hand.  Otherwise the fan runs in full.
 4. Screen.  Each lane's nearest pass to every search winding of
-   B* is a seed; the best few go on.  Settled windings are screened
-   too, so the picks are those of a search without the cuts.
+   B* is a seed; the best few go on, skipping any seed within ``pi /
+   16`` of the heading of a pick of its winding.  A converged seed from
+   step 1 counts as such a pick; a failed one does not.  Settled
+   windings are screened too, so the picks are those of a search
+   without the cuts.
 5. Polish.  Each pick of an unsettled winding is polished by a damped
    Newton iteration whose heading column is the Jacobi field ``m1`` of
    the last shot along its end normal (``GeodesicPath.jacobi``) and
@@ -446,10 +449,12 @@ def _polish(surface, A, target, fan, start, settled, opts):
             break
         if cand.resid > cutoff:
             break
+        # a converged seed stands for the picks near its heading; a failed
+        # one stands for none
         dup = any(c.winding == cand.winding
                   and abs(math.remainder(c.theta - cand.theta, TWO_PI))
                   < math.pi / len(_FAN_HEADINGS)
-                  for c in picks)
+                  for c in (picks if seeded[0] is not None else picks[1:]))
         if not dup:
             picks.append(cand)
     converged: list[_Candidate] = []

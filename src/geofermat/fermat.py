@@ -16,7 +16,10 @@ of the sector opposite its branch).
 
 The solve starts at the heaviest terminal A_i, where the floating test's
 arcs map the terminals into the tangent plane, to ``{0, L_ij U_ij,
-L_ik U_ik}``; the first step aims at their planar weighted Fermat point.
+L_ik U_ik}``; the first step aims at their weighted Fermat point for the
+normal-coordinate distance to second order in the mean curvature K of the
+terminals, ``|y - z|^2 - (K / 3) Im(conj(y) z)^2``, or for the planar
+distance when the triangle is too wide for that expansion.
 It then iterates on the residual ``R = sum b_i U_i``, the negative
 gradient of f wherever the minimal geodesics are unique.  Each step is
 the Newton step of the exact Hessian ``sum b_i (m2_i / m1_i)(I - U_i U_i^T)``,
@@ -26,13 +29,15 @@ to lower ``|R|``, the Weiszfeld step ``R / sum(b_i / L_i)`` halved until
 f drops.
 
 After a step d from P to Q, each branch is re-connected warm, from the
-first-order prediction of its new start rather than its old one.  With
-U_i the branch's unit departure tangent at P and N_i that tangent turned
-by +pi/2, the length changes by ``-<U_i, d>`` and the heading by
-``-(m2_i / m1_i) <N_i, d>``, plus the turn of the chart frame along the
-step shot, its ``theta_end - theta_start``.  The Jacobi scalars of each
-branch are computed once per accepted point and shared by its Newton
-step and by the prediction of every trial from it.
+prediction of its new start rather than its old one.  With U_i the
+branch's unit departure tangent at P, N_i that tangent turned by +pi/2
+and ``z_i = L_i U_i`` its terminal in P's tangent plane, the new start
+is the planar one, heading ``arg(z_i - d)`` and length ``|z_i - d|``,
+with the heading turned by ``-(m2_i / m1_i - 1 / L_i) <N_i, d>``, the
+curvature's share of the Jacobi field, and by the turn of the chart
+frame along the step shot, its ``theta_end - theta_start``.  The Jacobi
+scalars of each branch are computed once per accepted point and shared
+by its Newton step and by the prediction of every trial from it.
 """
 
 import cmath
@@ -58,7 +63,7 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60     # halvings of a Weiszfeld step
-_WEISZFELD_ITER = 100    # planar Weiszfeld iterations of the start
+_WEISZFELD_ITER = 100    # Weiszfeld iterations of the first step's aim
 _MAX_ITER = 500          # accepted steps of the interior solve
 _ANGLE_TOL = 1e-5        # converged sector angles against the weights' (rad)
 _RESID_TOL = 1e-12       # loosest connect residual of a solve's branches
@@ -248,9 +253,13 @@ class FermatResult:
     ``sector_angles`` is None.
 
     ``f_history`` holds f at the start and after each accepted step, and
-    ``iterations`` counts those steps.  Each step lowers ``|R|`` (Newton
-    step) or strictly lowers f (Weiszfeld step); f never rises by more
-    than the length noise ``(b1 + b2 + b3) * resid_tol``.
+    ``iterations`` counts those steps.  Branch lengths, and so f, are
+    accurate to the length noise ``(b1 + b2 + b3) * resid_tol``.  A Newton
+    step lowers ``|R|`` and raises f by at most that noise.  A Weiszfeld
+    step strictly lowers f wherever its predicted drop, its length times
+    ``|R| / 2``, exceeds the noise; below it, where no drop can show, it
+    lowers ``|R|`` and raises f by at most the noise.  So f never rises
+    by more than the noise in one step.
     """
 
     point: SurfacePoint
@@ -269,11 +278,11 @@ def _branch_data(surface, p, pts, warm, opts):
     the paths.  ``warm[i]`` is ``(winding, theta, length, bound)``: the
     winding of branch i before the step d, whose copy of the terminal the
     connect aims at; the start ``_predicted_start`` puts it at, not the
-    old one: the old length less ``<U_i, d>``, and the old heading turned
-    by ``-(m2_i / m1_i) <N_i, d>`` and by the chart frame's turn along the
-    step shot; and the length of the step shot reversed plus the old
-    branch, a curve from p to that copy.  A start that fails to converge
-    falls back to a cold connect."""
+    old one: the planar start toward ``L_i U_i - d``, its heading turned
+    by ``-(m2_i / m1_i - 1 / L_i) <N_i, d>`` and by the chart frame's
+    turn along the step shot; and the length of the step shot reversed
+    plus the old branch, a curve from p to that copy.  A start that fails
+    to converge falls back to a cold connect."""
     paths = []
     for t, (winding, theta, length, bound) in zip(pts, warm):
         path = connect_geodesic(
@@ -285,28 +294,31 @@ def _branch_data(surface, p, pts, warm, opts):
 
 
 def _predicted_start(path, jac, d_par, d_mer, turn):
-    """First-order start ``(theta, length)`` of the branch ``path`` from P
-    once P moves by ``d = (d_par, d_mer)``, in the unit frame at P, along a
-    step shot whose chart frame turns by ``turn``.
+    """Start ``(theta, length)`` of the branch ``path`` from P once P moves
+    by ``d = (d_par, d_mer)``, in the unit frame at P, along a step shot
+    whose chart frame turns by ``turn``.
 
-    The length drops by ``<U, d>``, the first variation of the distance to
-    the terminal.  The Jacobi field that vanishes at the terminal and
-    equals ``<N, d>`` at P has slope ``-(m2 / m1) <N, d>`` there (``jac``
-    is ``path.jacobi()``), so the heading turns by that much against a
-    parallel frame; ``turn`` carries it into the chart frame at the moved
-    point.  A branch at or past its conjugate point (``m1 <= 0``) keeps
-    its old heading.  A branch of length 0, to the point the step leaves,
-    is the step reversed."""
-    if not path.length > 0.0:
-        return (math.remainder(math.atan2(d_mer, d_par) + turn + math.pi,
-                               TWO_PI), math.hypot(d_par, d_mer))
+    The terminal sits at ``z = L U`` in P's tangent plane, so the planar
+    start is the heading of ``z - d`` and the length ``|z - d|``; both are
+    exact on a flat surface.  The Jacobi field that vanishes at the
+    terminal and equals ``<N, d>`` at P has slope ``-(m2 / m1) <N, d>``
+    there (``jac`` is ``path.jacobi()``), against ``-<N, d> / L`` in the
+    plane, so the heading turns by the difference ``-(m2 / m1 - 1 / L)
+    <N, d>`` more; ``turn`` carries it into the chart frame at the moved
+    point.  A branch at or past its conjugate point (``m1 <= 0``) keeps its
+    old heading, and its length drops by ``<U, d>``.  A branch of length
+    0, to the point the step leaves, has z = 0: it is the step reversed."""
+    length = path.length
     t_par, t_mer = path.start_unit_tangent()
-    length = path.length - (t_par * d_par + t_mer * d_mer)
+    gap = complex(length * t_par - d_par, length * t_mer - d_mer)    # z - d
+    if not length > 0.0:
+        return cmath.phase(gap) + turn, abs(gap)
     m1, _, m2, _ = jac
     if not m1 > 0.0:
-        return path.theta_start, length
+        return path.theta_start, length - (t_par * d_par + t_mer * d_mer)
     normal = t_par * d_mer - t_mer * d_par
-    return path.theta_start - m2 / m1 * normal + turn, length
+    return (cmath.phase(gap) - (m2 / m1 - 1.0 / length) * normal + turn,
+            abs(gap))
 
 
 def _residual(paths, b):
@@ -366,37 +378,74 @@ def _trial(surface, p, theta, length, pts, warm, b, opts):
     return q, paths, sum(bi * path.length for bi, path in zip(b, paths))
 
 
-def _descend(surface, p, theta, lam, f_cur, pts, warm, b, opts):
+def _noise_step(step, f_cur, f_noise, r_norm, b):
+    """Whether a trial whose drop of f the length noise can hide is taken:
+    f rises by at most ``f_noise`` and ``|R|`` falls below ``r_norm``."""
+    return (step is not None and step[2] <= f_cur + f_noise
+            and math.hypot(*_residual(step[1], b)) < r_norm)
+
+
+def _descend(surface, p, theta, lam, f_cur, r_norm, pts, warm, b, opts):
     """Trial step of length lam, halved until f strictly drops below
-    f_cur."""
+    f_cur.  A trial of length t whose predicted drop ``t |R| / 2`` is at
+    most the length noise cannot show that drop, and is taken by the rule
+    of ``_noise_step`` instead.  ``r_norm`` is ``|R|`` at p; the first
+    step, from a terminal where R is undefined, passes infinity, so only a
+    strict drop counts there."""
+    f_noise = sum(b) * opts.resid_tol
     for halving in range(_MAX_BACKTRACKS):
-        step = _trial(surface, p, theta, lam * 0.5 ** halving, pts, warm, b,
-                      opts)
+        length = lam * 0.5 ** halving
+        step = _trial(surface, p, theta, length, pts, warm, b, opts)
         if step is not None and step[2] < f_cur:
+            return step
+        if (0.5 * length * r_norm <= f_noise
+                and _noise_step(step, f_cur, f_noise, r_norm, b)):
             return step
     raise SolveError(
         f"Weiszfeld step of length {lam:.3e} lowers f below {f_cur:.12g} "
         f"in none of {_MAX_BACKTRACKS} halvings")
 
 
-def _leave_terminal(surface, pts, b, i, arms, f_i, opts):
-    """The first step, off terminal i toward the planar Fermat point of its
-    ``arms``, by Weiszfeld's iteration from their weighted centroid, halved
-    until f drops below its value ``f_i`` at A_i.  Its branches to A_j and
-    A_k start where ``_predicted_start`` moves the arms, the one back to
-    A_i at the step reversed."""
-    # the tangent plane's unit frame as the complex plane, par + i mer
-    zs = [arm.length * cmath.exp(1j * arm.theta_start) for arm in arms]
+def _tangent_fermat_point(zs, b, k3):
+    """The weighted Fermat point of ``zs`` in a tangent plane, taken as the
+    complex plane, by Weiszfeld's iteration from their weighted centroid.
+    The distance is the normal-coordinate one to second order in the
+    curvature, ``D_j(y) = sqrt(|y - z_j|^2 - (K / 3) c_j^2)`` with ``c_j =
+    Im(conj(y) z_j)`` and ``k3 = K / 3``.  Setting the gradient of ``sum
+    b_j D_j`` to 0 gives the update ``y = sum w_j z_j (1 - i k3 c_j) / sum
+    w_j``, ``w_j = b_j / D_j``; with ``k3 = 0`` it is the planar one."""
     y = sum(bj * z for bj, z in zip(b, zs)) / sum(b)
     for _ in range(_WEISZFELD_ITER):
         if y in zs:
             break
-        w = [bj / abs(y - z) for bj, z in zip(b, zs)]
-        y, y_old = sum(wj * z for wj, z in zip(w, zs)) / sum(w), y
+        cs = [(y.conjugate() * z).imag for z in zs]
+        w = [bj / math.sqrt(abs(y - z) ** 2 - k3 * c * c)
+             for bj, z, c in zip(b, zs, cs)]
+        y, y_old = sum(wj * z * complex(1.0, -k3 * c)
+                       for wj, z, c in zip(w, zs, cs)) / sum(w), y
         if abs(y - y_old) <= 1e-12 * abs(y):
             break
-    return _descend(surface, pts[i], cmath.phase(y), abs(y), f_i, pts,
-                    (arms, [arm.jacobi() for arm in arms]), b, opts)
+    return y
+
+
+def _leave_terminal(surface, pts, b, i, arms, f_i, opts):
+    """The first step, off terminal i toward the weighted Fermat point of
+    its ``arms`` in its tangent plane, halved until f drops below its
+    value ``f_i`` at A_i.  The point is ``_tangent_fermat_point`` with K
+    the mean curvature at the three terminals.  Its expansion holds for
+    small triangles only: when ``|K| max |z_j|^2 > 1`` K is taken as 0,
+    the planar point, and the square root stays real, as ``|c_j| <= |y -
+    z_j| |z_j|``.  The branches to A_j and A_k start where
+    ``_predicted_start`` moves the arms, the one back to A_i at the step
+    reversed."""
+    # the tangent plane's unit frame as the complex plane, par + i mer
+    zs = [arm.length * cmath.exp(1j * arm.theta_start) for arm in arms]
+    k3 = sum(surface.curvature(t.u) for t in pts) / 9.0     # K / 3
+    if 3.0 * abs(k3) * max(abs(z) for z in zs) ** 2 > 1.0:
+        k3 = 0.0
+    y = _tangent_fermat_point(zs, b, k3)
+    return _descend(surface, pts[i], cmath.phase(y), abs(y), f_i, math.inf,
+                    pts, (arms, [arm.jacobi() for arm in arms]), b, opts)
 
 
 def _vertex_branch(surface, pts, arcs, i, j, opts):
@@ -428,9 +477,12 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     Each iteration keeps the Newton step of the exact Hessian (from the
     branches' Jacobi scalars) when it lowers the residual without raising
     ``f = sum b_i d(P, A_i)`` beyond the length noise, and otherwise takes
-    the Weiszfeld step, halved until f strictly drops.  The first step
-    leaves the heaviest terminal toward the planar Fermat point of the
-    floating test's arcs from it, mapped into its tangent plane.
+    the Weiszfeld step, halved until f strictly drops or, once its
+    predicted drop is within the noise, until it lowers the residual
+    without raising f beyond the noise.  The first step leaves the
+    heaviest terminal toward the Fermat point of the floating test's arcs
+    from it, mapped into its tangent plane, for the distance corrected by
+    the mean curvature at the terminals (``_leave_terminal``).
     """
     opts = opts or ConnectOptions()
     opts = replace(opts, resid_tol=min(opts.resid_tol, _RESID_TOL))
@@ -468,11 +520,10 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         step = None if d is None else _trial(
             surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, warm, b,
             opts)
-        if (step is None or step[2] > f_cur + f_noise
-                or math.hypot(*_residual(step[1], b)) >= r_norm):
+        if not _noise_step(step, f_cur, f_noise, r_norm, b):
             lam = r_norm / sum(bi / path.length for bi, path in zip(b, paths))
             step = _descend(surface, p, math.atan2(r_mer, r_par), lam, f_cur,
-                            pts, warm, b, opts)
+                            r_norm, pts, warm, b, opts)
         p, paths, f_cur = step
         history.append(f_cur)
     else:

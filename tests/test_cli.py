@@ -881,12 +881,32 @@ class TestBundledScenarios:
         ("cone_pair.json", "connect"),
         ("sphere_large.json", "connect"),
         ("sphere_large.json", "clairaut-report"),
+        ("torus_planted.json", "fermat-solve"),
+        ("torus_planted.json", "clairaut-report"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
         code, report = cli.run(command, scn)
         assert code == 0
         json.dumps(report, allow_nan=False)
+
+    def test_torus_planted_tree_is_recovered(self):
+        """``torus_planted.json``'s terminals end geodesics of 0.5, 0.6 and
+        0.45 from (1.45, 0.2), at the sector angles of its weights.  They
+        lie on both sides of the top circle u = pi / 2, where K changes
+        sign.  Both commands that solve it answer that centre."""
+        scn = load_scenario(self.SCENARIOS / "torus_planted.json")
+        assert len({math.copysign(1.0, scn.surface.curvature(p.u))
+                    for p in scn.terminals()}) == 2
+        for command in ("fermat-solve", "clairaut-report"):
+            code, report = cli.run(command, scn)
+            assert code == 0
+            fer = report["results"]["fermat"]
+            assert fer["mode"] == "interior"
+            E, G, _, _, _ = scn.surface.metric_terms(1.45)
+            gap = math.hypot(math.sqrt(E) * (fer["point"]["u"] - 1.45),
+                             math.sqrt(G) * (fer["point"]["v"] - 0.2))
+            assert gap <= 1e-6
 
     def test_seam_answer_reads_zero(self):
         """The plane's equilateral answer sits on the v = 0 seam, some

@@ -946,9 +946,8 @@ class TestHalfTurn:
     with its v-travel scaled down to a nearer copy of B.  Every answer
     that is not a half-turn tie therefore ends at B*, the copy of B
     nearest A: its winding is the whole turns ``round((A.v - B.v) / 2
-    pi)`` from B as given.  (The custom vase is left out: its pair in
-    ``test_benchmark_vase_pair_finds_the_shorter_winding`` answers a
-    geodesic that is not the shortest.)"""
+    pi)`` from B as given.  (The custom vase is left out: its fan screen
+    is not known to find the shortest geodesic of every pair.)"""
 
     # per kind: parameters and the u range of both points
     KINDS = {"sphere": (dict(radius=1.0), 0.3, 2.8),
@@ -982,13 +981,12 @@ _BENCH_VASE = np.column_stack([
     _BENCH_U + 0.2 * np.sin(_BENCH_U)]).round(12).tolist()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the chord seed converges to a "
-                   "longer winding-0 geodesic and the screening misses the "
-                   "shorter winding -1 one (needs a global-minimality audit)")
 def test_benchmark_vase_pair_finds_the_shorter_winding():
-    """A winding -1 geodesic of length 5.7239 exists; the connect returns
-    one of 7.2034 at winding 0, with no ambiguity flag."""
+    """A winding -1 geodesic of length 5.7239 exists.  The chord seed fails
+    here, and a failed seed opens no duplicate window in the screen: the
+    fan pick near its heading is polished and finds that geodesic, where
+    a longer one of 7.2034 at winding 0 was returned while the failed seed
+    hid the pick."""
     vase = make_surface("custom", samples=_BENCH_VASE)
     path = connect_geodesic(vase,
                             SurfacePoint(7.192224875137635, -2.6154007939265567),
