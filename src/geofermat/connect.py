@@ -75,7 +75,21 @@ turn from A.  A cold connect runs in five steps:
    the last shot along its end normal (``GeodesicPath.jacobi``) and
    whose length column is the endpoint velocity: one shot per
    iteration, plus halvings.  The seed's result from step 1 is reused,
-   not polished again.
+   not polished again.  Each start is told the (heading, length) of the
+   candidates already converged in its winding, the seed's geodesic
+   first; starts of other windings aim at another copy of B and cannot
+   converge to them.  With ``d`` the larger of the heading gap and the
+   length gap relative to ``max(1, L_k)``, a start whose iterate x lies
+   within ``d <= 1`` of such a root x_k and whose full Newton step lands
+   within ``d(x, x_k) / 4`` of it is absorbed: it makes no further shot
+   and returns no candidate.  The step contracts toward x_k at a Newton
+   rate (Deuflhard's contraction monitor, *Newton Methods for Nonlinear
+   Problems*, 2004), so the start is taken to converge to x_k, where it
+   would be dropped as a duplicate of it; an absorbed start is no failed
+   start.  Like the screening cutoff this is a heuristic, not a
+   guarantee: a distinct root of the winding that such a start would
+   have reached instead is lost.  The two geodesics that leave the torus
+   equator 0.073 apart in heading are both kept.
 
 Every Newton start of a pair caps the lengths it steps to at the pair's
 reach plus ``2 _AMBIGUITY_TOL``: the reach is the length of a curve known
@@ -188,12 +202,29 @@ class _Candidate:
     path: GeodesicPath | None = None    # the converged shot, set by _newton
 
 
-def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts):
+def _root_distance(theta, L, root):
+    """The distance from ``(theta, L)`` to a root ``(theta_k, L_k)``: the
+    larger of the heading gap and the length gap relative to
+    ``max(1, L_k)``."""
+    theta_k, L_k = root
+    return max(abs(math.remainder(theta - theta_k, TWO_PI)),
+               abs(L - L_k) / max(1.0, L_k))
+
+
+def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts,
+            known=()):
     """Damped Newton on the 2-D endpoint residual, its steps capped at
     length ``reach + 2 _AMBIGUITY_TOL``.  Returns a _Candidate with the
     converged residual and shot, or None; the shots made; and the message
     of the integrator's SolveError when the last shot raised one, else
-    None (a chart exit is the shot's end, not an integrator fault)."""
+    None (a chart exit is the shot's end, not an integrator fault).
+
+    ``known`` holds the ``(theta, length)`` of roots already found for
+    the same target.  A start whose full Newton step, from an iterate x
+    within distance 1 of such a root (``_root_distance``), lands within a
+    quarter of x's distance to it is absorbed: it returns None with no
+    fault and makes no further shot, as it would only converge to that
+    root again (step 5 of the module docstring)."""
     theta, L = theta0, max(L0, 1e-12)
     cap = reach + 2.0 * _AMBIGUITY_TOL
     shots, fault = 0, None
@@ -232,6 +263,11 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts):
             return None, shots, fault
         step_th = (-cur[0] * j11 + cur[1] * j01) / det
         step_L = (-j00 * cur[1] + j10 * cur[0]) / det
+        for root in known:
+            gap = _root_distance(theta, L, root)
+            if (gap <= 1.0 and _root_distance(theta + step_th, L + step_L,
+                                              root) <= 0.25 * gap):
+                return None, shots, None
         # near-conjugate configurations make the heading column tiny; a
         # trust region keeps the step sane instead of diverging
         big = max(abs(step_th), abs(step_L) / max(1.0, L))
@@ -479,9 +515,12 @@ def _polish(surface, A, target, fan, start, settled, opts):
     _absorb(picks[0], *seeded)
     for cand in picks[1:]:
         if cand.winding not in settled:
+            known = [(c.theta, c.length) for c in converged
+                     if c.winding == cand.winding]
             _absorb(cand, *_newton(surface, A, near.u,
                                    near.v + TWO_PI * cand.winding, s_e, s_g,
-                                   cand.theta, cand.length, reach, opts))
+                                   cand.theta, cand.length, reach, opts,
+                                   known))
 
     if not converged:
         # the seed is among the failed starts, so the fan ran in full

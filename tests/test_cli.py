@@ -883,6 +883,7 @@ class TestBundledScenarios:
         ("sphere_large.json", "clairaut-report"),
         ("torus_planted.json", "fermat-solve"),
         ("torus_planted.json", "clairaut-report"),
+        ("torus_pair.json", "connect"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)

@@ -474,9 +474,10 @@ def _full_fan(surface, A, B):
 def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     """``_polish`` fed the pair's full screening fan, every step up to
     ``3.2 chord + 0.1``, as the fan ran before it was cut at the seed's
-    length, with no winding settled and with no reach capping Newton:
-    every pick is polished, as in a search without the cuts.  The first
-    start is the solver's own ``_seed``."""
+    length, with no winding settled, with no reach capping Newton and
+    with no root in hand told to Newton: every pick is polished to
+    convergence, as in a search without the cuts.  The first start is
+    the solver's own ``_seed``."""
     target = (*connect_mod._check_cold(surface, A, B)[:6], math.inf)
     near, _, s_e, s_g, chord, _, reach = target
     seed = connect_mod._seed(surface, A, near, chord)
@@ -485,12 +486,20 @@ def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     L_fan, n_steps = _full_fan(surface, A, B)
     fan = geodesics_mod.shoot_fan(surface, [A] * len(thetas), thetas,
                                   [L_fan / n_steps] * len(thetas), n_steps)
-    seeded = connect_mod._newton(surface, A, near.u, near.v, s_e, s_g,
-                                 *seed[:2], reach, opts)
-    return connect_mod._polish(
-        surface, A, target,
-        (thetas, np.linspace(0.0, L_fan, n_steps + 1), *fan), (seed, seeded),
-        set(), opts)
+    newton = connect_mod._newton
+
+    def unabsorbed(surface, A, u_t, v_t, s_e, s_g, theta, L, reach, opts,
+                   known=()):
+        return newton(surface, A, u_t, v_t, s_e, s_g, theta, L, reach, opts)
+
+    seeded = newton(surface, A, near.u, near.v, s_e, s_g, *seed[:2], reach,
+                    opts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connect_mod, "_newton", unabsorbed)
+        return connect_mod._polish(
+            surface, A, target,
+            (thetas, np.linspace(0.0, L_fan, n_steps + 1), *fan),
+            (seed, seeded), set(), opts)
 
 
 class TestChordSeedFirst:
@@ -938,6 +947,96 @@ class TestWindingBound:
                     assert same or length >= bounds.inj_floor
         assert windings >= {-1, 0, 1}
         assert (below_inj > 0) == (bounds.inj_floor > 0.0)
+
+
+class TestKnownRoots:
+    """A polish start whose full Newton step lands on a root already in
+    hand, of its own winding, at a Newton rate is absorbed: it makes no
+    more shots and returns no candidate, where it would have converged
+    to that root again and been dropped as a duplicate."""
+
+    # the worked torus pair: its seed converges, and both fan picks are
+    # of winding 0 and converge back to the seed's geodesic
+    PAIR = (SurfacePoint(-1.0, 0.5), SurfacePoint(1.5, 1.6))
+    LENGTH = 3.231650632598152
+
+    @staticmethod
+    def _starts(monkeypatch):
+        """Record every Newton start's (theta, L), shots and result."""
+        starts = []
+        real = connect_mod._newton
+
+        def recorded(surface, A, u_t, v_t, s_e, s_g, theta, L, *rest):
+            result = real(surface, A, u_t, v_t, s_e, s_g, theta, L, *rest)
+            starts.append((theta, L, result[1], result[0]))
+            return result
+
+        monkeypatch.setattr(connect_mod, "_newton", recorded)
+        return starts
+
+    def test_polish_starts_take_one_shot(self, torus, monkeypatch):
+        """The seed takes 6 shots, and each of the two polish starts one:
+        8 ``_integrate`` calls, against 15 when each start converged (6,
+        4 and 5 shots)."""
+        starts = self._starts(monkeypatch)
+        calls = []
+        real = geodesics_mod._integrate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geodesics_mod, "_integrate", counted)
+        path = connect_geodesic(torus, *self.PAIR)
+        assert path.length == self.LENGTH
+        assert (path.winding, path.ambiguous) == (0, False)
+        assert len(starts) == 3 and starts[0][3] is not None
+        assert [(shots, got) for _, _, shots, got in starts[1:]] == [
+            (1, None), (1, None)]
+        assert len(calls) <= 8
+
+    def test_newton_absorbs_a_start_near_a_known_root(self, torus,
+                                                       monkeypatch):
+        """From the pair's first fan pick, Newton told of the seed's root
+        stops after one shot; told of none, it converges to that root."""
+        newton = connect_mod._newton
+        starts = self._starts(monkeypatch)
+        root = connect_geodesic(torus, *self.PAIR)
+        theta, L = starts[1][:2]
+        A, B = self.PAIR
+        near, _, s_e, s_g, _, _, reach = connect_mod._check_cold(torus, A, B)
+        args = (torus, A, near.u, near.v, s_e, s_g, theta, L, reach,
+                connect_mod._DEFAULT)
+        known = [(root.theta_start, root.length)]
+        assert newton(*args, known) == (None, 1, None)
+        got, shots, _ = newton(*args)
+        assert shots > 1
+        assert got.theta == pytest.approx(root.theta_start, abs=1e-8)
+        assert got.length == pytest.approx(root.length, abs=1e-8)
+
+    def test_absorbed_starts_change_no_answer(self, torus):
+        """On random torus pairs, the connect equals the search without
+        cuts, whose every pick is polished to convergence."""
+        draw = TestInvariants.SAMPLERS["torus"][1]
+        rng = np.random.default_rng(97)
+        for _ in range(40):
+            A, B = draw(rng)
+            got = connect_geodesic(torus, A, B)
+            want = _full_fan_path(torus, A, B)
+            assert got.length == want.length
+            assert (got.winding, got.ambiguous) == (want.winding,
+                                                    want.ambiguous)
+            assert np.array_equal(got.samples, want.samples)
+
+    def test_close_roots_stay_ambiguous(self, torus):
+        """Just past the outer equator's conjugate point, B has two
+        geodesics of winding 0 leaving at +-0.0364: a start near one is
+        not absorbed into the other."""
+        path = connect_geodesic(torus, SurfacePoint(0.0, 0.0),
+                                SurfacePoint(0.0, 1.6))
+        assert path.ambiguous
+        assert path.length == 4.319999660227056
+        assert abs(path.theta_start) == pytest.approx(0.0364, abs=1e-4)
 
 
 class TestHalfTurn:
