@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import (DegenerateTreeError, SolveError, UndefinedRatioError,
                      WeightDomainError)
 from .fermat import (as_weights, measure_sector_angles, sector_angles_from_weights,
-                     sector_partition, weights_from_sector_angles)
+                     sector_partition, unit_weights, weights_from_sector_angles)
 from .geodesics import DEFAULT_TOL, shoot
 from .surfaces import ProfileSurface, SurfacePoint, TWO_PI, mod_two_pi
 
@@ -133,12 +133,11 @@ def predict_clairaut_constants(weights, alpha1: float,
     Both quadratic roots of each ratio closed form are evaluated and the
     one consistent with the angular relations is recorded.
     """
-    w = as_weights(weights)
-    b1, b2, b3 = w.astuple()
+    (b1, b2, b3), _ = unit_weights(weights)
     if not 0.5 * math.pi < alpha1 < math.pi:
         raise ValueError(
             f"alpha1 = {alpha1!r} outside the admissible window (pi/2, pi)")
-    phi_12, _, phi_31 = sector_angles_from_weights(w)
+    phi_12, _, phi_31 = sector_angles_from_weights((b1, b2, b3))
     alphas, constants = _layout_constants(alpha1, phi_12, phi_31, rho0)
     _, alpha2, alpha3 = alphas
 
@@ -184,9 +183,19 @@ class DiameterCheck:
             1.0, abs(self.d_corrected))
 
 
+def _times_pow2(x, e):
+    """``x * 2**e``, exact, and infinite where it overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def law_of_sines_diameter(weights) -> DiameterCheck:
-    w = as_weights(weights)
-    b1, b2, b3 = w.astuple()
+    """The diameters, evaluated on ``unit_weights`` and scaled back: the
+    lengths by ``2**e``, the printed value, of degree 3/2 in the weights,
+    by ``2**(3 e / 2)``."""
+    (b1, b2, b3), e = unit_weights(weights)
     f0 = b1 + b2 + b3
     f1 = b1 + b2 - b3
     f2 = b2 + b3 - b1
@@ -197,10 +206,12 @@ def law_of_sines_diameter(weights) -> DiameterCheck:
     d_corr = 2.0 * b1 * b2 * b3 / math.sqrt(f0 * f1 * f2 * f3)
     # literal published denominator: (b1+b2-b3)(b2+b3-b1)(b3+b2-b1)
     d_printed = 2.0 * b1 * b2 * b3 / math.sqrt(f1 * f2 * (b3 + b2 - b1))
-    phi_12, phi_23, phi_31 = sector_angles_from_weights(w)
+    phi_12, phi_23, phi_31 = sector_angles_from_weights((b1, b2, b3))
     per_branch = (b1 / math.sin(phi_23), b2 / math.sin(phi_31),
                   b3 / math.sin(phi_12))
-    return DiameterCheck(d_corr, d_printed, per_branch)
+    return DiameterCheck(_times_pow2(d_corr, e),
+                         _times_pow2(d_printed, 3 * e // 2),
+                         tuple(_times_pow2(d, e) for d in per_branch))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ turn from A.  A cold connect runs in five steps:
    the integrator's error, so Newton stops there or one step later.
    Other kinds, and pairs where the form is undefined (antipodal on the
    sphere, a developed angle of pi or more), start from the chord seed:
-   the embedded chord's heading, with the chord as length.
+   the embedded chord's heading, with the chord as length; only it and
+   the fan of step 3 read the chord, so only they embed A and B*.
 2. Settle.  When the seed converged to a length L*, a search
    winding is settled when no other candidate of it can be shorter than
    L*, tie with it or make it ambiguous:
@@ -176,21 +177,23 @@ class ConnectOptions:
 _DEFAULT = ConnectOptions()
 
 
-def _chord_heading(surface, A, B):
+def _chord(surface, A, B):
+    """Heading at A and length of the embedded chord from A to B."""
     d = surface.embed(B) - surface.embed(A)
     e_par, e_mer = surface.embedding_frame(A)
-    return math.atan2(float(d @ e_mer), float(d @ e_par))
+    return (math.atan2(float(d @ e_mer), float(d @ e_par)),
+            float(np.linalg.norm(d)))
 
 
-def _seed(surface, A, near, chord):
+def _seed(surface, A, near):
     """The first Newton start of a cold pair, aimed at ``near``, the copy
     B* of B nearest A: ``(theta, L, name)`` of the kind's closed-form
     geodesic where it has one, else of the chord seed (step 1 of the
-    module docstring)."""
+    module docstring), which alone embeds A and B*."""
     form = surface.closed_form(A, near)
     if form is not None:
         return (*form, "closed-form seed")
-    return _chord_heading(surface, A, near), chord, "chord seed"
+    return (*_chord(surface, A, near), "chord seed")
 
 
 @dataclass
@@ -293,9 +296,9 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts,
 
 def _check_pair(surface, A, B):
     """Chart checks of one pair.  Returns the copy ``B* = (B.u, B.v + 2 pi
-    k)`` of B nearest A, the whole turns ``k``, the target's frame scales
-    and the embedded chord ``(B*, k, s_e, s_g, chord)``, or None when A
-    and B coincide."""
+    k)`` of B nearest A, the whole turns ``k`` and the frame scales ``(B*,
+    k, s_e, s_g)``, or None when A and B coincide; no chord, which only
+    the chord seed and the fan read (``_chord``)."""
     surface.check_point(A)
     surface.check_point(B)
     turns = (A.v - B.v) / TWO_PI
@@ -307,8 +310,7 @@ def _check_pair(surface, A, B):
     k = round(turns)
     near = SurfacePoint(B.u, B.v + TWO_PI * k)
     E_b, G_b, _, _, _ = surface.metric_terms(B.u)
-    chord = float(np.linalg.norm(surface.embed(near) - surface.embed(A)))
-    return near, k, math.sqrt(E_b), math.sqrt(G_b), chord
+    return near, k, math.sqrt(E_b), math.sqrt(G_b)
 
 
 def _check_cold(surface, A, B):
@@ -316,7 +318,7 @@ def _check_cold(surface, A, B):
     bounds the length of its answer by the meridian arc ``|int sqrt(E)
     du|`` over [A.u, B.u]: every curve from A to B is at least that long.
     The target gains a lower bound ``arc_lo`` on that arc and the reach
-    (module docstring), ``(B*, k, s_e, s_g, chord, arc_lo, reach)``."""
+    (module docstring), ``(B*, k, s_e, s_g, arc_lo, reach)``, no chord."""
     target = _check_pair(surface, A, B)
     if target is None:
         return None
@@ -337,7 +339,7 @@ def _winding_bound(surface, A, target, k, bar):
     ``B*.v + 2 pi k`` of B that is at most ``bar`` long:
     ``hypot(arc_lo, phi_band |dv|)``, with phi_band the floor on phi over
     the u-band such a curve can reach (step 2 of the module docstring)."""
-    near, arc_lo = target[0], target[5]
+    near, arc_lo = target[0], target[4]
     bounds = surface.bounds
     phi_band = 0.0
     if bounds.e_floor > 0.0:
@@ -375,9 +377,8 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
         target = _check_pair(surface, A, B)
         if target is None:
             return shoot(surface, A, 0.0, 0.0)
-        got = _newton(surface, A, B.u, B.v, *target[2:4], *initial, opts)[0]
+        got = _newton(surface, A, B.u, B.v, *target[2:], *initial, opts)[0]
         if got is not None:
-            got.path.winding = 0
             return got.path
     return connect_geodesics(surface, [(A, B)], opts)[0]
 
@@ -408,8 +409,8 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
-        near, _, s_e, s_g, chord, _, reach = target
-        seed = _seed(surface, A, near, chord)
+        near, _, s_e, s_g, _, reach = target
+        seed = _seed(surface, A, near)
         seeded[n] = (seed, _newton(surface, A, near.u, near.v, s_e, s_g,
                                    *seed[:2], reach, opts))
         got = seeded[n][1][0]
@@ -417,12 +418,13 @@ def connect_geodesics(surface: ProfileSurface, pairs,
                       else _settled(surface, A, target, got.length))
         if settled[n].issuperset(_WINDINGS):
             continue        # the seed's geodesic is the answer
+        chord_theta, chord = _chord(surface, A, near)
         L_fan = 3.2 * chord + 0.1
         n_steps = max(_FAN_STEPS, min(320, int(L_fan * 16)))
         h = L_fan / n_steps
         n_read = n_steps if got is None else min(
             n_steps, math.ceil(1.1 * got.length / h) + 2)
-        thetas = [*_FAN_HEADINGS, _chord_heading(surface, A, near)]
+        thetas = [*_FAN_HEADINGS, chord_theta]
         grids[n] = (len(lanes), thetas,
                     np.linspace(0.0, L_fan, n_steps + 1)[:n_read + 1])
         lanes += [(A, theta, h) for theta in thetas]
@@ -451,7 +453,7 @@ def _polish(surface, A, target, fan, start, settled, opts):
     picks of a ``settled`` winding are not polished; ``fan`` is None when
     every search winding is settled, and the seed's geodesic is then the
     answer."""
-    near, turns, s_e, s_g, _, _, reach = target
+    near, turns, s_e, s_g, _, reach = target
     seed, seeded = start
     if fan is None:
         path = seeded[0].path

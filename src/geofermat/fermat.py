@@ -90,8 +90,9 @@ class WeightTriple:
         return self.b1 + self.b2 + self.b3
 
     def normalized(self):
-        t = self.total
-        return (self.b1 / t, self.b2 / t, self.b3 / t)
+        (b1, b2, b3), _ = unit_weights(self)
+        t = b1 + b2 + b3
+        return (b1 / t, b2 / t, b3 / t)
 
 
 def as_weights(w) -> WeightTriple:
@@ -101,6 +102,16 @@ def as_weights(w) -> WeightTriple:
     return WeightTriple(float(b1), float(b2), float(b3))
 
 
+def unit_weights(weights):
+    """The weights over ``2**e`` and e, the largest's exponent rounded up
+    to even, so the largest lands in [0.25, 1) and no product of three
+    overflows.  The exact scaling leaves any value of their ratios alone,
+    and the square root of a product of them, bit for bit the same."""
+    b = as_weights(weights).astuple()
+    e = 2 * math.ceil(math.frexp(max(b))[1] / 2)
+    return tuple(math.ldexp(bi, -e) for bi in b), e
+
+
 def sector_angles_from_weights(weights):
     """Interior-tree sector angles (phi_12, phi_23, phi_31) from weights.
 
@@ -108,10 +119,11 @@ def sector_angles_from_weights(weights):
     configuration admits no interior branching point (some arccos argument
     leaves (-1, 1), exactly the failure of a strict triangle inequality).
     """
-    b1, b2, b3 = as_weights(weights).astuple()
+    (b1, b2, b3), _ = unit_weights(weights)
 
     def ang(bi, bj, bk):
-        arg = (bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj)
+        # a product that underflows to 0 leaves no interior tree
+        arg = (bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj or math.nan)
         if not -1.0 < arg < 1.0:
             dom = 1 + max(range(3), key=lambda i: (b1, b2, b3)[i])
             raise WeightDomainError(
@@ -273,26 +285,6 @@ class FermatResult:
     f_history: tuple
 
 
-def _branch_data(surface, p, pts, warm, opts):
-    """Connect p to each terminal, warm, one connect per branch, and return
-    the paths.  ``warm[i]`` is ``(winding, theta, length, bound)``: the
-    winding of branch i before the step d, whose copy of the terminal the
-    connect aims at; the start ``_predicted_start`` puts it at, not the
-    old one: the planar start toward ``L_i U_i - d``, its heading turned
-    by ``-(m2_i / m1_i - 1 / L_i) <N_i, d>`` and by the chart frame's
-    turn along the step shot; and the length of the step shot reversed
-    plus the old branch, a curve from p to that copy.  A start that fails
-    to converge falls back to a cold connect."""
-    paths = []
-    for t, (winding, theta, length, bound) in zip(pts, warm):
-        path = connect_geodesic(
-            surface, p, SurfacePoint(t.u, t.v + TWO_PI * winding),
-            opts, initial=(theta, length, bound))
-        path.winding += winding
-        paths.append(path)
-    return paths
-
-
 def _predicted_start(path, jac, d_par, d_mer, turn):
     """Start ``(theta, length)`` of the branch ``path`` from P once P moves
     by ``d = (d_par, d_mer)``, in the unit frame at P, along a step shot
@@ -353,11 +345,13 @@ def _newton_step(paths, jac, b, r_par, r_mer):
 
 
 def _trial(surface, p, theta, length, pts, warm, b, opts):
-    """Shoot from p and connect the end point to the terminals, warm from
-    ``warm = (paths, jac)``, the branches at p and their Jacobi scalars,
-    each started where ``_predicted_start`` puts it.  Returns
-    ``(point, paths, f)``, or None when the end point leaves the chart,
-    lands on a terminal or fails to connect."""
+    """Shoot from p and connect the end point q to each terminal, warm
+    from ``warm = (paths, jac)``, the branches at p and their Jacobi
+    scalars: each aims at the copy of the terminal its branch reached,
+    from where ``_predicted_start`` puts it, bounded by the step shot
+    reversed plus the old branch; it reads no chord, and falls back to a
+    cold connect if it fails.  Returns ``(point, paths, f)``, or None
+    when q leaves the chart, lands on a terminal or fails to connect."""
     try:
         step = shoot(surface, p, theta, length, opts.shoot_tol)
         q = step.end()
@@ -368,11 +362,14 @@ def _trial(surface, p, theta, length, pts, warm, b, opts):
         # both headings lie in [-pi, pi]; wrapped, their difference is the
         # small turn, not the turn plus or minus 2 pi
         turn = math.remainder(step.theta_end - step.theta_start, TWO_PI)
-        starts = [(path.winding,
-                   *_predicted_start(path, jac, d_par, d_mer, turn),
-                   path.length + length)
-                  for path, jac in zip(*warm)]
-        paths = _branch_data(surface, q, pts, starts, opts)
+        paths = []
+        for t, path, jac in zip(pts, *warm):
+            start = _predicted_start(path, jac, d_par, d_mer, turn)
+            got = connect_geodesic(
+                surface, q, SurfacePoint(t.u, t.v + TWO_PI * path.winding),
+                opts, initial=(*start, path.length + length))
+            got.winding += path.winding
+            paths.append(got)
     except (SolveError, ChartExitError, OffChartError):
         return None
     return q, paths, sum(bi * path.length for bi, path in zip(b, paths))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from geofermat import (ChartExitError, ConnectOptions, SolveError, SurfacePoint,
-                       UndefinedRatioError, WeightDomainError, branch_report,
-                       law_of_sines_diameter, make_surface,
+                       UndefinedRatioError, WeightDomainError, WeightTriple,
+                       branch_report, law_of_sines_diameter, make_surface,
                        predict_clairaut_constants, rotate_tree_experiment,
                        sector_angles_from_weights, shoot,
                        sphere_sine_ratio_probe, triangle_cosine)
@@ -99,6 +99,48 @@ class TestDiameter:
     def test_degenerate_rejected(self):
         with pytest.raises(WeightDomainError):
             law_of_sines_diameter((1, 1, 2))
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_scales_with_the_weights(self, k):
+        """Weights times ``2**k`` give lengths exactly ``2**k`` times as
+        long, and the printed value, of degree 3/2 in the weights,
+        ``2**(3 k / 2)`` times, where a float holds it."""
+        b = (1.2, 1.0, 1.1)
+        want = law_of_sines_diameter(b)
+        got = law_of_sines_diameter(tuple(math.ldexp(bi, k) for bi in b))
+        assert got.d_corrected == math.ldexp(want.d_corrected, k)
+        assert got.per_branch == tuple(math.ldexp(d, k)
+                                       for d in want.per_branch)
+        if abs(k) < 1000:
+            assert got.d_printed == math.ldexp(want.d_printed, 3 * k // 2)
+        else:
+            assert got.d_printed == (math.inf if k > 0 else 0.0)
+
+
+class TestWeightScale:
+    @pytest.mark.parametrize("b", [(1e-300, 1e-300, 1.0),
+                                   (5e-324, 1.0, 1.0)])
+    def test_weight_too_small_is_the_vertex_regime(self, b):
+        """A weight so small against the largest that its product with
+        another underflows to 0 is the vertex regime, not a division by
+        zero."""
+        with pytest.raises(WeightDomainError, match="vertex regime"):
+            sector_angles_from_weights(b)
+        with pytest.raises(WeightDomainError):
+            law_of_sines_diameter(b)
+
+    @pytest.mark.parametrize("k", [-1020, -1000, 1000])
+    def test_ratios_do_not_depend_on_the_scale(self, k):
+        """Sector angles, normalized weights and the prediction are the
+        same, bit for bit, for the weights times ``2**k``."""
+        b = (1.2, 1.0, 1.1)
+        scaled = tuple(math.ldexp(bi, k) for bi in b)
+        assert sector_angles_from_weights(scaled) == (
+            sector_angles_from_weights(b))
+        assert WeightTriple(*scaled).normalized() == WeightTriple(
+            *b).normalized()
+        assert (predict_clairaut_constants(scaled, 1.9, 0.8)
+                == predict_clairaut_constants(b, 1.9, 0.8))
 
 
 class TestBranchReport:

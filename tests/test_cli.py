@@ -969,6 +969,22 @@ class TestBundledScenarios:
         assert f100 == pytest.approx(100.0 * f1, rel=1e-9)
         assert r100 == pytest.approx(r1, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_report_does_not_depend_on_the_weights_scale(self, k):
+        """The planted tree's sector angles, prediction and sphere probe
+        depend only on the weights' ratios: with the weights times
+        ``2**k`` the report is the same, with no division by zero or
+        overflow at either end."""
+        raw = json.loads((self.SCENARIOS / "sphere_planted.json").read_text())
+        reports = []
+        for scale in (0, k):
+            scn = scenario_from_dict(raw | {
+                "weights": [math.ldexp(b, scale) for b in raw["weights"]]})
+            code, report = cli.run("clairaut-report", scn)
+            reports.append((code, report["warnings"], report["results"]))
+        assert reports[0][0] == 0
+        assert reports[1] == reports[0]
+
     def test_cone_pair_runs_no_fan(self, monkeypatch):
         """No curve from A1 to A2 as short as the chord seed's geodesic
         comes nearer the apex than u = 0.86, so windings -1 and 1 are

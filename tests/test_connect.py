@@ -6,9 +6,9 @@ import pytest
 
 import geofermat.connect as connect_mod
 import geofermat.geodesics as geodesics_mod
-from geofermat import (ConnectOptions, OffChartError, SolveError, SurfacePoint,
-                       connect_geodesic, connect_geodesics, make_surface,
-                       shoot)
+from geofermat import (ConnectOptions, OffChartError, ProfileSurface,
+                       SolveError, SurfacePoint, connect_geodesic,
+                       connect_geodesics, make_surface, shoot)
 from geofermat.verify import _sphere_pair
 
 
@@ -172,7 +172,7 @@ class TestInvariants:
         rng = np.random.default_rng(29)
         for _ in range(10):
             A, B = draw(rng)
-            arc_lo, reach = connect_mod._check_cold(surface, A, B)[5:]
+            arc_lo, reach = connect_mod._check_cold(surface, A, B)[4:]
             length = connect_geodesic(surface, A, B).length
             assert arc_lo <= length
             assert length <= reach + 2.0 * connect_mod._AMBIGUITY_TOL
@@ -416,7 +416,8 @@ class TestBatch:
         for name in ("shoot_fan", "shoot"):
             monkeypatch.setattr(connect_mod, name, counted(name))
         A, B = SurfacePoint(2.0, 0.0), SurfacePoint(3.0, 0.8)
-        chord, arc_lo, reach = connect_mod._check_cold(vase, A, B)[4:]
+        arc_lo, reach = connect_mod._check_cold(vase, A, B)[4:]
+        chord = connect_mod._chord(vase, A, B)[1]
         assert chord == pytest.approx(1.360, abs=1e-3)
         assert arc_lo == pytest.approx(33.504, abs=1e-3)
         assert reach == pytest.approx(34.392, abs=1e-3)
@@ -466,7 +467,8 @@ def _vase():
 
 def _full_fan(surface, A, B):
     """Length and step count of the pair's full screening fan."""
-    chord = connect_mod._check_cold(surface, A, B)[4]
+    near = connect_mod._check_cold(surface, A, B)[0]
+    chord = connect_mod._chord(surface, A, near)[1]
     L_fan = 3.2 * chord + 0.1
     return L_fan, max(connect_mod._FAN_STEPS, min(320, int(L_fan * 16)))
 
@@ -478,11 +480,11 @@ def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     with no root in hand told to Newton: every pick is polished to
     convergence, as in a search without the cuts.  The first start is
     the solver's own ``_seed``."""
-    target = (*connect_mod._check_cold(surface, A, B)[:6], math.inf)
-    near, _, s_e, s_g, chord, _, reach = target
-    seed = connect_mod._seed(surface, A, near, chord)
+    target = (*connect_mod._check_cold(surface, A, B)[:5], math.inf)
+    near, _, s_e, s_g, _, reach = target
+    seed = connect_mod._seed(surface, A, near)
     thetas = [*connect_mod._FAN_HEADINGS,
-              connect_mod._chord_heading(surface, A, near)]
+              connect_mod._chord(surface, A, near)[0]]
     L_fan, n_steps = _full_fan(surface, A, B)
     fan = geodesics_mod.shoot_fan(surface, [A] * len(thetas), thetas,
                                   [L_fan / n_steps] * len(thetas), n_steps)
@@ -593,7 +595,7 @@ class TestChordSeedFirst:
         monkeypatch.setattr(connect_mod, "_newton", counted)
         connect_geodesic(torus, A, B)
         chord = float(np.linalg.norm(torus.embed(B) - torus.embed(A)))
-        assert starts[0] == (B.v, connect_mod._chord_heading(torus, A, B),
+        assert starts[0] == (B.v, connect_mod._chord(torus, A, B)[0],
                              chord)
         assert len(starts) == 5
         assert len(set(starts)) == len(starts)
@@ -1004,7 +1006,7 @@ class TestKnownRoots:
         root = connect_geodesic(torus, *self.PAIR)
         theta, L = starts[1][:2]
         A, B = self.PAIR
-        near, _, s_e, s_g, _, _, reach = connect_mod._check_cold(torus, A, B)
+        near, _, s_e, s_g, _, reach = connect_mod._check_cold(torus, A, B)
         args = (torus, A, near.u, near.v, s_e, s_g, theta, L, reach,
                 connect_mod._DEFAULT)
         known = [(root.theta_start, root.length)]
@@ -1037,6 +1039,62 @@ class TestKnownRoots:
         assert path.ambiguous
         assert path.length == 4.319999660227056
         assert abs(path.theta_start) == pytest.approx(0.0364, abs=1e-4)
+
+
+class TestChordWork:
+    """Only the chord seed and the fan read the embedded chord, so only
+    they embed A and B*: a cold pair settled at its closed-form seed and
+    a warm connect embed nothing, and a pair that runs the fan embeds
+    each point once for its chord seed and once for its fan."""
+
+    SPHERE_PAIR = (SurfacePoint(1.1, 0.2), SurfacePoint(1.7, 1.4))
+
+    @staticmethod
+    def _embeds(monkeypatch):
+        calls = []
+        real = ProfileSurface.embed
+
+        def counted(self, p):
+            calls.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(ProfileSurface, "embed", counted)
+        return calls
+
+    def test_settled_sphere_pair_embeds_nothing(self, sphere, monkeypatch):
+        calls = self._embeds(monkeypatch)
+        A, B = self.SPHERE_PAIR
+        path = connect_geodesic(sphere, A, B)
+        # the great circle on the unit sphere, u the colatitude
+        assert path.length == pytest.approx(math.acos(
+            math.cos(A.u) * math.cos(B.u)
+            + math.sin(A.u) * math.sin(B.u) * math.cos(B.v - A.v)), abs=1e-10)
+        assert calls == []
+
+    def test_warm_connect_embeds_nothing(self, sphere, monkeypatch):
+        A, B = self.SPHERE_PAIR
+        cold = connect_geodesic(sphere, A, B)
+        calls = self._embeds(monkeypatch)
+        path = connect_geodesic(sphere, A, B, initial=(
+            cold.theta_start + 1e-3, cold.length + 1e-3, cold.length))
+        assert path.length == pytest.approx(cold.length, abs=1e-10)
+        assert calls == []
+
+    def test_fan_pair_embeds_each_point_twice(self, torus, monkeypatch):
+        """The pair of ``scenarios/torus_pair.json`` runs the fan."""
+        fans = []
+        real_fan = connect_mod.shoot_fan
+
+        def fan(*args):
+            fans.append(args)
+            return real_fan(*args)
+
+        monkeypatch.setattr(connect_mod, "shoot_fan", fan)
+        calls = self._embeds(monkeypatch)
+        A, B = TestKnownRoots.PAIR
+        assert connect_geodesic(torus, A, B).length == TestKnownRoots.LENGTH
+        assert len(fans) == 1
+        assert len(calls) == 4
 
 
 class TestHalfTurn:
@@ -1093,36 +1151,54 @@ def test_benchmark_vase_pair_finds_the_shorter_winding():
     assert path.length <= 5.7239 + 1e-6
 
 
-_TORUS_MISS = (SurfacePoint(0.2042645290357763, -1.0152909252698796),
-               SurfacePoint(-2.423463767362918, 2.379163010530358))
+# torus pairs (R = 2, r = 0.7) that the cold connect reports unreachable,
+# though each has a winding-0 geodesic to B*, the copy of B nearest A: A,
+# B, the whole turns from B to B*, a warm start (heading, length) near
+# that geodesic and its length.  In both the chord seed fails and no fan
+# pick converges to it
+_TORUS_MISSES = {
+    # the 17-lane fan misses the heading band of a 720-lane fan's closest
+    # pass, near -2.090
+    "fan-gap": (SurfacePoint(0.2042645290357763, -1.0152909252698796),
+                SurfacePoint(-2.423463767362918, 2.379163010530358), -1,
+                (-2.090, 5.41), 5.411914),
+    # pair 84 (0-based) of 120 random torus pairs, u and v in [-3, 3],
+    # drawn A.u, A.v, B.u, B.v from default_rng(11) after 120 paraboloid
+    # pairs; found by Newton from 64 headings times 3 lengths
+    "random-pair": (SurfacePoint(0.6442421743026703, -0.5136920147500685),
+                    SurfacePoint(-1.132429408337441, -2.409942171995561), 0,
+                    (-2.326828, 4.757648), 4.757648),
+}
 
 
 def test_torus_miss_pair_has_a_geodesic():
-    """The pair below is reachable: a warm start near a 720-lane fan's
-    closest pass converges to a winding-0 geodesic of length 5.4119 to
-    the copy of B nearest A, B.v - 2 pi."""
+    """Each pair is reachable: a warm start, bounded by the pair's reach,
+    converges to a winding-0 geodesic to B*."""
     torus = make_surface("torus", R=2.0, r=0.7)
-    A, B = _TORUS_MISS
-    near = SurfacePoint(B.u, B.v - 2.0 * math.pi)
-    # the curve along the meridian and the shorter parallel, 6.09 long
-    reach = connect_mod._check_cold(torus, A, near)[6]
-    path = connect_geodesic(torus, A, near, initial=(-2.090, 5.41, reach))
-    assert path.winding == 0
-    assert path.length == pytest.approx(5.411914, abs=1e-6)
-    end = path.end()
-    assert abs(end.u - near.u) <= 1e-9 and abs(end.v - near.v) <= 1e-9
+    for A, B, turns, start, length in _TORUS_MISSES.values():
+        near = SurfacePoint(B.u, B.v + 2.0 * math.pi * turns)
+        # the curve along the meridian and the shorter parallel
+        reach = connect_mod._check_cold(torus, A, near)[5]
+        assert length < reach
+        path = connect_geodesic(torus, A, near, initial=(*start, reach))
+        assert path.winding == 0
+        assert path.length == pytest.approx(length, abs=1e-6)
+        end = path.end()
+        assert abs(end.u - near.u) <= 1e-9 and abs(end.v - near.v) <= 1e-9
 
 
 @pytest.mark.xfail(strict=True, raises=SolveError,
                    reason="the 17-lane screening fan misses the heading band "
                    "of the geodesic and the chord seed does not converge "
                    "(needs a global-minimality audit or a finer screen)")
-def test_torus_pair_is_reachable():
+@pytest.mark.parametrize("name", sorted(_TORUS_MISSES))
+def test_torus_pair_is_reachable(name):
     """The cold connect raises 'unreachable within search budget' though
-    a winding-0 geodesic of length 5.4119 exists."""
+    a winding-0 geodesic of the length above exists."""
     torus = make_surface("torus", R=2.0, r=0.7)
-    path = connect_geodesic(torus, *_TORUS_MISS)
-    assert path.length <= 5.411914 + 1e-6
+    A, B, _, _, length = _TORUS_MISSES[name]
+    path = connect_geodesic(torus, A, B)
+    assert path.length <= length + 1e-6
 
 
 # two points on the torus's outer equator, 5.4 apart along it: the equator
@@ -1139,7 +1215,7 @@ def test_equator_pair_has_two_shorter_geodesics():
     A, B = _TORUS_EQUATOR
     arc = shoot(torus, A, 0.0, 5.4)
     assert arc.jacobi()[0] < 0.0
-    reach = connect_mod._check_cold(torus, A, B)[6]
+    reach = connect_mod._check_cold(torus, A, B)[5]
     for theta in (0.84, -0.84):
         path = connect_geodesic(torus, A, B, initial=(theta, 5.2, reach))
         assert path.length == pytest.approx(5.175373, abs=1e-6)
