@@ -179,8 +179,8 @@ class DiameterCheck:
 
     @property
     def printed_matches(self) -> bool:
-        return abs(self.d_printed - self.d_corrected) <= 1e-12 * max(
-            1.0, abs(self.d_corrected))
+        return (abs(self.d_printed - self.d_corrected)
+                <= 1e-12 * abs(self.d_corrected))
 
 
 def _times_pow2(x, e):

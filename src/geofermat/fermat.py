@@ -399,8 +399,9 @@ def _descend(surface, p, theta, lam, f_cur, r_norm, pts, warm, b, opts):
                 and _noise_step(step, f_cur, f_noise, r_norm, b)):
             return step
     raise SolveError(
-        f"Weiszfeld step of length {lam:.3e} lowers f below {f_cur:.12g} "
-        f"in none of {_MAX_BACKTRACKS} halvings")
+        f"Weiszfeld step of length {lam:.3e} lowers f (weighted mean "
+        f"distance {f_cur / sum(b):.12g}) in none of {_MAX_BACKTRACKS} "
+        "halvings")
 
 
 def _tangent_fermat_point(zs, b, k3):
@@ -479,29 +480,34 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     without raising f beyond the noise.  The first step leaves the
     heaviest terminal toward the Fermat point of the floating test's arcs
     from it, mapped into its tangent plane, for the distance corrected by
-    the mean curvature at the terminals (``_leave_terminal``).
+    the mean curvature at the terminals (``_leave_terminal``).  That solve
+    runs on ``unit_weights``, the weights over a power of two, so that its
+    Newton Hessian, of degree 2 in them, neither overflows nor underflows;
+    the exact scaling changes no step, and f and the residual are scaled
+    back.
     """
     opts = opts or ConnectOptions()
     opts = replace(opts, resid_tol=min(opts.resid_tol, _RESID_TOL))
     w = as_weights(weights)
-    b = w.astuple()
     pts = [surface.check_point(p) for p in points]
-    grad_tol = 1e-8 * w.total
-    # geodesic lengths are accurate to resid_tol, so f only to this much
-    f_noise = w.total * opts.resid_tol
 
     regime = floating_test(surface, pts, w, opts)
     # the vertex, or the heaviest terminal, where the interior solve starts;
     # the floating test already connected it to the others
     i = (regime.vertex_index if regime.mode == "vertex"
-         else max(range(3), key=b.__getitem__))
+         else max(range(3), key=w.astuple().__getitem__))
     arms = [_vertex_branch(surface, pts, regime.arcs, i, j, opts)
             for j in range(3)]
-    f_i = sum(bj * arm.length for bj, arm in zip(b, arms))
     if regime.mode == "vertex":
+        f_i = sum(bj * arm.length for bj, arm in zip(w.astuple(), arms))
         return FermatResult(pts[i], tuple(arms), f_i, -regime.margins[i],
                             None, "vertex", i, 0, (f_i,))
 
+    b, e = unit_weights(w)
+    grad_tol = 1e-8 * sum(b)
+    # geodesic lengths are accurate to resid_tol, so f only to this much
+    f_noise = sum(b) * opts.resid_tol
+    f_i = sum(bj * arm.length for bj, arm in zip(b, arms))
     p, paths, f_cur = _leave_terminal(surface, pts, b, i, arms, f_i, opts)
     history = [f_i, f_cur]
 
@@ -525,8 +531,9 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         history.append(f_cur)
     else:
         raise SolveError(
-            f"no convergence in {_MAX_ITER} iterations "
-            f"(residual {r_norm:.3e}, tolerance {grad_tol:.3e})")
+            f"no convergence in {_MAX_ITER} iterations (residual "
+            f"{math.ldexp(r_norm, e):.3e}, tolerance "
+            f"{math.ldexp(grad_tol, e):.3e})")
 
     try:
         sectors = sector_partition([path.theta_start for path in paths])
@@ -539,5 +546,7 @@ def solve_fermat(surface: ProfileSurface, points, weights,
             f"balance converged but sector angles deviate by {worst:.3e} rad "
             f"from the weight-determined values (tolerance {_ANGLE_TOL})")
 
-    return FermatResult(p, tuple(paths), f_cur, r_norm, sectors, "interior",
-                        None, len(history) - 1, tuple(history))
+    return FermatResult(p, tuple(paths), math.ldexp(f_cur, e),
+                        math.ldexp(r_norm, e), sectors, "interior", None,
+                        len(history) - 1,
+                        tuple(math.ldexp(f, e) for f in history))

@@ -13,18 +13,22 @@ law, together with unit speed ``E u'^2 + G v'^2 = 1``, as correctness
 monitors: a step that violates either budget is rejected, not patched.
 
 Exact meridian launches are integrated as a one-dimensional profile
-arc-length problem.  When the profile closes smoothly on the rotation
-axis (|d phi / d s| -> 1 where phi -> 0, as on a sphere cap or a
-paraboloid apex) a meridian passes through the axis with ``v`` jumping by
-pi; for any other chart exit a :class:`ChartExitError` reports the exit
-arc length.
+arc-length problem, ``s = int sqrt(E) du``, leg by leg.  When the profile
+closes smoothly on the rotation axis (|d phi / d s| -> 1 where phi -> 0,
+as on a sphere cap or a paraboloid apex) a meridian passes through the
+axis with ``v`` jumping by pi; for any other chart exit a
+:class:`ChartExitError` reports the exit arc length.  A leg's arc lengths
+come from one metric batch: a 16-point Gauss-Legendre rule on each of its
+24 row intervals, split at the custom spline's knots so that every piece
+is smooth, and checked there by the 8-point rule (a piece where the two
+differ by more than 1e-13 is halved).  The endpoint is a safeguarded
+Newton step on ``ds/du = sqrt(E)`` inside the piece that holds it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import ChartExitError, SolveError
@@ -318,73 +322,158 @@ def _integrate(surface, u0, v0, du0, dv0, length, tol, launch):
 
 # -- meridian special case --------------------------------------------------
 
+# Gauss-Legendre nodes and weights on [-1, 1]: the 16-point rule of a
+# meridian arc, and the 8-point rule that checks it on the same piece
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_X_CHECK, _GL_W_CHECK = np.polynomial.legendre.leggauss(8)
+_GL_NODES = np.concatenate([_GL_X, _GL_X_CHECK])
+_ARC_RTOL = 1e-13        # the two rules' agreement that keeps a piece
+_ARC_HALVINGS = 50       # rounds of halving the pieces that miss it
+_ARC_PIECES = 100_000    # and the most pieces a leg may be cut into
+# the endpoint's u is found to brentq's default tolerance, xtol 1e-14
+_ROOT_XTOL, _ROOT_RTOL = 1e-14, 4.0 * np.finfo(float).eps
+_ROOT_ITER = 100
+
+
+def _arcs(surface, a, b, extra):
+    """Arc length ``int_a^b sqrt(E) du`` of each piece ``[a_i, b_i]`` by the
+    16-point rule, signed like ``b - a``, whether the 8-point rule on the
+    piece agrees with it to 1e-13, and ``sqrt(E)`` at the points
+    ``extra``, all from one metric batch."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    E = surface.metric_terms_batch(np.concatenate([nodes, extra]))[0]
+    speed = np.sqrt(E)
+    at_nodes = speed[:nodes.size].reshape(len(a), len(_GL_NODES))
+    arc = half * (at_nodes[:, :len(_GL_W)] @ _GL_W)
+    check = half * (at_nodes[:, len(_GL_W):] @ _GL_W_CHECK)
+    if not np.all(np.isfinite(arc)):
+        raise SolveError("meridian arc length is not finite")
+    ok = np.abs(arc - check) <= _ARC_RTOL * np.abs(arc)
+    return arc, ok, speed[nodes.size:]
+
+
+def _arc_table(surface, u):
+    """Arc lengths along the monotone points ``u`` from ``u[0]``.
+
+    Returns ``(t, s, rows, speed)``: the breakpoints ``t`` in the order of
+    travel, the arc ``s`` from ``u[0]`` to each, the index in ``t`` of each
+    point of ``u`` and ``sqrt(E)`` at each point of ``u``.  The breakpoints
+    are the points and the profile's knots between them, so that every
+    piece is smooth; each round, one metric batch, adds the midpoint of
+    every piece where the two rules of ``_arcs`` disagree."""
+    knots = surface._knots
+    t = np.union1d(u, knots[(knots > min(u[0], u[-1]))
+                            & (knots < max(u[0], u[-1]))])
+    for _ in range(_ARC_HALVINGS + 1):
+        arc, ok, speed = _arcs(surface, t[:-1], t[1:], u)
+        if ok.all() or len(t) > _ARC_PIECES:
+            break
+        t = np.union1d(t, 0.5 * (t[:-1] + t[1:])[~ok])
+    if not ok.all():
+        raise SolveError("meridian arc quadrature does not converge")
+    rows = np.searchsorted(t, u)
+    if u[-1] < u[0]:
+        t, arc, rows = t[::-1], arc[::-1], len(t) - 1 - rows
+    return t, np.concatenate([[0.0], np.cumsum(np.abs(arc))]), rows, speed
+
+
+def _arc_root(surface, t, s, target):
+    """The u at arc ``target`` along the breakpoints ``t`` of an arc table:
+    safeguarded Newton on ``ds/du = sqrt(E)`` inside the piece that the
+    table's arcs ``s`` say holds it, from the linear guess.  The piece
+    passed the table's check, so the 16-point rule on any part of it is
+    taken as exact and not checked again."""
+    j = min(max(int(np.searchsorted(s, target, side="right")) - 1, 0),
+            len(t) - 2)
+    a, b, want = t[j], t[j + 1], target - s[j]
+    lo, hi = min(a, b), max(a, b)
+    step = math.copysign(1.0, b - a)
+    x = a + (b - a) * min(1.0, want / (s[j + 1] - s[j]))
+    start = np.array([a])
+    for _ in range(_ROOT_ITER):
+        point = np.array([x])
+        (arc,), _, (speed,) = _arcs(surface, start, point, point)
+        miss = step * arc - want
+        if (miss > 0.0) == (step > 0.0):
+            hi = x
+        else:
+            lo = x
+        x_new = x - step * miss / speed
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= _ROOT_XTOL + _ROOT_RTOL * abs(x):
+            return x_new
+        x = x_new
+    raise SolveError("meridian endpoint search does not converge")
+
+
+def _guard_stop(surface, ua, direction):
+    """First chart exit along the travel direction.
+
+    Returns (u_stop, crosses).  ``crosses`` is True when the exit is a
+    smoothly closing axis end, which a meridian may pass through.  A start
+    inside the guard cap (just after an axis crossing) is skipped before
+    searching for the next exit.
+    """
+    bound = surface.u_max if direction > 0 else surface.u_min
+    closes = surface.closes_at_max if direction > 0 else surface.closes_at_min
+    grid = np.linspace(ua, bound, 513)
+    g = surface.metric_terms_batch(grid)[4] - surface.axis_guard
+    # the search starts after the first grid point outside the guard cap
+    first = int(np.argmax(g > 0.0))
+    exits = np.flatnonzero(g[first + 1:] <= 0.0)
+    if not (g[first] > 0.0 and exits.size):
+        return bound, False
+    i = first + 1 + int(exits[0])
+    if closes and np.all(g[i:] <= 0.0):
+        return bound, True
+    lo, hi = sorted((grid[i - 1], grid[i]))
+    f = lambda x: float(surface.metric_terms_batch(x)[4]) - surface.axis_guard
+    return brentq(f, lo, hi, xtol=1e-14), False
+
+
+def _leg_rows(u_a, u_b):
+    """The u of a leg's 25 rows, from u_a to exactly u_b in equal steps."""
+    u = u_a + (u_b - u_a) * np.arange(25) / 24
+    u[-1] = u_b
+    return u
+
 
 def _meridian_shoot(surface, p, sigma, length):
-    """Integrate an exact meridian (dv = 0) as a 1-D arc-length problem."""
-    terms = surface.metric_terms
+    """Integrate an exact meridian (dv = 0) as a 1-D arc-length problem.
 
-    def speed(uq):
-        return math.sqrt(terms(uq)[0])
-
-    def arc(ua, ub):
-        if ua == ub:
-            return 0.0
-        # full_output keeps quad from warning when roundoff stops it short
-        # of the 1e-13 target; the value it reached is used as it stands
-        return abs(quad(speed, ua, ub, epsabs=1e-13, epsrel=1e-13,
-                        limit=200, full_output=1)[0])
-
-    def guard_stop(ua, direction):
-        """First chart exit along the travel direction.
-
-        Returns (u_stop, crosses).  ``crosses`` is True when the exit is a
-        smoothly closing axis end, which a meridian may pass through.  A
-        start inside the guard cap (just after an axis crossing) is skipped
-        before searching for the next exit.
-        """
-        bound = surface.u_max if direction > 0 else surface.u_min
-        closes = surface.closes_at_max if direction > 0 else surface.closes_at_min
-        grid = np.linspace(ua, bound, 513)
-        g = surface.metric_terms_batch(grid)[4] - surface.axis_guard
-        started = g[0] > 0.0
-        for i in range(1, len(grid)):
-            if not started:
-                started = g[i] > 0.0
-                continue
-            if g[i] <= 0.0:
-                if closes and np.all(g[i:] <= 0.0):
-                    return bound, True
-                lo, hi = sorted((grid[i - 1], grid[i]))
-                f = lambda x: (float(surface.metric_terms_batch(x)[4])
-                               - surface.axis_guard)
-                return brentq(f, lo, hi, xtol=1e-14), False
-        return bound, False
-
-    rows = [(0.0, p.u, p.v, sigma / speed(p.u), 0.0)]
+    Each leg runs from the start or an axis crossing to the next chart exit
+    and gets 24 rows, equally spaced in u; an ending leg's last row is its
+    exact endpoint.  Per leg, one arc table over the rows gives their arc
+    lengths and ``du``, and an ending leg first finds its endpoint from
+    the table over the whole leg."""
+    blocks = []
     s_done = 0.0
     u_cur, v_cur = p.u, p.v
     sig = sigma
     for _leg in range(16):
-        u_stop, crosses = guard_stop(u_cur, sig)
-        s_leg = arc(u_cur, u_stop)
+        u_stop, crosses = _guard_stop(surface, u_cur, sig)
+        u_rows = _leg_rows(u_cur, u_stop)
+        t, s, rows, speed = _arc_table(surface, u_rows)
+        s_leg = s[-1]
         remaining = length - s_done
         ends = remaining <= s_leg + 1e-15
         if not (ends or crosses):
             raise ChartExitError("meridian left the chart", s_done + s_leg)
-        u_end = u_stop
         if ends and remaining < s_leg - 1e-13:    # endpoint inside this leg
-            lo, hi = (u_cur, u_stop) if sig > 0 else (u_stop, u_cur)
-            u_end = u_cur if hi - lo < 1e-15 else brentq(
-                lambda x: arc(u_cur, x) - remaining, lo, hi, xtol=1e-14)
-        # 24 rows per leg; an ending leg's last row is its exact endpoint
-        for k in range(1, 24 if ends else 25):
-            u_k = u_cur + (u_end - u_cur) * k / 24
-            rows.append((s_done + arc(u_cur, u_k), u_k, v_cur,
-                         sig / speed(u_k), 0.0))
+            u_end = _arc_root(surface, t, s, remaining)
+            u_rows = _leg_rows(u_cur, u_end)
+            t, s, rows, speed = _arc_table(surface, u_rows)
+        if not blocks:
+            blocks.append([[0.0, p.u, p.v, sig / speed[0], 0.0]])
+        arc = s_done + s[rows[1:]]
         if ends:
-            rows.append((s_done + remaining, u_end, v_cur,
-                         sig / speed(u_end), 0.0))
-            return np.asarray(rows), 0.5 * math.pi * sig
+            arc[-1] = s_done + remaining
+        blocks.append(np.column_stack([arc, u_rows[1:], np.full(24, v_cur),
+                                       sig / speed[1:], np.zeros(24)]))
+        if ends:
+            return np.concatenate(blocks), 0.5 * math.pi * sig
         # pass through the axis: reflect and rotate the chart by pi
         s_done += s_leg
         u_cur = u_stop

@@ -262,6 +262,11 @@ class ProfileSurface:
     functions of immutable data and safe for concurrent use.
     """
 
+    # sorted u where the profile's third derivatives jump, at which a
+    # meridian's arc quadrature splits: none but the custom spline's sample
+    # u, which make_surface sets
+    _knots = np.empty(0)
+
     def __init__(self, kind, metric, meridian, curvature, u_min, u_max,
                  axis_guard, bounds, geodesic):
         self.kind = kind
@@ -590,10 +595,13 @@ def make_surface(kind: str, *, u_min=None, u_max=None, axis_guard=None,
                            f"r={values[1]}")
     profile = fns(*values)          # validates the custom samples first
     d_min, d_max, d_guard = defaults(*values)
-    return ProfileSurface(
+    surface = ProfileSurface(
         kind, *profile,
         u_min=d_min if u_min is None else u_min,
         u_max=d_max if u_max is None else u_max,
         axis_guard=d_guard if axis_guard is None else axis_guard,
         bounds=bounds(*values),
         geodesic=None if geodesic is None else geodesic(*values))
+    if kind == "custom":
+        surface._knots = values[0][:, 0]
+    return surface

@@ -31,3 +31,19 @@ def catenoid():
 @pytest.fixture(scope="session")
 def torus():
     return make_surface("torus", R=2.0, r=0.7)
+
+
+@pytest.fixture
+def no_quad(monkeypatch):
+    """scipy's adaptive ``quad`` raises, where an exact meridian's shot would
+    reach it: the meridian arcs come from the package's own rule."""
+    import scipy.integrate
+
+    import geofermat.geodesics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad was called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    # also the name a module may have bound at import
+    monkeypatch.setattr(geofermat.geodesics, "quad", refuse, raising=False)

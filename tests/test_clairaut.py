@@ -9,7 +9,7 @@ from geofermat import (ChartExitError, ConnectOptions, SolveError, SurfacePoint,
                        predict_clairaut_constants, rotate_tree_experiment,
                        sector_angles_from_weights, shoot,
                        sphere_sine_ratio_probe, triangle_cosine)
-from geofermat.clairaut import BranchConstants, alpha1_window
+from geofermat.clairaut import BranchConstants, DiameterCheck, alpha1_window
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,6 +117,21 @@ class TestDiameter:
             assert got.d_printed == (math.inf if k > 0 else 0.0)
 
 
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_printed_never_matches_at_any_scale(self, k):
+        """The printed value is of degree 3/2 in the weights and the
+        diameter of degree 1.  At weights (1, 1, 1) times ``2**-500`` they
+        are 3.4e-226 and 3.5e-151, which a comparison with an absolute
+        floor of 1e-12 called a match."""
+        check = law_of_sines_diameter((math.ldexp(1.0, k),) * 3)
+        assert not check.printed_matches
+
+    def test_printed_matches_is_relative(self):
+        tiny = 1e-200
+        assert DiameterCheck(tiny, tiny * (1.0 + 1e-14), ()).printed_matches
+        assert not DiameterCheck(tiny, 2.0 * tiny, ()).printed_matches
+
+
 class TestWeightScale:
     @pytest.mark.parametrize("b", [(1e-300, 1e-300, 1.0),
                                    (5e-324, 1.0, 1.0)])
@@ -155,6 +170,7 @@ class TestBranchReport:
             assert abs(br.c_cos - path.c_nominal) <= max(path.c_drift, 1e-15)
             assert abs(abs(br.c_cos) - abs(br.c_sin)) <= 1e-12
 
+    @pytest.mark.usefixtures("no_quad")
     def test_parallel_and_meridian_branches(self, paraboloid):
         center = SurfacePoint(1.0, 0.0)
         paths = [shoot(paraboloid, center, th, 0.3)

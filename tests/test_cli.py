@@ -874,6 +874,7 @@ class TestBundledScenarios:
         ("cylinder_pair.json", "connect"),
         ("rotate_paraboloid.json", "rotate-experiment"),
         ("shoot_sphere.json", "shoot"),
+        ("shoot_meridian.json", "shoot"),
         ("sphere_planted.json", "fermat-inverse"),
         ("sphere_planted.json", "clairaut-report"),
         ("sphere_near_axis.json", "fermat-solve"),
@@ -1137,6 +1138,7 @@ class TestMain:
     def test_scenario_required_for_solves(self, capsys):
         assert cli.main(["fermat-solve"]) == 1
 
+    @pytest.mark.usefixtures("no_quad")
     def test_vase_meridian_shoot_is_quiet(self):
         """An exact meridian on the vase whose arc quadrature stops at
         roundoff short of its 1e-13 target used to print scipy's

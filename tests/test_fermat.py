@@ -790,6 +790,28 @@ class TestWarmConnectWork:
                                                       abs=1e-9)
 
 
+class TestWeightScale:
+    SCENARIO = (Path(__file__).parent.parent / "scenarios"
+                / "sphere_planted.json")
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_solve_does_not_depend_on_the_scale(self, k):
+        """The interior solve runs on the weights over a power of two.  With
+        the weights times ``2**k`` its Newton Hessian, of degree 2 in them,
+        used to overflow or underflow: every Newton step was dropped, and
+        the solve took 25 Weiszfeld steps to a point 8.4e-9 away."""
+        scn = load_scenario(self.SCENARIO)
+        pts, b = scn.terminals(), scn.weights.astuple()
+        want = solve_fermat(scn.surface, pts, b)
+        got = solve_fermat(scn.surface, pts,
+                           tuple(math.ldexp(bi, k) for bi in b))
+        assert got.iterations == want.iterations == 3
+        assert got.point == want.point
+        assert got.sector_angles == want.sector_angles
+        assert got.f_history == tuple(math.ldexp(f, k)
+                                      for f in want.f_history)
+
+
 class TestWeiszfeldFallback:
     """Where the Hessian is not positive definite ``_newton_step`` gives no
     step, and the solve goes on by Weiszfeld steps alone."""
@@ -848,8 +870,11 @@ class TestWeiszfeldFallback:
             res = solve_fermat(scn.surface, pts, b)
             assert res.mode == "interior"
             assert res.iterations > want.iterations
-            assert [f for f, _, _ in steps] == list(res.f_history[:-1])
-            noise = sum(b) * fermat_mod._RESID_TOL
+            # the steps run on the weights over 2**e
+            unit, e = fermat_mod.unit_weights(b)
+            assert [math.ldexp(f, e) for f, _, _ in steps] == list(
+                res.f_history[:-1])
+            noise = sum(unit) * fermat_mod._RESID_TOL
             for f0, drop, f1 in steps:
                 if drop > noise:
                     assert f1 < f0

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from geofermat import (ChartExitError, SurfacePoint, clairaut_constant,
                        make_surface, shoot, write_path_csv)
-from geofermat.geodesics import CSV_COLUMNS, shoot_fan
+from geofermat.geodesics import CSV_COLUMNS, _guard_stop, shoot_fan
 
 
 class TestDerivative:
@@ -42,6 +44,7 @@ class TestShoot:
         assert path.c_nominal == pytest.approx(1.0)
         assert path.c_drift <= 1e-9
 
+    @pytest.mark.usefixtures("no_quad")
     def test_meridian_up_and_down(self, sphere):
         # theta = pi/2 points along increasing u (the frame convention)
         path = shoot(sphere, SurfacePoint(math.pi / 2, 0.0), math.pi / 2,
@@ -53,6 +56,7 @@ class TestShoot:
                      math.pi / 4)
         assert path.end().u == pytest.approx(math.pi / 4, abs=1e-12)
 
+    @pytest.mark.usefixtures("no_quad")
     def test_meridian_through_pole(self, sphere):
         path = shoot(sphere, SurfacePoint(math.pi / 2, 0.0), math.pi / 2,
                      math.pi)
@@ -87,16 +91,16 @@ class TestShoot:
         assert np.linalg.norm(sphere.embed(path.end()) - expected) <= 1e-9
         assert path.end().v == pytest.approx(math.pi / 2 - 1.0, abs=1e-7)
 
+    @pytest.mark.usefixtures("no_quad")
     def test_paraboloid_apex_crossing(self, paraboloid):
-        from scipy.integrate import quad
         path = shoot(paraboloid, SurfacePoint(1.0, 0.0), -math.pi / 2, 3.0)
         end = path.end()
         assert end.v == pytest.approx(math.pi)
-        speed = lambda q: math.sqrt(1.0 + q * q)
-        s_down, _ = quad(speed, 0.0, 1.0)
-        s_up, _ = quad(speed, 0.0, end.u)
-        assert s_down + s_up == pytest.approx(3.0, abs=1e-9)
+        # the arc from the apex to u: (u sqrt(1 + u^2) + asinh(u)) / 2
+        arc = lambda q: 0.5 * (q * math.sqrt(1.0 + q * q) + math.asinh(q))
+        assert arc(1.0) + arc(end.u) == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.usefixtures("no_quad")
     def test_cone_apex_exit(self):
         cone = make_surface("cone", slope=1.0)
         with pytest.raises(ChartExitError) as err:
@@ -414,6 +418,7 @@ class TestJacobi:
         (0.5, -math.pi / 2, 2.0),       # a meridian through the pole
         (1.0, math.pi / 2, 1.5),
     ])
+    @pytest.mark.usefixtures("no_quad")
     def test_unit_sphere_closed_form(self, sphere, u0, theta, length):
         """On the unit sphere m1 = sin L and m2 = cos L."""
         path = shoot(sphere, SurfacePoint(u0, 0.3), theta, length)
@@ -454,6 +459,7 @@ class TestJacobi:
         assert abs(along) <= 1e-5 * abs(m1)
 
     @pytest.mark.parametrize("case", sorted(_JACOBI_CASES))
+    @pytest.mark.usefixtures("no_quad")
     def test_equals_reference(self, case):
         kind, params, (u0, theta, length), n_samples = _JACOBI_CASES[case]
         path = shoot(make_surface(kind, **params), SurfacePoint(u0, 0.1),
@@ -478,6 +484,162 @@ class TestJacobi:
         assert abs(dm1 - 1.0) <= 1e-12
         assert abs(m2 - 1.0) <= 1e-12
         assert abs(dm2) <= 1e-12
+
+
+# per kind: surface parameters, the meridian arc F(u) from u = 0 in closed
+# form (written apart from the surface formulas), and (u0, length) shots up
+# and down that stay on one leg
+_MERIDIAN_ARCS = {
+    "sphere": ({"radius": 2.5}, lambda u: 2.5 * u, (1.0, 1.5), (1.0, 2.0)),
+    "torus": ({"R": 2.0, "r": 0.7}, lambda u: 0.7 * u, (0.5, 3.0),
+              (0.5, 4.0)),
+    "cone": ({"slope": 0.8}, lambda u: math.sqrt(1.0 + 0.8 ** 2) * u,
+             (5.0, 3.0), (5.0, 3.0)),
+    "paraboloid": ({"a": 1.5},
+                   lambda u: (0.5 * u * math.sqrt(1.0 + u * u / 2.25)
+                              + 0.75 * math.asinh(u / 1.5)),
+                   (2.0, 3.0), (2.0, 1.5)),
+    "catenoid": ({"a": 1.2}, lambda u: 1.2 * math.sinh(u / 1.2),
+                 (-1.0, 3.0), (-1.0, 1.5)),
+}
+
+# the benchmark's wavy vase, its samples rounded as the benchmark rounds them
+_BENCH_VASE = VASE.round(12)
+
+
+def _guard_stop_reference(surface, ua, direction):
+    """The first chart exit by the loop over the 513-point grid that
+    ``_guard_stop`` replaced; it must return the same."""
+    bound = surface.u_max if direction > 0 else surface.u_min
+    closes = surface.closes_at_max if direction > 0 else surface.closes_at_min
+    grid = np.linspace(ua, bound, 513)
+    g = surface.metric_terms_batch(grid)[4] - surface.axis_guard
+    started = g[0] > 0.0
+    for i in range(1, len(grid)):
+        if not started:
+            started = g[i] > 0.0
+            continue
+        if g[i] <= 0.0:
+            if closes and np.all(g[i:] <= 0.0):
+                return bound, True
+            lo, hi = sorted((grid[i - 1], grid[i]))
+            f = lambda x: (float(surface.metric_terms_batch(x)[4])
+                           - surface.axis_guard)
+            return brentq(f, lo, hi, xtol=1e-14), False
+    return bound, False
+
+
+@pytest.mark.usefixtures("no_quad")
+class TestExactMeridian:
+    """Exact meridians (c = 0) integrate arc length leg by leg, with no
+    adaptive quadrature."""
+
+    @pytest.mark.parametrize("sigma", [1.0, -1.0], ids=["up", "down"])
+    @pytest.mark.parametrize("kind", sorted(_MERIDIAN_ARCS))
+    def test_arc_lengths_closed_form(self, kind, sigma):
+        params, arc, up, down = _MERIDIAN_ARCS[kind]
+        u0, length = up if sigma > 0 else down
+        path = shoot(make_surface(kind, **params), SurfacePoint(u0, 0.1),
+                     sigma * math.pi / 2, length)
+        s, u = path.samples[:, 0], path.samples[:, 1]
+        assert len(s) == 25 and not path.samples[:, 4].any()
+        assert np.all(sigma * np.diff(u) > 0.0)
+        want = [abs(arc(uk) - arc(u0)) for uk in u]
+        assert np.max(np.abs(s - want)) <= 1e-13 * max(1.0, length)
+        assert s[-1] == length
+
+    def test_benchmark_vase_against_knot_split_quadrature(self):
+        """Arc lengths on the spline are summed over its knot intervals,
+        where each piece is smooth.  One adaptive quadrature across the
+        knots missed this reference by 1.3e-11 on these shots."""
+        vase = make_surface("custom", samples=_BENCH_VASE)
+        knots = _BENCH_VASE[:, 0]
+        speed = lambda q: math.sqrt(vase.metric_terms(q)[0])
+
+        def reference(ua, ub):
+            lo, hi = sorted((ua, ub))
+            cuts = [lo, *knots[(knots > lo) & (knots < hi)], hi]
+            # full_output keeps quad quiet where roundoff stops it short
+            return sum(quad(speed, a, b, epsabs=1e-15, epsrel=1e-15,
+                            limit=200, full_output=1)[0]
+                       for a, b in zip(cuts, cuts[1:]))
+
+        worst = 0.0
+        for u0, sigma, length in [(2.0, 1.0, 4.0), (7.6, -1.0, 6.5),
+                                  (0.3, 1.0, 2.180196746879833)]:
+            path = shoot(vase, SurfacePoint(u0, 0.1), sigma * math.pi / 2,
+                         length)
+            for s_k, u_k in path.samples[:, :2]:
+                worst = max(worst, abs(s_k - reference(u0, u_k)))
+        assert worst <= 1e-13
+
+    def test_pieces_are_halved_near_a_sharp_apex(self):
+        """On the paraboloid a = 0.01, sqrt(E) bends within 0.01 of the apex,
+        where the 16-point rule alone misses the arc by 7.8e-11 on this
+        shot; a piece where the 8-point rule disagrees is halved instead."""
+        a = 0.01
+        arc = lambda u: 0.5 * (u * np.sqrt(1.0 + (u / a) ** 2)
+                               + a * np.arcsinh(u / a))
+        path = shoot(make_surface("paraboloid", a=a), SurfacePoint(0.1, 0.0),
+                     -math.pi / 2, 1.0)
+        s, u, v = path.samples[:, :3].T
+        want = np.where(v == 0.0, arc(0.1) - arc(u), arc(0.1) + arc(u))
+        assert v[-1] == math.pi
+        assert np.max(np.abs(s - want)) <= 1e-13
+
+    def test_sphere_meridian_of_length_ten(self, sphere):
+        """A unit-sphere meridian of length 10 from the equator passes the
+        poles three times and ends on its great circle."""
+        p = SurfacePoint(math.pi / 2, 0.3)
+        path = shoot(sphere, p, math.pi / 2, 10.0)
+        v = path.samples[:, 2]
+        assert np.array_equal(np.unique(v), 0.3 + math.pi * np.arange(4))
+        _, e_mer = sphere.embedding_frame(p)
+        want = sphere.embed(p) * math.cos(10.0) + e_mer * math.sin(10.0)
+        assert np.linalg.norm(sphere.embed(path.end()) - want) <= 1e-13
+        assert np.all(np.diff(path.samples[:, 0]) > 0.0)
+        assert path.samples[-1, 0] == 10.0
+
+    @staticmethod
+    def counted_sphere():
+        sphere = make_surface("sphere", radius=1.0)
+        scalar, batch = [], []
+        real_scalar = sphere.metric_terms
+        real_batch = sphere.metric_terms_batch
+        sphere.metric_terms = lambda u: (scalar.append(u), real_scalar(u))[1]
+        sphere.metric_terms_batch = lambda u: (batch.append(np.size(u)),
+                                               real_batch(u))[1]
+        return sphere, scalar, batch
+
+    def test_metric_calls_per_leg(self):
+        """The length-10 meridian's four legs each make one guard scan and
+        one arc batch of 24 pieces (24 nodes each) and 25 row points; the
+        endpoint takes one Newton evaluation on the unit sphere, and the
+        ending leg's rows one more arc batch.  The one scalar call is the
+        launch."""
+        sphere, scalar, batch = self.counted_sphere()
+        shoot(sphere, SurfacePoint(math.pi / 2, 0.3), math.pi / 2, 10.0)
+        assert len(scalar) == 1
+        assert batch == [513, 601] * 4 + [25, 601]
+
+    def test_start_on_the_chart_end_exits_at_once(self, paraboloid):
+        """A meridian launched outward from the chart's end has a leg of
+        no length: it leaves the chart at arc length 0."""
+        with pytest.raises(ChartExitError) as err:
+            shoot(paraboloid, SurfacePoint(paraboloid.u_max, 0.0),
+                  math.pi / 2, 1.0)
+        assert err.value.arc_length == 0.0
+
+    @pytest.mark.parametrize("kind,params,ua,direction", [
+        ("sphere", {"radius": 1.0}, math.pi, -1.0),     # inside the guard cap
+        ("sphere", {"radius": 1.0}, 1.0, -1.0),         # toward a closing end
+        ("cone", {"slope": 1.0}, 3.0, -1.0),            # toward the apex
+    ], ids=["guard-cap", "closing-end", "open-end"])
+    def test_guard_stop_equals_the_loop(self, kind, params, ua, direction):
+        surface = make_surface(kind, **params)
+        got = _guard_stop(surface, ua, direction)
+        assert got == _guard_stop_reference(surface, ua, direction)
+        assert got[1] == (kind == "sphere")
 
 
 class TestClairautConstant:
