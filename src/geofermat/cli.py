@@ -298,15 +298,11 @@ def run(command: str, scenario: Scenario | None, paths_dir=None,
     exit_code = 0
     try:
         if command == "verify":
-            results = run_suites(suites, report=lambda line:
-                                 print(line, file=sys.stderr))
+            results = run_suites(suites)
             report["results"]["verify"] = [
                 {"name": r.name, "criterion": r.criterion,
                  "passed": r.passed, "detail": r.detail,
-                 "elapsed_s": round(r.elapsed_s, 3),
-                 # numpy scalars unwrapped to Python bools, ints and floats
-                 "stats": {key: val.item() if hasattr(val, "item") else val
-                           for key, val in r.stats.items()}}
+                 "elapsed_s": round(r.elapsed_s, 3), "stats": r.stats}
                 for r in results
             ]
             if not all(r.passed for r in results):

@@ -24,9 +24,9 @@ It then iterates on the residual ``R = sum b_i U_i``, the negative
 gradient of f wherever the minimal geodesics are unique.  Each step is
 the Newton step of the exact Hessian ``sum b_i (m2_i / m1_i)(I - U_i U_i^T)``,
 with ``m1``, ``m2`` the Jacobi scalars at the end of branch i (``1 / L_i``
-on a flat surface, ``cot L_i`` on the unit sphere), or, when that fails
-to lower ``|R|``, the Weiszfeld step ``R / sum(b_i / L_i)`` halved until
-f drops.
+on a flat surface, ``cot L_i`` on the unit sphere), or its half or its
+quarter, or, when none of them lowers ``|R|``, the Weiszfeld step
+``R / sum(b_i / L_i)`` halved until f drops.
 
 After a step d from P to Q, each branch is re-connected warm, from the
 prediction of its new start rather than its old one.  With U_i the
@@ -267,11 +267,11 @@ class FermatResult:
     ``f_history`` holds f at the start and after each accepted step, and
     ``iterations`` counts those steps.  Branch lengths, and so f, are
     accurate to the length noise ``(b1 + b2 + b3) * resid_tol``.  A Newton
-    step lowers ``|R|`` and raises f by at most that noise.  A Weiszfeld
-    step strictly lowers f wherever its predicted drop, its length times
-    ``|R| / 2``, exceeds the noise; below it, where no drop can show, it
-    lowers ``|R|`` and raises f by at most the noise.  So f never rises
-    by more than the noise in one step.
+    step, whole or shortened, lowers ``|R|`` and raises f by at most that
+    noise.  A Weiszfeld step strictly lowers f wherever its predicted
+    drop, its length times ``|R| / 2``, exceeds the noise; below it, where
+    no drop can show, it lowers ``|R|`` and raises f by at most the
+    noise.  So f never rises by more than the noise in one step.
     """
 
     point: SurfacePoint
@@ -472,9 +472,11 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     regime the winning terminal is returned directly.  Otherwise one
     iteration runs until the balance residual ``|sum b_i U_i|`` drops
     below ``1e-8 * (b1 + b2 + b3)``, for at most 500 steps.
-    Each iteration keeps the Newton step of the exact Hessian (from the
-    branches' Jacobi scalars) when it lowers the residual without raising
-    ``f = sum b_i d(P, A_i)`` beyond the length noise, and otherwise takes
+    Each iteration tries the Newton step of the exact Hessian (from the
+    branches' Jacobi scalars), then its half, then its quarter, and keeps
+    the first that lowers the residual without raising
+    ``f = sum b_i d(P, A_i)`` beyond the length noise; a full step
+    can overshoot on a wide triangle.  When none does, it takes
     the Weiszfeld step, halved until f strictly drops or, once its
     predicted drop is within the noise, until it lowers the residual
     without raising f beyond the noise.  The first step leaves the
@@ -520,10 +522,13 @@ def solve_fermat(surface: ProfileSurface, points, weights,
         # the predicted starts of every trial from p share them
         warm = paths, [path.jacobi() for path in paths]
         d = _newton_step(*warm, b, r_par, r_mer)
-        step = None if d is None else _trial(
-            surface, p, math.atan2(d[1], d[0]), math.hypot(*d), pts, warm, b,
-            opts)
-        if not _noise_step(step, f_cur, f_noise, r_norm, b):
+        # the Newton step, then its half and its quarter
+        for scale in () if d is None else (1.0, 0.5, 0.25):
+            step = _trial(surface, p, math.atan2(d[1], d[0]),
+                          scale * math.hypot(*d), pts, warm, b, opts)
+            if _noise_step(step, f_cur, f_noise, r_norm, b):
+                break
+        else:
             lam = r_norm / sum(bi / path.length for bi, path in zip(b, paths))
             step = _descend(surface, p, math.atan2(r_mer, r_par), lam, f_cur,
                             r_norm, pts, warm, b, opts)

@@ -1,15 +1,20 @@
 """Built-in verification suites.
 
 Each suite checks one oracle- or property-based claim at a fixed seed and
-a fixed tolerance, and returns ``(passed, one-line detail, stats)``;
-``run_suites`` times it and names it by its key in ``SUITES``.  The
-oracles are independent of the code paths they check: closed forms on the
-sphere, cylinder and plane, an independent flat-space Weiszfeld
+returns the values it measured, as a dict of plain bools, ints and floats.
+``SUITES`` pairs each suite with its bounds: each names one measured value,
+or ``elapsed_s``, the time ``run_suites`` takes it to run, a comparison
+("at most", "more than" or "equal to") and a limit.  ``run_suites`` passes
+a suite when every bound holds, and names it by its key in ``SUITES``.
+The oracles are independent of the code paths they check: closed forms on
+the sphere, cylinder and plane, an independent flat-space Weiszfeld
 iteration, planted-tree constructions, and direct evaluation of the
 closed-form identities.
 """
 
 import math
+import operator
+import sys
 import time
 from dataclasses import dataclass
 
@@ -67,30 +72,25 @@ def _sphere_pair(rng, sep_lo=0.1, sep_hi=2.5, pole_margin=0.25):
         return SurfacePoint(ua, va), SurfacePoint(ub, vb), sep
 
 
-def suite_sphere_distance(n=200, seed=101):
+def suite_sphere_distance():
     """Criterion 1: connect length vs the great-circle closed form."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(101)
     sphere = make_surface("sphere", radius=1.0)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(200):
         A, B, sep = _sphere_pair(rng)
         length = connect_geodesic(sphere, A, B).length
         worst = max(worst, abs(length - sep) / sep)
-    elapsed = time.perf_counter() - t0
-    return (worst <= 1e-7 and elapsed <= 30.0,
-            f"{n} pairs, max relative error {worst:.3e} (tol 1e-7), "
-            f"{elapsed:.1f}s (budget 30s)",
-            {"pairs": n, "max_rel_err": worst})
+    return {"pairs": 200, "max_rel_err": worst}
 
 
-def suite_cylinder_unroll(n=100, seed=202):
+def suite_cylinder_unroll():
     """Criterion 2: connect vs the unrolled-strip closed form with
     windings in {-1, 0, 1}."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(202)
     cyl = make_surface("cylinder", radius=1.0)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         ua, ub = rng.uniform(-3.0, 3.0, 2)
         va = rng.uniform(-math.pi, math.pi)
         dv = rng.uniform(-2.5 * math.pi, 2.5 * math.pi)
@@ -101,14 +101,13 @@ def suite_cylinder_unroll(n=100, seed=202):
         length = connect_geodesic(cyl, SurfacePoint(ua, va),
                                   SurfacePoint(ub, va + dv)).length
         worst = max(worst, abs(length - expected) / expected)
-    return (worst <= 1e-7,
-            f"{n} pairs, max relative error {worst:.3e} (tol 1e-7)",
-            {"pairs": n, "max_rel_err": worst})
+    return {"pairs": 100, "max_rel_err": worst}
 
 
-def suite_clairaut_drift(n_each=50, seed=303):
-    """Criterion 3: first-integral drift on random shots of length <= 3."""
-    rng = np.random.default_rng(seed)
+def suite_clairaut_drift():
+    """Criterion 3: first-integral drift on random shots of length <= 3,
+    each over its budget ``1e-8 * max(1, rho)`` and scaled by 1e-8."""
+    rng = np.random.default_rng(303)
     cases = [
         ("sphere", make_surface("sphere", radius=1.0),
          lambda: rng.uniform(0.6, math.pi - 0.6), math.sin(0.25)),
@@ -120,7 +119,7 @@ def suite_clairaut_drift(n_each=50, seed=303):
     worst = 0.0
     worst_unit = 0.0
     for _, surface, draw_u, c_floor in cases:
-        for _ in range(n_each):
+        for _ in range(50):
             u0 = draw_u()
             v0 = rng.uniform(-math.pi, math.pi)
             length = rng.uniform(0.5, 3.0)
@@ -133,10 +132,7 @@ def suite_clairaut_drift(n_each=50, seed=303):
             bound = 1e-8 * max(1.0, path.rho_max())
             worst = max(worst, path.c_drift / bound * 1e-8)
             worst_unit = max(worst_unit, path.unit_defect / bound * 1e-8)
-    return (worst <= 1e-8 and worst_unit <= 1e-8,
-            f"{3 * n_each} shots, max drift {worst:.3e} and unit-speed "
-            f"defect {worst_unit:.3e} (tol 1e-8 * max(1, rho))",
-            {"shots": 3 * n_each, "max_drift": worst, "max_unit": worst_unit})
+    return {"shots": 150, "max_drift": worst, "max_unit": worst_unit}
 
 
 def _weiszfeld(points_xy, b, tol=1e-14, max_iter=200_000):
@@ -164,15 +160,15 @@ def _valid_weights(rng, lo=0.6, hi=1.8, margin=0.0):
             return tuple(float(x) for x in b)
 
 
-def suite_plane_weiszfeld(n=50, seed=404):
+def suite_plane_weiszfeld():
     """Criterion 4: the surface solver on the flat chart against an
     independent Weiszfeld iteration in the embedding plane."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(404)
     plane = make_surface("plane")
     worst_pos = 0.0
     worst_ang = 0.0
     done = 0
-    while done < n:
+    while done < 50:
         v1 = rng.uniform(-0.5, 0.5)
         v2 = v1 + rng.uniform(0.55, 1.05)
         v3 = v2 + rng.uniform(0.55, 1.05)
@@ -195,10 +191,7 @@ def suite_plane_weiszfeld(n=50, seed=404):
         worst_ang = max(worst_ang, max(
             abs(a - e) for a, e in zip(res.sector_angles, expected)))
         done += 1
-    return (worst_pos <= 1e-6 and worst_ang <= 1e-6,
-            f"{n} triangles, max position gap {worst_pos:.3e} (tol 1e-6), "
-            f"max angle gap {worst_ang:.3e} rad (tol 1e-6)",
-            {"triangles": n, "max_pos": worst_pos, "max_ang": worst_ang})
+    return {"triangles": done, "max_pos": worst_pos, "max_ang": worst_ang}
 
 
 def _planted_case(surface, rng, u_lo, u_hi):
@@ -214,9 +207,9 @@ def _planted_case(surface, rng, u_lo, u_hi):
     return b, center, terminals, phi
 
 
-def suite_planted_recovery(n_each=20, seed=505):
+def suite_planted_recovery():
     """Criterion 5: recover a planted branching point on three surfaces."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(505)
     cases = [
         (make_surface("sphere", radius=1.0), 1.0, 2.1),
         (make_surface("paraboloid", a=1.0), 0.9, 1.6),
@@ -225,7 +218,7 @@ def suite_planted_recovery(n_each=20, seed=505):
     worst_pos = 0.0
     worst_ang = 0.0
     for surface, u_lo, u_hi in cases:
-        for _ in range(n_each):
+        for _ in range(20):
             b, center, terminals, phi = _planted_case(surface, rng, u_lo, u_hi)
             res = solve_fermat(surface, terminals, b)
             E, G, _, _, _ = surface.metric_terms(center.u)
@@ -234,27 +227,21 @@ def suite_planted_recovery(n_each=20, seed=505):
             worst_pos = max(worst_pos, gap)
             worst_ang = max(worst_ang, max(
                 abs(a - e) for a, e in zip(res.sector_angles, phi)))
-    return (worst_pos <= 1e-5 and worst_ang <= 1e-5,
-            f"{3 * n_each} trees, max position gap {worst_pos:.3e} "
-            f"(tol 1e-5), max angle gap {worst_ang:.3e} rad (tol 1e-5)",
-            {"trees": 3 * n_each, "max_pos": worst_pos, "max_ang": worst_ang})
+    return {"trees": 60, "max_pos": worst_pos, "max_ang": worst_ang}
 
 
-def suite_inverse_round_trip(n=1000, seed=606):
+def suite_inverse_round_trip():
     """Criterion 6: weights -> angles -> weights is the identity."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(606)
     worst = 0.0
     worst_sum = 0.0
-    for _ in range(n):
+    for _ in range(1000):
         b = _valid_weights(rng, lo=0.1, hi=5.0, margin=1e-3)
         angles = sector_angles_from_weights(b)
         worst_sum = max(worst_sum, abs(sum(angles) - TWO_PI))
         back = weights_from_sector_angles(angles, total=sum(b)).astuple()
         worst = max(worst, max(abs(x - y) for x, y in zip(b, back)))
-    return (worst <= 1e-10 and worst_sum <= 1e-12,
-            f"{n} triples, max weight error {worst:.3e} (tol 1e-10), "
-            f"max angle-sum error {worst_sum:.3e} (tol 1e-12)",
-            {"triples": n, "max_err": worst, "max_sum_err": worst_sum})
+    return {"triples": 1000, "max_err": worst, "max_sum_err": worst_sum}
 
 
 def _acute_weights(rng):
@@ -270,17 +257,19 @@ def _acute_weights(rng):
             return tuple(float(x) for x in b)
 
 
-def suite_root_consistency(n=500, seed=707):
+def suite_root_consistency():
     """Criterion 7: exactly one quadratic root per ratio reproduces the
     angular relations; the published sign of the first ratio is wrong at
-    the documented configuration."""
-    rng = np.random.default_rng(seed)
+    the documented configuration.  ``failures`` counts the draws whose
+    sector angles miss 2 pi by more than 1e-12 and the samples (the draws
+    whose alpha1 window is wide enough to sample) without exactly one
+    matching root per ratio."""
+    rng = np.random.default_rng(707)
     failures = 0
-    worst_sum = 0.0
-    for _ in range(n):
+    samples = 0
+    for _ in range(500):
         b = _acute_weights(rng)
-        phi = sector_angles_from_weights(b)
-        worst_sum = max(worst_sum, abs(sum(phi) - TWO_PI))
+        failures += abs(sum(sector_angles_from_weights(b)) - TWO_PI) > 1e-12
         lo, hi = alpha1_window(b)
         lo = max(lo + 0.05 * (hi - lo), 0.5 * math.pi + 0.06)
         hi = hi - 0.05 * (hi - lo)
@@ -292,29 +281,24 @@ def suite_root_consistency(n=500, seed=707):
         ratio3 = pc.c3 / pc.c1
         n2 = sum(1 for r in pc.c2_roots if abs(r - ratio2) <= 1e-12)
         n3 = sum(1 for r in pc.c3_roots if abs(r - ratio3) <= 1e-12)
-        if n2 != 1 or n3 != 1:
-            failures += 1
+        failures += n2 != 1 or n3 != 1
+        samples += 1
     printed = predict_clairaut_constants((1.0, 1.0, 1.0),
                                          math.radians(100.0), 1.0)
     sign_flagged = (not printed.printed_sign_ok_c2
                     and printed.printed_sign_ok_c3
                     and printed.c2_match_err <= 1e-12
                     and printed.c3_match_err <= 1e-12)
-    return (failures == 0 and worst_sum <= 1e-12 and sign_flagged,
-            f"{n} samples, {failures} root-selection failures, angle-sum "
-            f"error {worst_sum:.3e} (tol 1e-12); published first-ratio sign "
-            f"mismatch at equal weights / 100 deg "
-            f"{'reproduced' if sign_flagged else 'MISSING'}",
-            {"samples": n, "failures": failures,
-             "printed_sign_flagged": sign_flagged})
+    return {"samples": samples, "failures": failures,
+            "printed_sign_flagged": sign_flagged}
 
 
-def suite_sine_rule(n=1000, seed=808):
+def suite_sine_rule():
     """Criterion 8: weight / sin(opposite sector) is branch-independent
     and equals the corrected circumdiameter; the published form differs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(808)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(1000):
         b = _valid_weights(rng, lo=0.2, hi=3.0, margin=1e-3)
         check = law_of_sines_diameter(b)
         scale = max(1.0, check.d_corrected)
@@ -325,18 +309,15 @@ def suite_sine_rule(n=1000, seed=808):
     printed_differs = (abs(equal.d_printed - 2.0) <= 1e-12
                        and abs(equal.d_corrected - 2.0 / math.sqrt(3.0))
                        <= 1e-12 and not equal.printed_matches)
-    return (worst <= 1e-12 and printed_differs,
-            f"{n} triples, max law-of-sines deviation {worst:.3e} "
-            f"(tol 1e-12); published equal-weight value 2 vs corrected "
-            f"2/sqrt(3) {'documented' if printed_differs else 'MISSING'}",
-            {"triples": n, "max_dev": worst,
-             "printed_differs": printed_differs})
+    return {"triples": 1000, "max_dev": worst,
+            "printed_differs": printed_differs}
 
 
-def suite_rotation_invariance(seed=909):
+def suite_rotation_invariance():
     """Criterion 9: recovered weights are rotation-invariant while the
-    branch constants change."""
-    rng = np.random.default_rng(seed)
+    branch constants change: 4 trees, each turned by 0 to 50 degrees; the
+    constants' spread is taken over the 1e-3 * rho floor."""
+    rng = np.random.default_rng(909)
     deltas = [math.radians(d) for d in range(0, 51, 10)]
     cases = [
         (make_surface("paraboloid", a=1.0), SurfacePoint(1.0, 0.2), 1.9),
@@ -352,14 +333,10 @@ def suite_rotation_invariance(seed=909):
             worst_w = max(worst_w, exp.weight_spread)
             min_spread = min(min_spread,
                              min(s / (1e-3 * rho0) for s in exp.clairaut_spread))
-    return (worst_w <= 1e-6 and min_spread > 1.0,
-            f"4 trees x {len(deltas)} rotations: recovered-weight spread "
-            f"{worst_w:.3e} (tol 1e-6); smallest constant spread "
-            f"{min_spread:.3g}x the 1e-3*rho floor",
-            {"weight_spread": worst_w, "min_spread_ratio": min_spread})
+    return {"weight_spread": worst_w, "min_spread_ratio": min_spread}
 
 
-def suite_sphere_probe(seed=1010):
+def suite_sphere_probe():
     """Criterion 10: the sphere sine-ratio probe reports deterministic
     deviations, is exact for the proportional construction, and flags
     positivity violations instead of asserting the claim."""
@@ -404,37 +381,52 @@ def suite_sphere_probe(seed=1010):
         checks["meridian_error"] = False
     except UndefinedRatioError:
         checks["meridian_error"] = True
-
-    ok = (checks["proportional_dev"] <= 1e-6
-          and checks["proportional_positive"]
-          and checks["violation_flagged"]
-          and checks["deterministic"]
-          and checks["meridian_error"])
-    return (ok,
-            f"proportional deviation {checks['proportional_dev']:.3e} "
-            f"(tol 1e-6); positivity violation flagged: "
-            f"{checks['violation_flagged']}; deterministic report: "
-            f"{checks['deterministic']}; meridian case undefined: "
-            f"{checks['meridian_error']}",
-            checks)
+    return checks
 
 
+# each bound: (measured value or "elapsed_s", comparison, limit)
 SUITES = {
-    "sphere-distance": suite_sphere_distance,
-    "cylinder-unroll": suite_cylinder_unroll,
-    "clairaut-drift": suite_clairaut_drift,
-    "plane-weiszfeld": suite_plane_weiszfeld,
-    "planted-recovery": suite_planted_recovery,
-    "inverse-round-trip": suite_inverse_round_trip,
-    "root-consistency": suite_root_consistency,
-    "sine-rule-diameter": suite_sine_rule,
-    "rotation-invariance": suite_rotation_invariance,
-    "sphere-ratio-probe": suite_sphere_probe,
+    "sphere-distance": (suite_sphere_distance, (
+        ("max_rel_err", "at most", 1e-7), ("elapsed_s", "at most", 30.0))),
+    "cylinder-unroll": (suite_cylinder_unroll, (
+        ("max_rel_err", "at most", 1e-7),)),
+    "clairaut-drift": (suite_clairaut_drift, (
+        ("max_drift", "at most", 1e-8), ("max_unit", "at most", 1e-8))),
+    "plane-weiszfeld": (suite_plane_weiszfeld, (
+        ("max_pos", "at most", 1e-6), ("max_ang", "at most", 1e-6))),
+    "planted-recovery": (suite_planted_recovery, (
+        ("max_pos", "at most", 1e-5), ("max_ang", "at most", 1e-5))),
+    "inverse-round-trip": (suite_inverse_round_trip, (
+        ("max_err", "at most", 1e-10), ("max_sum_err", "at most", 1e-12))),
+    "root-consistency": (suite_root_consistency, (
+        ("failures", "equal to", 0),
+        ("printed_sign_flagged", "equal to", True))),
+    "sine-rule-diameter": (suite_sine_rule, (
+        ("max_dev", "at most", 1e-12), ("printed_differs", "equal to", True))),
+    "rotation-invariance": (suite_rotation_invariance, (
+        ("weight_spread", "at most", 1e-6),
+        ("min_spread_ratio", "more than", 1.0))),
+    "sphere-ratio-probe": (suite_sphere_probe, (
+        ("proportional_dev", "at most", 1e-6),
+        ("proportional_positive", "equal to", True),
+        ("violation_flagged", "equal to", True),
+        ("deterministic", "equal to", True),
+        ("meridian_error", "equal to", True))),
 }
 
+_COMPARE = {"at most": operator.le, "more than": operator.gt,
+            "equal to": operator.eq}
 
-def run_suites(names=None, report=print):
-    """Run the named suites (all by default); returns the SuiteResult list."""
+
+def _show(x):
+    return f"{x:.3g}" if isinstance(x, float) else str(x)
+
+
+def run_suites(names=None):
+    """Run the named suites (all by default), each passing when every bound
+    of its ``SUITES`` entry holds; prints one ``[PASS]`` or ``[FAIL]`` line
+    per suite to stderr, with each bounded value and its limit, and returns
+    the SuiteResult list."""
     order = list(SUITES)
     selected = order if names is None else list(names)
     if not selected:
@@ -445,13 +437,17 @@ def run_suites(names=None, report=print):
                            f"choose from {sorted(SUITES)}")
     results = []
     for name in selected:
+        suite, bounds = SUITES[name]
         t0 = time.perf_counter()
-        passed, detail, stats = SUITES[name]()
-        result = SuiteResult(name, order.index(name) + 1, bool(passed),
-                             detail, time.perf_counter() - t0, stats)
+        stats = suite()
+        measured = {**stats, "elapsed_s": time.perf_counter() - t0}
+        passed = all(_COMPARE[test](measured[key], limit)
+                     for key, test, limit in bounds)
+        detail = "; ".join(f"{key} {_show(measured[key])} ({test} "
+                           f"{_show(limit)})" for key, test, limit in bounds)
+        result = SuiteResult(name, order.index(name) + 1, passed, detail,
+                             measured["elapsed_s"], stats)
         results.append(result)
-        if report is not None:
-            status = "PASS" if result.passed else "FAIL"
-            report(f"[{status}] criterion {result.criterion:2d} "
-                   f"{result.name}: {result.detail}")
+        print(f"[{'PASS' if passed else 'FAIL'}] criterion "
+              f"{result.criterion:2d} {name}: {detail}", file=sys.stderr)
     return results

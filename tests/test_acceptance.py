@@ -61,6 +61,14 @@ def test_criterion_07_root_consistency(verify_run):
     _check(verify_run, 7)
 
 
+def test_root_consistency_counts_the_samples_it_checks(verify_run):
+    """33 of the 500 draws have an alpha1 window too narrow to sample;
+    the suite reports the 467 it checked."""
+    _, _, rows = verify_run
+    row = next(r for r in rows if r["name"] == "root-consistency")
+    assert row["stats"]["samples"] == 467
+
+
 def test_criterion_08_sine_rule_identity(verify_run):
     _check(verify_run, 8)
 
@@ -86,3 +94,14 @@ def test_criterion_11_verify_command(verify_run):
     for r in rows:
         assert r["stats"] and all(isinstance(val, (bool, int, float))
                                   for val in r["stats"].values())
+
+
+def test_every_bound_names_a_measured_value(verify_run):
+    """Each bound in SUITES reads a value its suite returns, or the time
+    it took, so a misspelt key cannot pass unread."""
+    _, _, rows = verify_run
+    for r in rows:
+        _, bounds = SUITES[r["name"]]
+        assert bounds
+        for key, _, _ in bounds:
+            assert key in r["stats"] or key == "elapsed_s", (r["name"], key)

@@ -824,17 +824,42 @@ class TestVerifyCommand:
         assert names == ["inverse-round-trip", "sine-rule-diameter"]
         assert all(r["passed"] for r in report["results"]["verify"])
 
-    def test_failing_suite_maps_to_exit_3(self, monkeypatch):
-        def broken():
-            return False, "synthetic failure", {}
+    def test_failing_suite_maps_to_exit_3(self, monkeypatch, capsys):
+        """A measured value past its bound fails the row; the detail and
+        the stderr line name that value and its limit."""
+        broken = (lambda: {"err": 0.5, "n": 3},
+                  (("n", "equal to", 3), ("err", "at most", 0.1)))
         monkeypatch.setitem(verify_mod.SUITES, "broken", broken)
         code, report = cli.run("verify", None, suites=["broken"])
         assert code == 3
         row = report["results"]["verify"][0]
         assert not row["passed"]
+        assert row["detail"] == "n 3 (equal to 3); err 0.5 (at most 0.1)"
+        assert row["stats"] == {"err": 0.5, "n": 3}
         # named by its key and numbered by its place in SUITES
         assert (row["name"], row["criterion"]) == ("broken",
                                                    len(verify_mod.SUITES))
+        assert capsys.readouterr().err == (
+            f"[FAIL] criterion {row['criterion']:2d} broken: "
+            f"{row['detail']}\n")
+
+    @pytest.mark.parametrize("bound,passed,detail", [
+        (("elapsed_s", "at most", 60.0), True, " (at most 60)"),
+        (("elapsed_s", "more than", 60.0), False, " (more than 60)"),
+        (("ratio", "more than", 1.0), True, "ratio 2 (more than 1)"),
+        (("ratio", "more than", 2.0), False, "ratio 2 (more than 2)"),
+        (("flag", "equal to", True), False, "flag False (equal to True)"),
+    ])
+    def test_each_comparison_decides_the_row(self, monkeypatch, bound,
+                                             passed, detail):
+        """A bound reads a value the suite returned, or the time the suite
+        took, ``elapsed_s``."""
+        monkeypatch.setitem(verify_mod.SUITES, "probe", (
+            lambda: {"ratio": 2.0, "flag": False}, (bound,)))
+        [result] = verify_mod.run_suites(["probe"])
+        assert result.passed is passed
+        assert result.detail.startswith(bound[0])
+        assert result.detail.endswith(detail)
 
     def test_unknown_suite_is_config_error(self):
         code, report = cli.run("verify", None, suites=["no-such-suite"])
@@ -848,8 +873,8 @@ class TestVerifyCommand:
         assert report["results"] == {}
 
     def test_empty_suite_option_means_all(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify_mod, "SUITES",
-                            {"only": lambda: (True, "fine", {"n": 1})})
+        monkeypatch.setattr(verify_mod, "SUITES", {
+            "only": (lambda: {"n": 1}, (("n", "equal to", 1),))})
         assert cli.main(["verify", "--suite", ""]) == 0
         rows = json.loads(capsys.readouterr().out)["results"]["verify"]
         assert [(r["name"], r["criterion"]) for r in rows] == [("only", 1)]
@@ -885,6 +910,7 @@ class TestBundledScenarios:
         ("torus_planted.json", "fermat-solve"),
         ("torus_planted.json", "clairaut-report"),
         ("torus_pair.json", "connect"),
+        ("sphere_wide.json", "fermat-solve"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)

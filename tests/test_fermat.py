@@ -431,6 +431,31 @@ class TestSolveFermat:
             steps.append(res.iterations)
         assert np.mean(steps) <= 6.0
 
+    def test_wide_sphere_triangle_takes_shortened_newton_steps(self):
+        """``sphere_wide.json``, a wide triangle whose full Newton steps
+        overshoot: trying the step's half and quarter before a Weiszfeld
+        step solves it in 5 accepted steps, where falling back to the
+        Weiszfeld step at once crept there in 118."""
+        scn = load_scenario(Path(__file__).parent.parent / "scenarios"
+                            / "sphere_wide.json")
+        res = solve_fermat(scn.surface, scn.terminals(), scn.weights)
+        assert res.mode == "interior"
+        assert res.iterations <= 8
+        assert res.f_value == pytest.approx(3.303549184758, abs=1e-9)
+
+    def test_catenoid_tree_with_alternating_residual(self, catenoid):
+        """Halving the Newton step until f drops, with no test on ``|R|``,
+        sent this tree's residual between 1.267 and 1.435 until the cap
+        of 500 steps; a shortened step, like the full one, is taken only
+        when it also lowers ``|R|``."""
+        pts = [SurfacePoint(0.10298360668641515, 3.344282055922602),
+               SurfacePoint(-0.6986256982805022, 3.842536570119723),
+               SurfacePoint(0.6364537493483771, 1.9556995578583802)]
+        b = (0.9233387200991042, 1.3998426414943403, 1.1734531280933962)
+        res = solve_fermat(catenoid, pts, b)
+        assert res.mode == "interior"
+        assert res.f_value == pytest.approx(3.2874358953, abs=1e-9)
+
     def test_iteration_cap(self, paraboloid, monkeypatch):
         pts = self.interior_points(paraboloid)
         monkeypatch.setattr(fermat_mod, "_MAX_ITER", 1)
