@@ -220,6 +220,18 @@ class SineRatioProbe:
 
     ``all_positive`` reports the positivity hypothesis ``c_i > 0``; when
     it fails the deviations are still reported, never asserted.
+
+    At a balanced tree ``all_positive`` is False.  The balance ``sum b_i
+    U_i = 0`` has the parallel component ``sum b_i cos(theta_i) = 0``,
+    which times rho0 is ``sum b_i c_i = 0``; with positive weights the
+    constants then take both signs or all vanish.  So ``clairaut-report``
+    warns of positivity at every interior Fermat tree on a sphere, as on
+    ``scenarios/sphere_planted.json``, ``sphere_triangle.json`` and
+    ``sphere_large.json``.  With signed constants the ratio claim would
+    give ``sum b_i c_i = sum(c) sum(b_i^2) / sum(b)``, which is 0 only
+    when ``sum(c) = 0``, where the ratios are undefined.  Whether the
+    paper means unsigned constants ``|c_i|`` is an open question about
+    the paper; this probe keeps them signed and does not settle it.
     """
 
     ratios: tuple

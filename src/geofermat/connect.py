@@ -14,7 +14,15 @@ v-travel exceeds half a turn is no shorter than (u(t), A.v + lam (v(t) -
 A.v)) with |lam| < 1, which keeps its u-travel and ends at a nearer copy
 of B.  The shortest curve from A therefore ends at B*, whose v-travel is
 at most pi, or at the copy of winding +-1 only when B lies exactly half a
-turn from A.  A cold connect runs in five steps:
+turn from A.
+
+``_check_cold`` is the one place that names the copies a cold pair
+searches: a table mapping each search winding j to its copy ``(B.u, B*.v
++ 2 pi j)``, each one surface point.  The seed aims at the table's copy
+0, and the settling bounds, the screen and every polish start read their
+copies from it; ``_newton`` aims at whichever copy it is given, weighing
+the residual with the frame scales at that copy's u.  A cold connect runs
+in five steps:
 
 1. Seed.  Newton aimed at B* (winding 0) from the kind's closed-form
    geodesic to B* (``ProfileSurface.closed_form``): the great circle on
@@ -24,7 +32,8 @@ turn from A.  A cold connect runs in five steps:
    Other kinds, and pairs where the form is undefined (antipodal on the
    sphere, a developed angle of pi or more), start from the chord seed:
    the embedded chord's heading, with the chord as length; only it and
-   the fan of step 3 read the chord, so only they embed A and B*.
+   the fan of step 3 read the chord, so only they embed A and B*, and a
+   warm connect or a pair settled at its closed-form seed embeds neither.
 2. Settle.  When the seed converged to a length L*, a search
    winding is settled when no other candidate of it can be shorter than
    L*, tie with it or make it ambiguous:
@@ -34,7 +43,7 @@ turn from A.  A cold connect runs in five steps:
      distinct geodesics from A to B* would bound a disc D with two
      corners of interior angles a1, a2 > 0, and Gauss-Bonnet would give
      ``int_D K dA = a1 + a2 > 0``.  So B* has one geodesic from A;
-   - winding k, when ``hypot(arc_lo, phi_band |B*.v + 2 pi k - A.v|)``
+   - winding j, when ``hypot(arc_lo, phi_band |B*.v + 2 pi j - A.v|)``
      exceeds ``bar = L* + 2 _AMBIGUITY_TOL``.  Only curves at most ``bar``
      long matter.  With ``arc(a, b) = |int_a^b sqrt(E) du|`` the meridian
      arc, each point x of such a curve has ``arc(A.u, x.u) + arc(x.u,
@@ -58,13 +67,13 @@ turn from A.  A cold connect runs in five steps:
    ``inj_floor`` hold for the whole surface and come from
    ``ProfileSurface.bounds``.  A pair whose search windings are all
    settled runs no fan: its answer is the seed's geodesic.
-3. Fan.  A cheap fixed-step fan of headings (batched RK4), the chord
-   heading among them.  When the seed converged to a length L*,
-   the fan keeps its step h but runs only ``ceil(1.1 L* / h) + 2`` of its
-   steps, so its samples are a prefix of the full fan's.  A lane passes
-   nearest B* no later than the length of the geodesic it shadows, so
-   samples beyond ``1.1 L* + 2h`` could only seed geodesics longer than
-   the one in hand.  Otherwise the fan runs in full.
+3. Fan.  A cheap fixed-step fan of 16 fixed, evenly spaced headings
+   (batched RK4), plus the chord heading.  When the seed converged to a
+   length L*, the fan keeps its step h but runs only ``ceil(1.1 L* / h)
+   + 2`` of its steps, so its samples are a prefix of the full fan's.  A
+   lane passes nearest B* no later than the length of the geodesic it
+   shadows, so samples beyond ``1.1 L* + 2h`` could only seed geodesics
+   longer than the one in hand.  Otherwise the fan runs in full.
 4. Screen.  Each lane's nearest pass to every search winding of
    B* is a seed; the best few go on, skipping any seed within ``pi /
    16`` of the heading of a pick of its winding.  A converged seed from
@@ -99,7 +108,7 @@ answer ambiguous.  A cold pair's curve runs along the meridian from A.u
 to B.u and along the shorter of the two parallels, ``reach = arc_hi +
 min(phi(A.u), phi(B.u)) |B*.v - A.v|``, ``arc_hi`` an upper bound on the
 meridian arc (no cap when the arc's integral fails).  A warm connect is
-given its bound by the caller.
+given its bound by the caller.  So the search has no fixed length limit.
 
 Every Newton shot is a ``shoot``, and a converged candidate keeps its
 path: the geodesic returned is the shot whose residual converged, not a
@@ -160,8 +169,9 @@ _MIN_SHOOT_TOL = 1e-16
 
 @dataclass(frozen=True)
 class ConnectOptions:
-    """Tolerances of a connect: the endpoint residual that counts as
-    converged and the integrator's error tolerance."""
+    """Tolerances of a connect, the package's one options record: the
+    endpoint residual that counts as converged and the integrator's error
+    tolerance."""
 
     resid_tol: float = 1e-10
     shoot_tol: float = DEFAULT_TOL
@@ -214,13 +224,20 @@ def _root_distance(theta, L, root):
                abs(L - L_k) / max(1.0, L_k))
 
 
-def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts,
-            known=()):
-    """Damped Newton on the 2-D endpoint residual, its steps capped at
-    length ``reach + 2 _AMBIGUITY_TOL``.  Returns a _Candidate with the
-    converged residual and shot, or None; the shots made; and the message
-    of the integrator's SolveError when the last shot raised one, else
-    None (a chart exit is the shot's end, not an integrator fault).
+def _scales(surface, u):
+    """The frame scales ``(sqrt(E), sqrt(G))`` at u, which weigh the
+    endpoint residual's u and v parts into lengths near a copy of B."""
+    E, G, _, _, _ = surface.metric_terms(u)
+    return math.sqrt(E), math.sqrt(G)
+
+
+def _newton(surface, A, B, theta0, L0, reach, opts, known=()):
+    """Damped Newton on the 2-D endpoint residual toward the point B (a
+    copy of the pair's target), its steps capped at length ``reach + 2
+    _AMBIGUITY_TOL``.  Returns a _Candidate with the converged residual
+    and shot, or None; the shots made; and the message of the
+    integrator's SolveError when the last shot raised one, else None (a
+    chart exit is the shot's end, not an integrator fault).
 
     ``known`` holds the ``(theta, length)`` of roots already found for
     the same target.  A start whose full Newton step, from an iterate x
@@ -231,6 +248,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts,
     theta, L = theta0, max(L0, 1e-12)
     cap = reach + 2.0 * _AMBIGUITY_TOL
     shots, fault = 0, None
+    s_e, s_g = _scales(surface, B.u)
 
     def res(th, ln):
         nonlocal shots, fault
@@ -243,7 +261,7 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts,
             fault = str(exc)
             return None
         _, u, v, du, dv = path.samples[-1].tolist()
-        return (s_e * (u - u_t), s_g * (v - v_t), du, dv, path)
+        return (s_e * (u - B.u), s_g * (v - B.v), du, dv, path)
 
     cur = res(theta, L)
     if cur is None:
@@ -295,10 +313,9 @@ def _newton(surface, A, u_t, v_t, s_e, s_g, theta0, L0, reach, opts,
 
 
 def _check_pair(surface, A, B):
-    """Chart checks of one pair.  Returns the copy ``B* = (B.u, B.v + 2 pi
-    k)`` of B nearest A, the whole turns ``k`` and the frame scales ``(B*,
-    k, s_e, s_g)``, or None when A and B coincide; no chord, which only
-    the chord seed and the fan read (``_chord``)."""
+    """Chart checks of one pair.  Returns the whole turns ``k`` from B to
+    the copy ``B* = (B.u, B.v + 2 pi k)`` of B nearest A, or None when A
+    and B coincide."""
     surface.check_point(A)
     surface.check_point(B)
     turns = (A.v - B.v) / TWO_PI
@@ -307,58 +324,61 @@ def _check_pair(surface, A, B):
                          "not finite")
     if A.coincides(B):
         return None
-    k = round(turns)
-    near = SurfacePoint(B.u, B.v + TWO_PI * k)
-    E_b, G_b, _, _, _ = surface.metric_terms(B.u)
-    return near, k, math.sqrt(E_b), math.sqrt(G_b)
+    return round(turns)
 
 
 def _check_cold(surface, A, B):
-    """``_check_pair`` for a pair that goes to the cold search, which also
-    bounds the length of its answer by the meridian arc ``|int sqrt(E)
-    du|`` over [A.u, B.u]: every curve from A to B is at least that long.
-    The target gains a lower bound ``arc_lo`` on that arc and the reach
-    (module docstring), ``(B*, k, s_e, s_g, arc_lo, reach)``, no chord."""
-    target = _check_pair(surface, A, B)
-    if target is None:
+    """``_check_pair`` for a pair that goes to the cold search, and the one
+    place that names the copies of B it searches.  Returns ``(copies, k,
+    arc_lo, reach)``, or None when A and B coincide: ``copies`` maps each
+    search winding j from B* to its copy ``(B.u, B*.v + 2 pi j)``, in the
+    order ``_WINDINGS``; ``arc_lo`` is a lower bound on the meridian arc
+    ``|int sqrt(E) du|`` over [A.u, B.u], which every curve from A to B is
+    at least as long as, and ``reach`` the length of a curve known to join
+    them (module docstring).  No chord: only the chord seed and the fan
+    read it (``_chord``)."""
+    k = _check_pair(surface, A, B)
+    if k is None:
         return None
+    copies = {j: SurfacePoint(B.u, (B.v + TWO_PI * k) + TWO_PI * j)
+              for j in _WINDINGS}
     # full_output keeps quad quiet and appends a message when it fails; a
     # failed quad bounds nothing
     out = quad(lambda u: math.sqrt(surface.metric_terms(u)[0]), A.u, B.u,
                full_output=1)
     if len(out) != 3:
-        return (*target, 0.0, math.inf)
+        return copies, k, 0.0, math.inf
     arc, err = abs(out[0]), out[1]
     phi = min(surface.metric_terms(A.u)[4], surface.metric_terms(B.u)[4])
-    return (*target, max(0.0, arc - err),
-            arc + err + phi * abs(target[0].v - A.v))
+    return (copies, k, max(0.0, arc - err),
+            arc + err + phi * abs(copies[0].v - A.v))
 
 
-def _winding_bound(surface, A, target, k, bar):
-    """A lower bound on the length of every curve from A to the copy
-    ``B*.v + 2 pi k`` of B that is at most ``bar`` long:
-    ``hypot(arc_lo, phi_band |dv|)``, with phi_band the floor on phi over
-    the u-band such a curve can reach (step 2 of the module docstring)."""
-    near, arc_lo = target[0], target[4]
+def _winding_bound(surface, A, copy, arc_lo, bar):
+    """A lower bound on the length of every curve from A to ``copy``, a
+    copy of B, that is at most ``bar`` long: ``hypot(arc_lo, phi_band
+    |dv|)``, with phi_band the floor on phi over the u-band such a curve
+    can reach (step 2 of the module docstring)."""
     bounds = surface.bounds
     phi_band = 0.0
     if bounds.e_floor > 0.0:
-        mid, half = 0.5 * (A.u + near.u), 0.5 * bar / bounds.e_floor
+        mid, half = 0.5 * (A.u + copy.u), 0.5 * bar / bounds.e_floor
         phi_band = bounds.phi_min(mid - half, mid + half)
-    return math.hypot(arc_lo, phi_band * abs(near.v + TWO_PI * k - A.v))
+    return math.hypot(arc_lo, phi_band * abs(copy.v - A.v))
 
 
 def _settled(surface, A, target, length):
     """The search windings from B* that the seed's geodesic, of this
     length, settles: no other candidate of them can be shorter, tie with
     it or make the answer ambiguous (step 2 of the module docstring)."""
+    copies, _, arc_lo, _ = target
     bar = length + 2.0 * _AMBIGUITY_TOL
     bounds = surface.bounds
     if bar < bounds.inj_floor:
-        return set(_WINDINGS)
-    return {k for k in _WINDINGS
-            if (k == 0 and bounds.nonpositive_curvature)
-            or _winding_bound(surface, A, target, k, bar) > bar}
+        return set(copies)
+    return {j for j, copy in copies.items()
+            if (j == 0 and bounds.nonpositive_curvature)
+            or _winding_bound(surface, A, copy, arc_lo, bar) > bar}
 
 
 def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
@@ -370,14 +390,21 @@ def connect_geodesic(surface: ProfileSurface, A: SurfacePoint, B: SurfacePoint,
     at the winding-0 target, ``bound`` the length of a curve known to join
     A to B, which is its reach; when it converges the multi-start search
     is skipped (no ambiguity detection in that mode).  Otherwise this is
-    ``connect_geodesics(surface, [(A, B)], opts)[0]``.
+    ``connect_geodesics(surface, [(A, B)], opts)[0]``.  The path's
+    ``length`` is the distance found from A to B.
+
+    Raises OffChartError for a point off the chart, and SolveError for a
+    pair that no Newton start reaches.  That error names the seed that
+    failed (chord or closed-form), the Newton starts and shots per
+    winding and the best screened residual; when every start failed in
+    the integrator, it names that failure and ``shoot_tol`` in place of
+    the seed (a chart exit is no integrator failure).
     """
     opts = opts or _DEFAULT
     if initial is not None:
-        target = _check_pair(surface, A, B)
-        if target is None:
+        if _check_pair(surface, A, B) is None:
             return shoot(surface, A, 0.0, 0.0)
-        got = _newton(surface, A, B.u, B.v, *target[2:], *initial, opts)[0]
+        got = _newton(surface, A, B, *initial, opts)[0]
         if got is not None:
             return got.path
     return connect_geodesics(surface, [(A, B)], opts)[0]
@@ -409,14 +436,14 @@ def connect_geodesics(surface: ProfileSurface, pairs,
     for n, ((A, B), target) in enumerate(zip(pairs, targets)):
         if target is None:
             continue
-        near, _, s_e, s_g, _, reach = target
+        copies, _, _, reach = target
+        near = copies[0]
         seed = _seed(surface, A, near)
-        seeded[n] = (seed, _newton(surface, A, near.u, near.v, s_e, s_g,
-                                   *seed[:2], reach, opts))
+        seeded[n] = (seed, _newton(surface, A, near, *seed[:2], reach, opts))
         got = seeded[n][1][0]
         settled[n] = (set() if got is None
                       else _settled(surface, A, target, got.length))
-        if settled[n].issuperset(_WINDINGS):
+        if settled[n].issuperset(copies):
             continue        # the seed's geodesic is the answer
         chord_theta, chord = _chord(surface, A, near)
         L_fan = 3.2 * chord + 0.1
@@ -446,14 +473,14 @@ def connect_geodesics(surface: ProfileSurface, pairs,
 
 def _polish(surface, A, target, fan, start, settled, opts):
     """Newton-polish the best screened fan starts of one pair toward the
-    copy B* of its target nearest A, and return the shortest converged
-    geodesic with its winding counted from B as given.  ``start`` is the
-    pair's ``_seed`` and that seed's ``_newton`` result, which is not
-    polished again.  Seeds of every search winding are screened and ranked, but
-    picks of a ``settled`` winding are not polished; ``fan`` is None when
-    every search winding is settled, and the seed's geodesic is then the
-    answer."""
-    near, turns, s_e, s_g, _, reach = target
+    copies of B in its ``_check_cold`` table, and return the shortest
+    converged geodesic with its winding counted from B as given.
+    ``start`` is the pair's ``_seed`` and that seed's ``_newton`` result,
+    which is not polished again.  Seeds of every search winding are
+    screened and ranked, but picks of a ``settled`` winding are not
+    polished; ``fan`` is None when every search winding is settled, and
+    the seed's geodesic is then the answer."""
+    copies, turns, _, reach = target
     seed, seeded = start
     if fan is None:
         path = seeded[0].path
@@ -461,17 +488,17 @@ def _polish(surface, A, target, fan, start, settled, opts):
         return path
     fan_thetas, s_grid, us, vs, alive = fan
     seeds: list[_Candidate] = [_Candidate(seed[0], seed[1], 0, 0.0)]
-    for k in _WINDINGS:
-        v_t = near.v + TWO_PI * k
-        r2 = (s_e * (us - near.u)) ** 2 + (s_g * (vs - v_t)) ** 2
+    s_e, s_g = _scales(surface, copies[0].u)
+    for j, copy in copies.items():
+        r2 = (s_e * (us - copy.u)) ** 2 + (s_g * (vs - copy.v)) ** 2
         r2 = np.where(alive, r2, np.inf)
         r2[:, 0] = np.inf  # the launch point is not an arrival
         idx = np.argmin(r2, axis=1)
-        for j, theta in enumerate(fan_thetas):
-            i = int(idx[j])
-            r = float(r2[j, i])
+        for lane, theta in enumerate(fan_thetas):
+            i = int(idx[lane])
+            r = float(r2[lane, i])
             if math.isfinite(r):
-                seeds.append(_Candidate(theta, float(s_grid[i]), int(k),
+                seeds.append(_Candidate(theta, float(s_grid[i]), j,
                                         math.sqrt(r)))
 
     ranked = sorted(seeds[1:], key=lambda c: c.resid)
@@ -519,8 +546,7 @@ def _polish(surface, A, target, fan, start, settled, opts):
         if cand.winding not in settled:
             known = [(c.theta, c.length) for c in converged
                      if c.winding == cand.winding]
-            _absorb(cand, *_newton(surface, A, near.u,
-                                   near.v + TWO_PI * cand.winding, s_e, s_g,
+            _absorb(cand, *_newton(surface, A, copies[cand.winding],
                                    cand.theta, cand.length, reach, opts,
                                    known))
 

@@ -19,7 +19,9 @@ arcs map the terminals into the tangent plane, to ``{0, L_ij U_ij,
 L_ik U_ik}``; the first step aims at their weighted Fermat point for the
 normal-coordinate distance to second order in the mean curvature K of the
 terminals, ``|y - z|^2 - (K / 3) Im(conj(y) z)^2``, or for the planar
-distance when the triangle is too wide for that expansion.
+distance when the triangle is too wide for that expansion.  That point
+takes a Weiszfeld iteration and no shot, so the floating test's batch
+is the solve's only cold connect batch.
 It then iterates on the residual ``R = sum b_i U_i``, the negative
 gradient of f wherever the minimal geodesics are unique.  Each step is
 the Newton step of the exact Hessian ``sum b_i (m2_i / m1_i)(I - U_i U_i^T)``,
@@ -85,10 +87,6 @@ class WeightTriple:
     def astuple(self):
         return (self.b1, self.b2, self.b3)
 
-    @property
-    def total(self) -> float:
-        return self.b1 + self.b2 + self.b3
-
     def normalized(self):
         (b1, b2, b3), _ = unit_weights(self)
         t = b1 + b2 + b3
@@ -106,7 +104,10 @@ def unit_weights(weights):
     """The weights over ``2**e`` and e, the largest's exponent rounded up
     to even, so the largest lands in [0.25, 1) and no product of three
     overflows.  The exact scaling leaves any value of their ratios alone,
-    and the square root of a product of them, bit for bit the same."""
+    and the square root of a product of them, bit for bit the same.  The
+    interior solve (its f scaled back), the sector angles, the normalized
+    weights and the closed-form prediction run on these, so weights of
+    any scale give the same answers."""
     b = as_weights(weights).astuple()
     e = 2 * math.ceil(math.frexp(max(b))[1] / 2)
     return tuple(math.ldexp(bi, -e) for bi in b), e
@@ -197,7 +198,8 @@ class FloatingTest:
     i with unit departure tangents toward the other two terminals; the
     minimiser is interior exactly when every margin is positive.  In
     vertex mode ``vertex_index`` is the terminal of least f among those
-    whose margin is at most 0.
+    whose margin is at most 0, with ``f(A_i) = b_j L_ij + b_k L_ik`` read
+    from the arcs.
     ``arcs[i, j]`` (i < j) is the geodesic from terminal i to terminal j;
     the tangent at j toward i is its reversed end heading.
     """
@@ -471,7 +473,8 @@ def solve_fermat(surface: ProfileSurface, points, weights,
     residual.  Runs the interior-versus-vertex test first; in the vertex
     regime the winning terminal is returned directly.  Otherwise one
     iteration runs until the balance residual ``|sum b_i U_i|`` drops
-    below ``1e-8 * (b1 + b2 + b3)``, for at most 500 steps.
+    below ``1e-8 * (b1 + b2 + b3)``, for at most 500 steps, and then
+    checks the converged sector angles against the weights' to 1e-5.
     Each iteration tries the Newton step of the exact Hessian (from the
     branches' Jacobi scalars), then its half, then its quarter, and keeps
     the first that lowers the residual without raising

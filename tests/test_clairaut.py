@@ -244,6 +244,24 @@ class TestSphereProbe:
         assert rep.sphere_probe is not None
         assert not rep.sphere_probe.all_positive
 
+    @pytest.mark.parametrize("b", [(2.0, 3.0, 4.0), (1.0, 1.5, 2.2),
+                                   (1.2, 1.0, 0.9)])
+    def test_never_all_positive_at_a_balanced_tree(self, sphere, b):
+        """Headings at the weights' sector angles balance, so ``sum b_i
+        c_i = 0``: at every turn of the tree about its branching point the
+        signed constants take both signs, and ``all_positive`` is False."""
+        rho0 = sphere.metric_terms(1.2)[4]
+        phi = sector_angles_from_weights(b)
+        for turn in np.linspace(-math.pi, math.pi, 181):
+            thetas = (turn, turn + phi[0], turn + phi[0] + phi[1])
+            branches = tuple(BranchConstants(
+                th, th, 0.5 * math.pi - th, rho0 * math.cos(th),
+                rho0 * math.sin(0.5 * math.pi - th)) for th in thetas)
+            assert abs(math.fsum(bi * br.c_sin for bi, br in
+                                 zip(b, branches))) <= 1e-14
+            assert not sphere_sine_ratio_probe(sphere, branches,
+                                               b).all_positive
+
     def test_all_meridian_undefined(self, sphere):
         synth = tuple(BranchConstants(math.pi / 2, math.pi / 2, 0.0,
                                       6e-17, 0.0) for _ in range(3))

@@ -911,6 +911,7 @@ class TestBundledScenarios:
         ("torus_planted.json", "clairaut-report"),
         ("torus_pair.json", "connect"),
         ("sphere_wide.json", "fermat-solve"),
+        ("vase_pair.json", "connect"),
     ])
     def test_fixtures_run_clean(self, name, command):
         scn = load_scenario(self.SCENARIOS / name)
@@ -1029,6 +1030,40 @@ class TestBundledScenarios:
         assert report["results"]["path"]["length"] == pytest.approx(
             math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(turn)),
             abs=1e-9)
+
+    def test_vase_pair_runs_the_fan(self, monkeypatch):
+        """``vase_pair.json`` holds the 17-knot vase of the connect tests.
+        The custom kind claims no bounds, so no winding is settled: the
+        connect runs the screening fan, screens every copy of A2 and
+        answers at winding 0, pinned bit for bit."""
+        fans = []
+        real = connect_mod.shoot_fan
+
+        def counted(*args):
+            fans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(connect_mod, "shoot_fan", counted)
+        scn = load_scenario(self.SCENARIOS / "vase_pair.json")
+        assert scn.surface.bounds.inj_floor == 0.0
+        code, report = cli.run("connect", scn)
+        assert (code, len(fans)) == (0, 1)
+        path = report["results"]["path"]
+        assert (path["length"], path["winding"]) == (1.376251190598009, 0)
+
+    @pytest.mark.parametrize("name", ["sphere_planted.json",
+                                      "sphere_triangle.json",
+                                      "sphere_large.json"])
+    def test_positivity_warning_at_every_sphere_tree(self, name):
+        """Each tree is balanced, so its signed constants take both signs:
+        the sphere probe's ``all_positive`` is False and the report warns
+        of positivity (``SineRatioProbe``)."""
+        code, report = cli.run("clairaut-report",
+                               load_scenario(self.SCENARIOS / name))
+        assert code == 0
+        assert report["results"]["clairaut"]["sphere_probe"][
+            "all_positive"] is False
+        assert "positivity" in [w["kind"] for w in report["warnings"]]
 
     def test_planted_tree_report_schema(self):
         """The planted sphere tree (branch 1 at 100 degrees, clockwise) is

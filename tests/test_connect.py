@@ -172,7 +172,7 @@ class TestInvariants:
         rng = np.random.default_rng(29)
         for _ in range(10):
             A, B = draw(rng)
-            arc_lo, reach = connect_mod._check_cold(surface, A, B)[4:]
+            arc_lo, reach = connect_mod._check_cold(surface, A, B)[2:]
             length = connect_geodesic(surface, A, B).length
             assert arc_lo <= length
             assert length <= reach + 2.0 * connect_mod._AMBIGUITY_TOL
@@ -222,6 +222,21 @@ class TestInvariants:
         assert len(calls) == 1
         assert np.array_equal(warm.samples, cold.samples)
 
+    def test_warm_start_at_the_target_is_the_zero_path(self, sphere,
+                                                       monkeypatch):
+        """A warm connect from A to A makes no Newton start and returns
+        the zero-length path, as the cold connect does."""
+        A = SurfacePoint(1.1, 0.2)
+        cold = connect_geodesic(sphere, A, A)
+
+        def no_newton(*args):
+            raise AssertionError("Newton ran for a coincident pair")
+
+        monkeypatch.setattr(connect_mod, "_newton", no_newton)
+        warm = connect_geodesic(sphere, A, A, initial=(0.3, 1.0, 1.0))
+        assert warm.length == 0.0
+        assert np.array_equal(warm.samples, cold.samples)
+
     def test_newton_makes_one_shot_per_iteration(self, sphere, monkeypatch):
         """The heading column comes from the Jacobi field of the last shot,
         so each iteration makes one shot: from a start 1e-3 off, Newton
@@ -254,8 +269,7 @@ class TestInvariants:
         B = SurfacePoint(cylinder.u_max - 1.0, 1.0)
         reach = 0.5 + 1.0   # along the meridian, then the parallel
         # a chart exit is no integrator fault
-        assert connect_mod._newton(cylinder, A, B.u, B.v, 1.0, 1.0,
-                                   math.pi / 2, 2.0, reach,
+        assert connect_mod._newton(cylinder, A, B, math.pi / 2, 2.0, reach,
                                    connect_mod._DEFAULT) == (None, 1, None)
         warm = connect_geodesic(cylinder, A, B,
                                 initial=(math.pi / 2, 2.0, reach))
@@ -416,7 +430,7 @@ class TestBatch:
         for name in ("shoot_fan", "shoot"):
             monkeypatch.setattr(connect_mod, name, counted(name))
         A, B = SurfacePoint(2.0, 0.0), SurfacePoint(3.0, 0.8)
-        arc_lo, reach = connect_mod._check_cold(vase, A, B)[4:]
+        arc_lo, reach = connect_mod._check_cold(vase, A, B)[2:]
         chord = connect_mod._chord(vase, A, B)[1]
         assert chord == pytest.approx(1.360, abs=1e-3)
         assert arc_lo == pytest.approx(33.504, abs=1e-3)
@@ -467,7 +481,7 @@ def _vase():
 
 def _full_fan(surface, A, B):
     """Length and step count of the pair's full screening fan."""
-    near = connect_mod._check_cold(surface, A, B)[0]
+    near = connect_mod._check_cold(surface, A, B)[0][0]
     chord = connect_mod._chord(surface, A, near)[1]
     L_fan = 3.2 * chord + 0.1
     return L_fan, max(connect_mod._FAN_STEPS, min(320, int(L_fan * 16)))
@@ -480,8 +494,8 @@ def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
     with no root in hand told to Newton: every pick is polished to
     convergence, as in a search without the cuts.  The first start is
     the solver's own ``_seed``."""
-    target = (*connect_mod._check_cold(surface, A, B)[:5], math.inf)
-    near, _, s_e, s_g, _, reach = target
+    target = (*connect_mod._check_cold(surface, A, B)[:3], math.inf)
+    near, reach = target[0][0], target[3]
     seed = connect_mod._seed(surface, A, near)
     thetas = [*connect_mod._FAN_HEADINGS,
               connect_mod._chord(surface, A, near)[0]]
@@ -490,12 +504,10 @@ def _full_fan_path(surface, A, B, opts=connect_mod._DEFAULT):
                                   [L_fan / n_steps] * len(thetas), n_steps)
     newton = connect_mod._newton
 
-    def unabsorbed(surface, A, u_t, v_t, s_e, s_g, theta, L, reach, opts,
-                   known=()):
-        return newton(surface, A, u_t, v_t, s_e, s_g, theta, L, reach, opts)
+    def unabsorbed(surface, A, B, theta, L, reach, opts, known=()):
+        return newton(surface, A, B, theta, L, reach, opts)
 
-    seeded = newton(surface, A, near.u, near.v, s_e, s_g, *seed[:2], reach,
-                    opts)
+    seeded = newton(surface, A, near, *seed[:2], reach, opts)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connect_mod, "_newton", unabsorbed)
         return connect_mod._polish(
@@ -588,9 +600,9 @@ class TestChordSeedFirst:
         real = connect_mod._newton
         starts = []
 
-        def counted(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, *rest):
-            starts.append((v_t, theta0, L0))
-            return real(surface, A_, u_t, v_t, s_e, s_g, theta0, L0, *rest)
+        def counted(surface, A_, B_, theta0, L0, *rest):
+            starts.append((B_.v, theta0, L0))
+            return real(surface, A_, B_, theta0, L0, *rest)
 
         monkeypatch.setattr(connect_mod, "_newton", counted)
         connect_geodesic(torus, A, B)
@@ -653,9 +665,9 @@ class TestSettle:
         starts, fans = [], []
         newton, fan = connect_mod._newton, connect_mod.shoot_fan
 
-        def counted_newton(surface, A, u_t, v_t, *rest):
-            starts.append(v_t)
-            return newton(surface, A, u_t, v_t, *rest)
+        def counted_newton(surface, A, B, *rest):
+            starts.append(B.v)
+            return newton(surface, A, B, *rest)
 
         def counted_fan(*args):
             fans.append(args)
@@ -882,12 +894,12 @@ class TestWindingBound:
     def test_cylinder_closed_form(self):
         cylinder = make_surface("cylinder", radius=1.5)
         for A, B in self._pairs(np.random.default_rng(61), -3.0, 3.0, 100):
-            target = connect_mod._check_cold(cylinder, A, B)
-            near = target[0]
+            copies, _, arc_lo, _ = connect_mod._check_cold(cylinder, A, B)
+            near = copies[0]
             for k in range(-2, 3):
-                length = math.hypot(B.u - A.u,
-                                    1.5 * (near.v + 2 * math.pi * k - A.v))
-                bound = connect_mod._winding_bound(cylinder, A, target, k,
+                copy = SurfacePoint(near.u, near.v + 2 * math.pi * k)
+                length = math.hypot(B.u - A.u, 1.5 * (copy.v - A.v))
+                bound = connect_mod._winding_bound(cylinder, A, copy, arc_lo,
                                                    length)
                 assert bound <= length * (1.0 + 1e-12)
 
@@ -904,12 +916,12 @@ class TestWindingBound:
         found, bands = [], []
         real = connect_mod._newton
 
-        def recorded(surface_, A, u_t, v_t, *rest):
-            result = real(surface_, A, u_t, v_t, *rest)
+        def recorded(surface_, A, B_, *rest):
+            result = real(surface_, A, B_, *rest)
             got = result[0]
             if got is not None:
                 us = got.path.samples[:, 1]
-                found.append((v_t, got.length, got.theta, us.min(),
+                found.append((B_, got.length, got.theta, us.min(),
                               us.max()))
             return result
 
@@ -926,12 +938,12 @@ class TestWindingBound:
         for A, B in self._pairs(np.random.default_rng(67), lo, hi, n):
             found.clear()
             best = _full_fan_path(surface, A, B)
-            target = connect_mod._check_cold(surface, A, B)
-            for v_t, length, _, u_lo, u_hi in found:
-                k = round((v_t - target[0].v) / (2 * math.pi))
+            copies, _, arc_lo, _ = connect_mod._check_cold(surface, A, B)
+            for copy, length, _, u_lo, u_hi in found:
+                k = round((copy.v - copies[0].v) / (2 * math.pi))
                 windings.add(k)
                 bands.clear()
-                bound = connect_mod._winding_bound(surface, A, target, k,
+                bound = connect_mod._winding_bound(surface, A, copy, arc_lo,
                                                    length)
                 assert bound <= length + 1e-9
                 (band_lo, band_hi), = bands
@@ -940,8 +952,8 @@ class TestWindingBound:
                 # below the injectivity radius, every other geodesic to
                 # any copy of B is at least inj_floor long
                 below_inj += 1
-                for v_t, length, theta, _, _ in found:
-                    same = (abs(v_t - best.end().v) <= 1e-8
+                for copy, length, theta, _, _ in found:
+                    same = (abs(copy.v - best.end().v) <= 1e-8
                             and abs(length - best.length) <= 1e-8
                             and abs(math.remainder(
                                 theta - best.theta_start, 2 * math.pi))
@@ -968,8 +980,8 @@ class TestKnownRoots:
         starts = []
         real = connect_mod._newton
 
-        def recorded(surface, A, u_t, v_t, s_e, s_g, theta, L, *rest):
-            result = real(surface, A, u_t, v_t, s_e, s_g, theta, L, *rest)
+        def recorded(surface, A, B, theta, L, *rest):
+            result = real(surface, A, B, theta, L, *rest)
             starts.append((theta, L, result[1], result[0]))
             return result
 
@@ -1006,9 +1018,8 @@ class TestKnownRoots:
         root = connect_geodesic(torus, *self.PAIR)
         theta, L = starts[1][:2]
         A, B = self.PAIR
-        near, _, s_e, s_g, _, reach = connect_mod._check_cold(torus, A, B)
-        args = (torus, A, near.u, near.v, s_e, s_g, theta, L, reach,
-                connect_mod._DEFAULT)
+        copies, _, _, reach = connect_mod._check_cold(torus, A, B)
+        args = (torus, A, copies[0], theta, L, reach, connect_mod._DEFAULT)
         known = [(root.theta_start, root.length)]
         assert newton(*args, known) == (None, 1, None)
         got, shots, _ = newton(*args)
@@ -1178,7 +1189,7 @@ def test_torus_miss_pair_has_a_geodesic():
     for A, B, turns, start, length in _TORUS_MISSES.values():
         near = SurfacePoint(B.u, B.v + 2.0 * math.pi * turns)
         # the curve along the meridian and the shorter parallel
-        reach = connect_mod._check_cold(torus, A, near)[5]
+        reach = connect_mod._check_cold(torus, A, near)[3]
         assert length < reach
         path = connect_geodesic(torus, A, near, initial=(*start, reach))
         assert path.winding == 0
@@ -1215,7 +1226,7 @@ def test_equator_pair_has_two_shorter_geodesics():
     A, B = _TORUS_EQUATOR
     arc = shoot(torus, A, 0.0, 5.4)
     assert arc.jacobi()[0] < 0.0
-    reach = connect_mod._check_cold(torus, A, B)[5]
+    reach = connect_mod._check_cold(torus, A, B)[3]
     for theta in (0.84, -0.84):
         path = connect_geodesic(torus, A, B, initial=(theta, 5.2, reach))
         assert path.length == pytest.approx(5.175373, abs=1e-6)

@@ -57,7 +57,7 @@ class TestSectorAngles:
     def test_cosine_duality(self, b):
         w = WeightTriple(*b)
         assume(min(b[0] + b[1] - b[2], b[1] + b[2] - b[0],
-                   b[0] + b[2] - b[1]) > 1e-3 * w.total)
+                   b[0] + b[2] - b[1]) > 1e-3 * sum(w.astuple()))
         phi = sector_angles_from_weights(w)
         for ang, (i, j, k) in zip(phi, ((0, 1, 2), (1, 2, 0), (2, 0, 1))):
             assert abs(math.cos(ang)
@@ -93,10 +93,10 @@ class TestInverseWeights:
     def test_round_trip_property(self, b):
         w = WeightTriple(*b)
         assume(min(b[0] + b[1] - b[2], b[1] + b[2] - b[0],
-                   b[0] + b[2] - b[1]) > 1e-3 * w.total)
+                   b[0] + b[2] - b[1]) > 1e-3 * sum(w.astuple()))
         angles = sector_angles_from_weights(w)
         assert abs(sum(angles) - TWO_PI) <= 1e-12
-        back = weights_from_sector_angles(angles, total=w.total)
+        back = weights_from_sector_angles(angles, total=sum(w.astuple()))
         assert back.astuple() == pytest.approx(b, abs=1e-10)
 
     def test_weight_validation(self):
@@ -835,6 +835,117 @@ class TestWeightScale:
         assert got.sector_angles == want.sector_angles
         assert got.f_history == tuple(math.ldexp(f, k)
                                       for f in want.f_history)
+
+
+class TestWeightedClairautSum:
+    """At a balanced tree ``sum b_i c_i = 0``: the balance's parallel
+    component ``sum b_i cos(theta_i)`` times rho0, Noether's theorem for
+    the rotation about the axis.  Each c_i is read at the far end of its
+    branch, so the bound is the solve's stop ``|R| < 1e-8 sum(b)`` times
+    rho0, plus the branches' ``c_drift``."""
+
+    SCENARIOS = Path(__file__).parent.parent / "scenarios"
+    # the scenarios whose Fermat tree is interior
+    INTERIOR = ("plane_equilateral.json", "sphere_large.json",
+                "sphere_near_axis.json", "sphere_options.json",
+                "sphere_planted.json", "sphere_triangle.json",
+                "sphere_wide.json", "torus_planted.json")
+    KINDS = (("paraboloid", {"a": 1.0}, (0.8, 2.0)),
+             ("catenoid", {"a": 1.0}, (-1.0, 1.0)),
+             ("torus", {"R": 2.0, "r": 0.7}, (-2.0, 2.0)),
+             ("cone", {"slope": 0.7}, (1.0, 3.0)),
+             ("sphere", {"radius": 1.0}, (0.9, 2.2)))
+
+    @staticmethod
+    def _sum_and_bound(surface, point, branches, b):
+        rho0 = surface.metric_terms(point.u)[4]
+        c = [float(path.clairaut_values()[-1]) for path in branches]
+        bound = rho0 * 1e-8 * sum(b) + sum(
+            bi * path.c_drift for bi, path in zip(b, branches))
+        return abs(sum(bi * ci for bi, ci in zip(b, c))), bound
+
+    @pytest.mark.parametrize("name", INTERIOR)
+    def test_every_interior_scenario_tree(self, name):
+        scn = load_scenario(self.SCENARIOS / name)
+        res = solve_fermat(scn.surface, scn.terminals(), scn.weights,
+                           scn.connect_opts)
+        assert res.mode == "interior"
+        got, bound = self._sum_and_bound(scn.surface, res.point,
+                                         res.branches, scn.weights.astuple())
+        assert got <= bound
+
+    def test_random_interior_trees(self):
+        """20 trees per kind, terminals within 0.6 in u and v of a random
+        centre and weights in [0.8, 1.6]: every interior answer meets the
+        bound, and the constants of each take both signs."""
+        rng = np.random.default_rng(9)
+        interior = 0
+        for kind, params, (lo, hi) in self.KINDS:
+            surface = make_surface(kind, **params)
+            for _ in range(20):
+                cu = rng.uniform(lo, hi)
+                cv = rng.uniform(-math.pi, math.pi)
+                pts = [SurfacePoint(cu + rng.uniform(-0.6, 0.6),
+                                    cv + rng.uniform(-0.6, 0.6))
+                       for _ in range(3)]
+                b = tuple(float(x) for x in rng.uniform(0.8, 1.6, 3))
+                res = solve_fermat(surface, pts, b)
+                if res.mode != "interior":
+                    continue
+                interior += 1
+                got, bound = self._sum_and_bound(surface, res.point,
+                                                 res.branches, b)
+                assert got <= bound
+                signs = {math.copysign(1.0, path.c_nominal)
+                         for path in res.branches}
+                assert signs == {-1.0, 1.0}
+        assert interior == 47
+
+    def test_turned_branch_fails(self):
+        """The same tree with one branch heading turned by 1e-3 is not
+        balanced, and its sum is far past the bound."""
+        scn = load_scenario(self.SCENARIOS / "torus_planted.json")
+        res = solve_fermat(scn.surface, scn.terminals(), scn.weights,
+                           scn.connect_opts)
+        first = res.branches[0]
+        turned = (shoot(scn.surface, res.point, first.theta_start + 1e-3,
+                        first.length), *res.branches[1:])
+        got, bound = self._sum_and_bound(scn.surface, res.point, turned,
+                                         scn.weights.astuple())
+        assert got > 100.0 * bound
+
+
+class TestTrial:
+    """``_trial`` shoots a step from the branching point and warm-connects
+    its end to each terminal."""
+
+    P = SurfacePoint(1.2, 0.3)
+    PTS = (SurfacePoint(0.9, 0.0), SurfacePoint(1.5, 0.1),
+           SurfacePoint(1.2, 0.8))
+
+    def test_failed_warm_connect_is_no_trial(self, sphere, monkeypatch):
+        """A warm connect that raises makes the trial None, not an error;
+        unpatched, the same trial reaches every terminal."""
+        paths = [connect_geodesic(sphere, self.P, t) for t in self.PTS]
+        args = (sphere, self.P, 0.3, 0.01, self.PTS,
+                (paths, [path.jacobi() for path in paths]), (1.0, 1.0, 1.0),
+                ConnectOptions())
+        _, branches, _ = fermat_mod._trial(*args)
+        for t, path in zip(self.PTS, branches):
+            end = path.end()
+            assert abs(end.u - t.u) <= 1e-9 and abs(end.v - t.v) <= 1e-9
+        real = fermat_mod.connect_geodesic
+        warm = []
+
+        def failing(*args, initial=None, **kwargs):
+            if initial is None:
+                return real(*args, **kwargs)
+            warm.append(initial)
+            raise SolveError("unreachable within search budget")
+
+        monkeypatch.setattr(fermat_mod, "connect_geodesic", failing)
+        assert fermat_mod._trial(*args) is None
+        assert len(warm) == 1
 
 
 class TestWeiszfeldFallback:
